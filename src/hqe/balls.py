@@ -19,14 +19,6 @@ _POINT = "point"
 _BALL = "ball"
 
 
-def _val_lb(x: FieldElem) -> ValQ:
-    if x.is_zero:
-        return INF
-    if x.is_small:
-        return ValQ(x.rel)
-    return x.val()
-
-
 def _v_at_least(x: FieldElem, bound: ValQ) -> bool:
     """Decide v(x) >= bound, honestly."""
     if x.is_zero:

@@ -20,7 +20,7 @@ from math import factorial
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
 from .field import LAURENT, Field, FieldElem
-from .hensel import _val_lb, derivative_roots, elem_sort_key
+from .hensel import derivative_roots, elem_sort_key
 from .poly import Poly, argmin_indices, residue_roots, taylor_shift
 from .rv import RVElem, rv
 from .valq import INF, NEG_INF, ValQ, vmin
@@ -84,7 +84,7 @@ class Piece:
         ignored = INF  # lower bound on terms dropped as zero-at-precision
         d = x - self.center
         if not d.is_zero:
-            self._depth_guard(_val_lb(d))
+            self._depth_guard(d.val_lb())
         # only gamma + 1 unit digits of each factor survive into the class
         if not (d.is_zero or d.is_small):
             d = d.truncate_rel(gamma + 1)
@@ -96,7 +96,7 @@ class Piece:
                     continue  # the whole term vanishes exactly
                 lb = ValQ(a.rel) if a.is_small else a.val()
                 if j > 0:
-                    lb = lb + _val_lb(d) * j
+                    lb = lb + d.val_lb() * j
                 ignored = min(ignored, lb)
                 continue
             if not a.is_small:
@@ -252,7 +252,7 @@ def _count_inside(droots, ball: Ball) -> int:
     seen = []
     for _, r in droots:
         try:
-            if ball.contains(r) and not any((r - s).is_zero or _val_lb(r - s) >= ValQ(r.field.prec) for s in seen):
+            if ball.contains(r) and not any((r - s).val_lb() >= ValQ(r.field.prec) for s in seen):
                 seen.append(r)
                 n += 1
         except PrecisionExhausted:

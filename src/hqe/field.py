@@ -267,6 +267,13 @@ class FieldElem:
             f"element is zero modulo pi^{self.rel} but not known to be an exact zero"
         )
 
+    def val_lb(self) -> ValQ:
+        """A usable lower bound on v(x): exact when known, the order bound
+        for an element that is zero to its precision."""
+        if self.kind == _SMALL:
+            return ValQ(self.rel)
+        return self.val()
+
     # ---- digit access -------------------------------------------------------
 
     def unit_digits(self, k: int):
@@ -418,6 +425,13 @@ class FieldElem:
         if self.field.backend == LAURENT:
             return FieldElem(self.field, _NUM, self.v, self.u, None, self.den)
         return self.field.from_unit(self.v, self.u, None)
+
+    def padded(self, k: int) -> "FieldElem":
+        """as_exact() known to k relative digits: digits past k dropped,
+        zero digits added up to k."""
+        if self.kind != _NUM or self.rel is None or self.rel >= k:
+            return self.truncate_rel(k)
+        return FieldElem(self.field, _NUM, self.v, self.u, k, self.den)
 
     def truncate_abs(self, k: int) -> "FieldElem":
         """Forget digits at valuation k and beyond (the class mod m_{>=k})."""

@@ -22,6 +22,9 @@ from .rv import rv
 from .valq import INF, ValQ, vmin
 
 _MAX_NEWTON_STEPS = 64
+# digits an iterate carries beyond the precision its next step is predicted
+# to use
+_SLACK = 8
 
 
 @dataclass(frozen=True)
@@ -32,16 +35,6 @@ class LiftCertificate:
     root: FieldElem
     iterations: int
     separation: ValQ
-
-
-def _val_lb(x: FieldElem) -> ValQ:
-    """A usable lower bound on v(x): exact when known, the order bound for
-    an element that is zero to its precision."""
-    if x.is_zero:
-        return INF
-    if x.is_small:
-        return ValQ(x.rel)
-    return x.val()
 
 
 def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
@@ -56,15 +49,15 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
     delta = ValQ.of(delta)
     field = P.field
     for c in P.coeffs:
-        if not (c.is_zero or _val_lb(c) >= ValQ(0)):
+        if not c.val_lb() >= ValQ(0):
             raise PreconditionViolated("polynomial must have coefficients in O")
-    if not (a.is_zero or _val_lb(a) >= ValQ(0)):
+    if not a.val_lb() >= ValQ(0):
         raise PreconditionViolated("starting point must lie in O")
     dP = derivative(P)
     fa = P(a)
     if fa.is_zero:
         return LiftCertificate(a, 0, INF)
-    va = _val_lb(fa)
+    va = fa.val_lb()
     va_d = dP(a)
     if va_d.is_zero or va_d.is_small:
         raise PreconditionViolated("P'(a) is (indistinguishable from) zero")
@@ -91,9 +84,41 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
     cap = min(work.prec, (target.as_int() if target.is_finite else field.prec) + margin)
     P = Poly(work, [c.with_field(work) for c in P.coeffs])
     dP = Poly(work, [c.with_field(work) for c in dP.coeffs])
-    x = a.with_field(work)
-    fx = P(x)
-    vfx = _val_lb(fx)
+    # precision doubling: an iterate is only a point to go on from, so it is
+    # carried as the exact approximant of its known digits, padded to the
+    # absolute precision the next step can use.  From v(P(x)) = w a step
+    # reaches v(P) >= 2 (w - v(P')), and only if P(x), hence x, is known to
+    # that many digits; _SLACK more absorb faster convergence, and a step
+    # that converges past them is taken again below.  Digits are never
+    # claimed past those of the starting point.
+    limit = a.abs_prec
+
+    def carry(x: FieldElem, w) -> FieldElem:
+        """x padded for v(P(x)) = w (an int), or to all cap digits (None)."""
+        if x.is_small:  # zero to its known digits: the point 0
+            return work.zero()
+        if x.is_zero:
+            return x
+        r = cap if w is None else min(cap, 2 * (w - vd_int) + _SLACK - x.v)
+        if limit.is_finite:
+            r = min(r, limit.as_int() - x.v)
+        return x.padded(max(1, r))
+
+    def evaluate(y: FieldElem, w: int):
+        """The iterate y carried for v(P(y)) = w, and P there; if P is zero
+        to that padded precision, y is carried to all cap digits and P
+        evaluated again."""
+        x = carry(y, w)
+        fx = P(x)
+        if fx.is_small:
+            wider = carry(y, None)
+            if wider.rel is not None and wider.rel > x.rel:
+                x, fx = wider, P(wider)
+        return x, fx
+
+    y = a.with_field(work)
+    x, fx = evaluate(y, va.as_int())
+    vfx = fx.val_lb()
     steps = 0
     dfx = None
     while vfx < target:
@@ -110,11 +135,21 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
         dfx = dP(x)
         if dfx.is_zero or dfx.is_small:
             raise PrecisionExhausted("derivative lost to precision during iteration")
-        x = (x - fx / dfx).truncate_rel(cap)
+        y_next = x - fx / dfx
+        x_next, fx_next = evaluate(y_next, 2 * (vfx.as_int() - vd_int))
+        if not (fx_next.is_zero or fx_next.is_small) and fx_next.val() >= vd + y_next.abs_prec:
+            # the step converged past the digits x carried, so v(P) may be
+            # cut short there: take the step again from all digits of y
+            wider = carry(y, None)
+            if wider.rel is not None and wider.rel > x.rel:
+                x = wider
+                fx = P(x)
+                vfx = fx.val_lb()
+                continue
+        y, x, fx = y_next, x_next, fx_next
         steps += 1
-        fx = P(x)
         if fx.is_zero or fx.is_small:
-            vfx = _val_lb(fx)
+            vfx = fx.val_lb()
             continue
         new_vfx = fx.val()
         if not new_vfx > vfx:
@@ -290,7 +325,7 @@ def _roots_in_O(H: Poly, depth: int, only_units: bool = False) -> list[FieldElem
         if inner == 0:
             continue
         if inner == 1:
-            va = _val_lb(Hc.coeffs[0])
+            va = Hc.coeffs[0].val_lb()
             vd = Hc.coeffs[1].val() if len(Hc.coeffs) > 1 and not Hc.coeffs[1].is_zero else None
             if vd is not None and va > vd * 2:
                 cert = newton_lift(H, chat, 0)
@@ -343,13 +378,13 @@ def collision_data(f: Poly, alpha: FieldElem, beta: FieldElem):
     vals = []
     for i, c in enumerate(a):
         term = c * diff**i if i else c
-        vals.append(_val_lb(term) if term.is_small else (INF if term.is_zero else term.val()))
+        vals.append(term.val_lb())
     mu = vmin(vals)
     if not mu.is_finite:
         raise PreconditionViolated("all recentered monomials vanish")
     m = max(i for i, v in enumerate(vals) if v == mu)
     fb = f(beta)
-    severity = _val_lb(fb) - mu
+    severity = fb.val_lb() - mu
     return m, mu, severity
 
 
@@ -385,7 +420,7 @@ def collision_root(f: Poly, alpha: FieldElem, beta: FieldElem, delta=0):
     one = work.one()
     vals = []
     for n in range(m + 1):
-        vn = _val_lb(derivative(P, n)(one))
+        vn = derivative(P, n)(one).val_lb()
         vals.append(vn)
     chosen = None
     for n in range(m - 1, -1, -1):
@@ -452,7 +487,7 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int, threshold=None)
             except (PreconditionViolated, PrecisionExhausted):
                 lam = None
         if lam is None:
-            inside = [(n, r) for n, r in droots if _val_lb(r - beta) > ValQ(delta_ann)]
+            inside = [(n, r) for n, r in droots if (r - beta).val_lb() > ValQ(delta_ann)]
             if not inside:
                 continue
             inside.sort(key=lambda nr: (nr[0], elem_sort_key(nr[1])))

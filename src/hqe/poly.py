@@ -4,6 +4,7 @@ Newton-polygon bookkeeping, and root search over the residue field."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import PrecisionExhausted
 from .field import LAURENT, Field, FieldElem
@@ -207,6 +208,10 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd via the pseudo-remainder chain (exact on exact inputs)."""
     a, b = f, g
     while not b.is_zero:
+        if b.degree == 0:
+            # a constant divides a: the next remainder is 0 and the gcd is
+            # monic(b), without the pseudo-division's exact products
+            return monic(b)
         _, r, _ = poly_pseudo_divmod(a, b)
         # strip the valuation content so coefficients stay tame
         r = _strip_content(r)
@@ -353,15 +358,22 @@ def residue_roots(field: Field, coeffs):
             roots.add(Fraction(0))
             cs.pop(0)
         if len(cs) > 1:
-            from math import lcm
-
             mult = lcm(*[c.denominator for c in cs])
-            ics = [int(c * mult) for c in cs]
+            ics = [c.numerator * (mult // c.denominator) for c in cs]
+            g = gcd(*ics)
+            ics = [c // g for c in ics]
             for num in _divisors(abs(ics[0])):
                 for den in _divisors(abs(ics[-1])):
-                    for cand in (Fraction(num, den), Fraction(-num, den)):
-                        if sum(c * cand ** i for i, c in enumerate(cs)) == 0:
-                            roots.add(cand)
+                    if gcd(num, den) != 1:
+                        continue  # the same candidate in lower terms
+                    for n in (num, -num):
+                        # den^d * g(n/den), by Horner on integers
+                        acc, scale = ics[-1], 1
+                        for c in reversed(ics[:-1]):
+                            scale *= den
+                            acc = acc * n + c * scale
+                        if acc == 0:
+                            roots.add(Fraction(n, den))
         return sorted(roots)
     p = field.p
     cs = [int(c) % p for c in coeffs]

@@ -57,7 +57,7 @@ from .formula import (
     subst,
     term_vars,
 )
-from .hensel import field_roots, _val_lb
+from .hensel import field_roots
 from .poly import Poly, poly_gcd
 from .regions import (
     Region,
@@ -126,10 +126,7 @@ def eliminate_linear_exists(constraints, field: Field, case_log=None) -> bool:
 
 
 def _in_open_ball(x, B) -> bool:
-    d = x - B["center"]
-    if d.is_zero:
-        return True
-    return _val_lb(d) > B["radius"]
+    return (x - B["center"]).val_lb() > B["radius"]
 
 
 def _pair_intersects(B1, B2, case_log) -> bool:
@@ -137,7 +134,7 @@ def _pair_intersects(B1, B2, case_log) -> bool:
         B1, B2 = B2, B1
     vz1, vz2 = B1["z"].val(), B2["z"].val()
     dcc = B1["c"] - B2["c"]
-    vcc = INF if dcc.is_zero else _val_lb(dcc)
+    vcc = dcc.val_lb()
     if vcc < vz1:
         case = 4
     elif vz2 < vz1:
@@ -152,15 +149,12 @@ def _pair_intersects(B1, B2, case_log) -> bool:
         # the difference of the defining data has the smaller value outright
         return False
     if case == 4:
-        # rv(z_1) + rv(c_1 - c_2) is well-defined; compare at the lower order
-        low = min(B1["delta"], B2["delta"])
-        w = B1["z"] + dcc
-        return rv(w, low) == rv(B2["z"], low)
+        # B1 is the larger ball, so the two meet iff z_1 + (c_1 - c_2) lies
+        # within its radius v(z_1) + delta_1 of z_2; comparing rv at the lower
+        # order is coarser than that when v(z_2) < v(z_1)
+        return (B1["z"] + dcc - B2["z"]).val_lb() > B1["radius"]
     # cases 1 and 2: the severity criterion on z_1 - z_2 + (c_1 - c_2)
-    diff = B2["center"] - B1["center"]
-    if diff.is_zero:
-        return True
-    return _val_lb(diff) > B1["radius"]
+    return (B2["center"] - B1["center"]).val_lb() > B1["radius"]
 
 
 # ---- atoms to polynomials ------------------------------------------------------
@@ -390,7 +384,7 @@ def _dedupe_roots(roots, field):
     out = []
     for r in roots:
         if not any(
-            (r - s).is_zero or _val_lb(r - s) >= ValQ(field.prec // 2) for s in out
+            (r - s).val_lb() >= ValQ(field.prec // 2) for s in out
         ):
             out.append(r)
     return out
@@ -778,7 +772,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     def center_index(a: FieldElem) -> int:
         for i, c in enumerate(centers):
             d = a - c
-            if d.is_zero or (_val_lb(d) >= ValQ(field.prec // 2)):
+            if d.val_lb() >= ValQ(field.prec // 2):
                 return i
         centers.append(a)
         return len(centers) - 1

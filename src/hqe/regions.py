@@ -14,7 +14,7 @@ from .balls import Ball, SwissCheese
 from .decomp import decompose, resolution_horizon
 from .errors import NonEffectiveQuantifier, PrecisionExhausted
 from .field import Field, FieldElem
-from .hensel import field_roots, _val_lb
+from .hensel import field_roots
 from .poly import Poly
 from .valq import INF, NEG_INF, ValQ
 
@@ -145,7 +145,7 @@ def _cell_compare(ch: _CellData, c1, cg: _CellData, c2, op, cheese, field) -> Re
     if m1 == 0 and m2 == 0:
         return [cheese] if _holds(A, B, op) else []
     d = a1 - a2
-    dv = INF if d.is_zero else _val_lb(d)
+    dv = d.val_lb()
     if not d.is_zero and d.is_small and d.rel < resolution_horizon(field):
         raise PrecisionExhausted("cell centers indistinguishable at precision")
     out: Region = []

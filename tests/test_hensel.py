@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hqe.errors import PreconditionViolated
+from hqe.errors import PrecisionExhausted, PreconditionViolated
 from hqe.field import Field
 from hqe.hensel import (
     LiftCertificate,
@@ -17,6 +19,8 @@ from hqe.hensel import (
 from hqe.poly import Poly, derivative
 from hqe.rv import rv
 from hqe.valq import INF, ValQ
+
+import newton_reference as reference
 
 
 def val_at_least(x, bound):
@@ -123,6 +127,124 @@ def test_random_engineered_lifts(any_field):
         assert cert.separation > ValQ(delta)
         assert val_at_least(cert.root - root, field.prec - 4)
         assert is_root(P, cert.root)
+
+
+def _lift_outcome(lift, P, a, delta, target):
+    """The certificate of a lift, or the name of the error it raised."""
+    try:
+        return lift(P, a, delta, target)
+    except (PrecisionExhausted, PreconditionViolated) as e:
+        return type(e).__name__
+
+
+def _assert_lift_matches_reference(P, a, delta, target):
+    """The lift against the frozen full-precision one: the same errors, and
+    a root with the same separation in no more iterations that agrees with
+    the reference root on every digit the latter certifies, and certifies
+    at least as many.  The digits are almost always exactly the reference's;
+    a padded iterate can land exactly on a short root, or on 0, where the
+    reference's full-length iterate only comes near it, and then the lift
+    knows more."""
+    got = _lift_outcome(newton_lift, P, a, delta, target)
+    want = _lift_outcome(reference.newton_lift, P, a, delta, target)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.separation == want.separation
+    assert got.iterations <= want.iterations
+    assert got.root.abs_prec >= want.root.abs_prec
+    assert (got.root - want.root).val_lb() >= want.root.abs_prec
+    return got, want
+
+
+_LIFT_FIELDS = [Field.laurent(), Field.padic(7), Field.padic(2)]
+
+
+@st.composite
+def lift_cases(draw):
+    """Exact polynomials and exact starts, as the engine lifts them: a
+    planted root near the start (a short exact one whenever the tail is 0),
+    a cofactor Q with Q'(a) = 0 (the first step lands on the root), a cubic
+    whose root sits near the inflection point 0, and a descent-shaped
+    polynomial with coefficients a_i * pi^i."""
+    field = draw(st.sampled_from(_LIFT_FIELDS))
+    one = field.one()
+
+    def elem(lo):
+        """An exact element of valuation >= lo with small digits."""
+        if field.backend == "laurent-q":
+            n = draw(st.integers(0, 3))
+            return field.from_terms(
+                (lo + i, Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 3)))) for i in range(n)
+            )
+        c = Fraction(draw(st.integers(-40, 40)), draw(st.sampled_from([1, 5, 11])))
+        return field.from_rational(c) * field.monomial(1, lo)
+
+    kind = draw(st.sampled_from(["planted", "planted", "cofactor", "cubic", "descent"]))
+    a = field.from_rational(draw(st.integers(0, 4)))
+    if kind in ("planted", "cofactor"):
+        k = draw(st.integers(1, 8))
+        root = a + field.monomial(draw(st.sampled_from([1, -1, 3])), k) + elem(k + 1)
+        if kind == "planted":
+            Q = Poly(field, [elem(0) for _ in range(draw(st.integers(1, 3)))] + [one])
+        else:
+            Q = Poly(field, [elem(0), a * -2, one])
+        P = Poly(field, [-root, one]) * Q
+    elif kind == "cubic":
+        k = draw(st.integers(1, 10))
+        c0 = field.monomial(draw(st.sampled_from([1, -1, 2])), k) + elem(k + 1)
+        c1 = field.from_rational(draw(st.sampled_from([1, 3, -2])))
+        P = Poly(field, [c0, c1, elem(draw(st.integers(0, 10))), one])
+        a = draw(st.sampled_from([field.zero(), field.monomial(1, k)]))
+    else:
+        H = [elem(0) for _ in range(draw(st.integers(2, 4)))] + [one]
+        P = Poly(field, [c * field.monomial(1, i) for i, c in enumerate(H)])
+    delta = draw(st.integers(0, 3))
+    target = draw(st.one_of(st.none(), st.integers(8, field.prec).map(ValQ)))
+    return P, a, delta, target
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=lift_cases())
+def test_newton_lift_matches_full_precision_reference(case):
+    _assert_lift_matches_reference(*case)
+
+
+def test_newton_lift_lands_on_short_roots(padic2):
+    """Where the padded iterate meets a short root exactly, the lift knows
+    more than the reference: 40 to 2^67 rather than 2^65, and the root 0
+    exactly rather than to 2^84."""
+    P = Poly.from_rationals(padic2, [-40, -1279, -48, -38, 1])
+    got, want = _assert_lift_matches_reference(P, padic2.zero(), 0, None)
+    assert (str(got.root), str(want.root)) == ("40 + O(2^67)", "40 + O(2^65)")
+    P = Poly.from_rationals(padic2, [0, 1, 0, 1])
+    got, want = _assert_lift_matches_reference(P, padic2.from_rational(2), 0, None)
+    assert got.root.is_zero and want.root.is_small
+
+
+def test_newton_lift_short_exact_root(laurent, padic7):
+    """Roots with short digit strings, lifted from a unit start."""
+    for field, r in ((laurent, "1 + 3*t^2"), (padic7, "50")):
+        root = field.parse(r)
+        P = Poly(field, [-root, field.one()]) * Poly.from_rationals(field, [5, 1, 1])
+        got, want = _assert_lift_matches_reference(P, field.from_rational(1), 0, None)
+        assert (str(got.root), got.root.rel) == (str(want.root), want.root.rel)
+        assert val_at_least(got.root - root, field.prec)
+
+
+def test_newton_lift_data_too_short_still_raises(laurent, padic2):
+    """Coefficients known to fewer digits than the target: both lifts stop
+    with PrecisionExhausted."""
+    t = laurent.uniformizer()
+    c = (laurent.one() + t).truncate_rel(20)
+    P = sq_minus(laurent, c)
+    for lift in (newton_lift, reference.newton_lift):
+        with pytest.raises(PrecisionExhausted):
+            lift(P, laurent.one(), 0)
+    P2 = sq_minus(padic2, padic2.from_rational(17).truncate_rel(30))
+    for lift in (newton_lift, reference.newton_lift):
+        with pytest.raises(PrecisionExhausted):
+            lift(P2, padic2.one(), 0)
 
 
 def test_field_roots_examples(laurent, padic2):

@@ -2,12 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hqe.errors import PrecisionExhausted
 from hqe.field import Field
 from hqe.poly import (
     Poly,
+    _divisors,
     derivative,
     exact_divide,
+    monic,
     poly_divmod,
     poly_gcd,
     poly_pseudo_divmod,
@@ -90,6 +95,41 @@ def test_pseudo_divmod_exact(laurent):
     assert q * f + r == Poly(laurent, [c * lead_pow for c in g.coeffs])
 
 
+def test_gcd_of_coprime_exact_inputs_is_one(laurent):
+    t = laurent.uniformizer()
+    one = laurent.one()
+    # x^3 + (1 + t^5) x + t^7 + 3 is squarefree; the chain ends in a long
+    # exact constant
+    f = Poly(laurent, [t**7 + 3, one + t**5, laurent.zero(), one])
+    assert poly_gcd(f, derivative(f)) == Poly(laurent, [one])
+    assert poly_gcd(Poly.from_rationals(laurent, [1, 1]), Poly.from_rationals(laurent, [2, 1])) == Poly(
+        laurent, [one]
+    )
+
+
+def test_gcd_truncated_constant_remainder(laurent):
+    t = laurent.uniformizer()
+    one = laurent.one()
+    c = (one + t).truncate_rel(10)  # 1 + t + O(t^10)
+    f = Poly(laurent, [-c, laurent.zero(), one])  # x^2 - c
+    g = Poly.from_rationals(laurent, [-3, 1])  # x - 3
+    _, r, _ = poly_pseudo_divmod(f, g)
+    assert r.degree == 0 and not r.coeffs[0].is_exact
+    h = poly_gcd(f, g)
+    assert h == monic(r)
+    assert h.coeffs[0] == one.truncate_rel(10)
+
+
+def test_gcd_constant_remainder_zero_to_its_precision_raises(laurent):
+    c = laurent.from_rational(9).truncate_rel(10)  # 9 + O(t^10)
+    f = Poly(laurent, [-c, laurent.zero(), laurent.one()])
+    g = Poly.from_rationals(laurent, [-3, 1])
+    _, r, _ = poly_pseudo_divmod(f, g)
+    assert r.degree == 0 and r.coeffs[0].is_small
+    with pytest.raises(PrecisionExhausted):
+        poly_gcd(f, g)
+
+
 def test_gcd_divides_inputs(laurent):
     rng = random.Random(7)
     x = x_poly(laurent)
@@ -124,3 +164,48 @@ def test_residue_roots_rational(laurent):
         Fraction(1, 2),
         Fraction(1),
     ]
+
+
+def _residue_roots_by_fractions(cs):
+    """The rational-root search on Fraction evaluations, kept as an oracle:
+    every num/den with num | a_0 and den | a_d, both signs."""
+    from math import lcm
+
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    roots = set()
+    while cs and cs[0] == 0:
+        roots.add(Fraction(0))
+        cs.pop(0)
+    if len(cs) > 1:
+        mult = lcm(*[c.denominator for c in cs])
+        ics = [int(c * mult) for c in cs]
+        for num in _divisors(abs(ics[0])):
+            for den in _divisors(abs(ics[-1])):
+                for cand in (Fraction(num, den), Fraction(-num, den)):
+                    if sum(c * cand**i for i, c in enumerate(cs)) == 0:
+                        roots.add(cand)
+    return sorted(roots)
+
+
+_small_rational = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    roots=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), max_size=3),
+    scale=st.integers(1, 6),
+)
+def test_residue_roots_matches_fraction_search(data, roots, scale):
+    # a random factor times planted rational roots, so that roots exist
+    cs = data.draw(st.lists(_small_rational, min_size=1, max_size=4))
+    if not any(cs):
+        cs[-1] = Fraction(1)
+    for r in roots:
+        cs = [Fraction(0)] + cs
+        for i in range(len(cs) - 1):
+            cs[i] -= r * cs[i + 1]
+    cs = [c * scale for c in cs]
+    assert residue_roots(Field.laurent(), cs) == _residue_roots_by_fractions(cs)

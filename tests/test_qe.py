@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from hqe import selftest
 from hqe.errors import NonEffectiveQuantifier, PrecisionExhausted
 from hqe.field import Field
 from hqe.formula import (
@@ -179,6 +180,29 @@ def test_linear_elimination_examples(laurent):
         [(t, one, laurent.zero(), 0), (2 * t, one, laurent.zero(), 0)], laurent
     )
     assert eliminate_linear_exists([(t, one, laurent.zero(), 0)], laurent)
+
+
+def test_linear_elimination_case4_disjoint_balls(padic2):
+    """Case 4 with v(z_2) < v(z_1): the balls v(x - 94/13) >= 2 and
+    v(x - 16/9) >= 3 are disjoint, since v(94/13 - 16/9) = v(638/117) = 1,
+    although rv(z_1 + (c_1 - c_2)) and rv(z_2) agree at order 0."""
+    q = padic2.from_rational
+    constraints = [
+        (q(7), q(Fraction(13, 2)), q(40), 0),
+        (q(2), q(18), q(30), 2),
+    ]
+    log = set()
+    assert not eliminate_linear_exists(constraints, padic2, log)
+    assert log == {4}
+    assert not brute_force_linear(constraints, padic2)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_linear_elimination_suite_seeds(seed):
+    """The linear-elimination suite on more seeds than the acceptance seed,
+    so a seed-dependent soundness fault fails here."""
+    result = selftest.suite_linear_elimination(seed)
+    assert result.ok, result.failures[:3]
 
 
 def test_linear_elimination_vs_oracle(any_field):
