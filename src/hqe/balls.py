@@ -88,11 +88,6 @@ class Ball:
             return INF
         return ValQ(self.radius_int)
 
-    @property
-    def strict(self) -> bool:
-        # canonical storage is closed
-        return False
-
     def contains(self, x: FieldElem) -> bool:
         if self.kind == _ALL:
             return True

@@ -20,7 +20,7 @@ from math import factorial
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
 from .field import LAURENT, Field, FieldElem
-from .hensel import derivative_roots, elem_sort_key
+from .hensel import derivative_roots, elem_sort_key, resolution_horizon
 from .poly import Poly, argmin_indices, residue_roots, taylor_shift
 from .rv import RVElem, rv
 from .valq import INF, NEG_INF, ValQ, vmin
@@ -158,16 +158,6 @@ def _int_val(field: Field, q: int) -> int:
         q //= field.p
         v += 1
     return v
-
-
-def resolution_horizon(field: Field) -> int:
-    """Valuations at or beyond this bound are not resolved as structure.
-
-    Half the working precision: evaluating degree-d data at points of
-    moderate negative valuation costs a bounded number of digits, and the
-    decomposition itself only reasons about radii far below this line.
-    """
-    return field.prec // 2
 
 
 def coeff_unresolved(field: Field, c) -> bool:
@@ -457,11 +447,3 @@ def rv_decompose(fs, deltas, _exact: bool = False) -> RVDecomposition:
             )
         )
     return RVDecomposition(tuple(fs), tuple(deltas), tuple(packed))
-
-
-def piece_eval_v(p: Piece, x: FieldElem) -> ValQ:
-    return p.eval_v(x)
-
-
-def piece_eval_rv(p: Piece, x: FieldElem, delta) -> RVElem:
-    return p.eval_rv(x, delta)

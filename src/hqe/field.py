@@ -86,10 +86,6 @@ class Field:
     def with_prec(self, prec: int) -> "Field":
         return Field(self.backend, self.p, prec)
 
-    @property
-    def residue_char(self) -> int:
-        return 0 if self.backend == LAURENT else self.p
-
     def factorial_val(self, m: int) -> ValQ:
         """v(m!): zero over laurent-q, Legendre's formula over Q_p."""
         if self.backend == LAURENT or m <= 1:

@@ -152,7 +152,7 @@ class OplusA:
 
 @dataclass(frozen=True)
 class VComp:
-    op: str  # "<", "<=", "=", "!="
+    op: str  # "<", "<=", "=", "!=", ">", ">="
     left: object
     right: object
 

@@ -5,9 +5,10 @@ a polynomial, and the passage from collisions to roots of derivatives."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import PrecisionExhausted, PreconditionViolated
-from .field import LAURENT, FieldElem
+from .field import LAURENT, Field, FieldElem
 from .poly import (
     Poly,
     coeff_vals,
@@ -189,22 +190,19 @@ def _digit(u: int, p: int, i: int) -> int:
     return (u // p**i) % p
 
 
-_ROOTS_CACHE: dict = {}
-
-
 def field_roots(g: Poly) -> list[FieldElem]:
     """All roots of g in K, certified by Newton lifting; exact whenever an
     exact value can be reconstructed and verified.  Deterministic order."""
-    field = g.field
     if g.is_zero:
         raise PreconditionViolated("root search on the zero polynomial")
     if g.degree == 0:
         return []
-    key = (field, g.coeffs)
-    cached = _ROOTS_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
-    g = squarefree_part(g)
+    return list(_field_roots(g.field, g.coeffs))
+
+
+@lru_cache(maxsize=4096)
+def _field_roots(field: Field, coeffs) -> tuple[FieldElem, ...]:
+    g = squarefree_part(Poly(field, coeffs))
     roots: list[FieldElem] = []
     low = next((i for i, c in enumerate(g.coeffs) if not c.is_zero), 0)
     if low > 0:
@@ -217,10 +215,7 @@ def field_roots(g: Poly) -> list[FieldElem]:
             for u in _roots_in_O(G, 0, only_units=True):
                 roots.append(_snap_exact(g, pi_s * u))
     roots.sort(key=elem_sort_key)
-    if len(_ROOTS_CACHE) > 4096:
-        _ROOTS_CACHE.clear()
-    _ROOTS_CACHE[key] = tuple(roots)
-    return roots
+    return tuple(roots)
 
 
 def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
@@ -343,14 +338,22 @@ def _descend(Hc: Poly, depth: int) -> list[FieldElem]:
     return [pi * w for w in _roots_in_O(K, depth + 1)]
 
 
+def resolution_horizon(field: Field) -> int:
+    """Valuations at or beyond this bound are not resolved as structure.
+
+    Half the working precision: evaluating degree-d data at points of
+    moderate negative valuation costs a bounded number of digits, and the
+    decomposition itself only reasons about radii far below this line.
+    """
+    return field.prec // 2
+
+
 def is_root(g: Poly, x: FieldElem) -> bool:
-    """Whether g(x) vanishes at working precision (evaluation of truncated
-    data at points of negative valuation costs digits, hence the horizon at
-    half the working precision)."""
+    """Whether g(x) vanishes to the resolution horizon."""
     y = g(x)
     if y.is_zero:
         return True
-    bound = ValQ(g.field.prec // 2)
+    bound = ValQ(resolution_horizon(g.field))
     if y.is_small:
         return ValQ(y.rel) >= bound
     return y.val() >= bound

@@ -84,22 +84,6 @@ class Poly:
 
     __rmul__ = __mul__
 
-    def shift_unknown(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero:
-            return self
-        return Poly(self.field, [self.field.zero()] * k + list(self.coeffs))
-
-    def map_arg(self, scale: FieldElem, offset: FieldElem) -> "Poly":
-        """The polynomial g(x) = f(scale*x + offset)."""
-        shifted = taylor_shift(self, offset)
-        power = self.field.one()
-        out = []
-        for c in shifted:
-            out.append(c * power)
-            power = power * scale
-        return Poly(self.field, out)
-
     def __str__(self):
         if self.is_zero:
             return "0"

@@ -57,7 +57,7 @@ from .formula import (
     subst,
     term_vars,
 )
-from .hensel import field_roots
+from .hensel import field_roots, is_root, resolution_horizon
 from .poly import Poly, poly_gcd
 from .regions import (
     Region,
@@ -71,7 +71,7 @@ from .regions import (
 )
 from .rv import RVElem, rv
 from .semantics import evaluate
-from .valq import INF, ValQ
+from .valq import FLIP, INF, NEGATED, ValQ, holds
 
 
 # ---- linear systems: the ball intersection elimination ------------------------
@@ -112,7 +112,7 @@ def eliminate_linear_exists(constraints, field: Field, case_log=None) -> bool:
     for x0, _ in singles:
         for other, _ in singles:
             d = x0 - other
-            if not d.is_zero and not (d.is_small and d.rel >= x0.field.prec // 2):
+            if not d.is_zero and not (d.is_small and d.rel >= resolution_horizon(x0.field)):
                 return False
         for B in balls:
             if not _in_open_ball(x0, B):
@@ -229,16 +229,7 @@ def rvterm_to_poly(term, var: str, field: Field):
 def literal_region(atom, positive: bool, var: str, field: Field) -> Region:
     """The set of witnesses x satisfying the literal, as a union of cheeses."""
     if isinstance(atom, PolyZero):
-        f = term_to_poly(atom.arg, var, field)
-        if f.is_zero:
-            return region_all(field) if positive else []
-        if f.degree == 0:
-            ok = f.coeffs[0].is_zero
-            return region_all(field) if ok == positive else []
-        reg, roots = roots_region(f, field)
-        if positive:
-            return reg
-        return region_without_points(region_all(field), roots)
+        return _equation_region(term_to_poly(atom.arg, var, field), positive, field)
     if isinstance(atom, RVEq):
         return _rveq_region(atom, positive, var, field)
     if isinstance(atom, VComp):
@@ -246,9 +237,6 @@ def literal_region(atom, positive: bool, var: str, field: Field) -> Region:
     if isinstance(atom, OplusA):
         return _oplus_region(atom, positive, var, field)
     raise NonEffectiveQuantifier(f"unsupported atom {atom!r}")
-
-
-_NEGATED = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">": "<=", ">=": "<"}
 
 
 def _equation_region(P: Poly, positive, field) -> Region:
@@ -263,14 +251,19 @@ def _equation_region(P: Poly, positive, field) -> Region:
     return region_without_points(region_all(field), roots)
 
 
-def _rveq_region(atom: RVEq, positive, var, field) -> Region:
-    sides = []
-    for side in (atom.left, atom.right):
+def _side_polys(sides, var, field, what):
+    """(order, Poly) of every rv-term side of an atom."""
+    out = []
+    for side in sides:
         data = rvterm_to_poly(side, var, field)
         if data is None:
-            raise NonEffectiveQuantifier("leading-term term not polynomial in the variable")
-        sides.append(data)
-    (d1, P1), (d2, P2) = sides
+            raise NonEffectiveQuantifier(f"{what} not polynomial in the variable")
+        out.append(data)
+    return out
+
+
+def _rveq_region(atom: RVEq, positive, var, field) -> Region:
+    (d1, P1), (d2, P2) = _side_polys((atom.left, atom.right), var, field, "leading-term term")
     if d1 != d2:
         raise NonEffectiveQuantifier(f"comparing leading terms of orders {d1} and {d2}")
     return _rv_eq_polys_region(P1, P2, d1, positive, field)
@@ -289,56 +282,31 @@ def _rv_eq_polys_region(P1: Poly, P2: Poly, order: int, positive, field) -> Regi
     diff = P1 + (-P2)
     if diff.is_zero:
         return region_all(field) if positive else []
-    joint = [r for r in field_roots(P2) if _vanishes_at(P1, r, field)]
+    joint = [r for r in field_roots(P2) if is_root(P1, r)]
     if positive:
-        reg = vcomp_region(diff, ValQ(0), P2, ValQ(order), ">", field)
+        reg = vcomp_region(diff, P2, ">", field, ValQ(order))
         return reg + [SwissCheese.of_ball(Ball.point(r)) for r in joint]
-    reg = vcomp_region(diff, ValQ(0), P2, ValQ(order), "<=", field)
+    reg = vcomp_region(diff, P2, "<=", field, ValQ(order))
     return region_without_points(reg, joint)
 
 
-_SWAPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
-
-
 def _vcomp_atom_region(atom: VComp, positive, var, field) -> Region:
-    op = atom.op if positive else _NEGATED[atom.op]
-    left = _value_side(atom.left, var, field)
-    right = _value_side(atom.right, var, field)
-    if left is None or right is None:
-        raise NonEffectiveQuantifier("value comparison not polynomial in the variable")
-    P1, c1 = left
-    P2, c2 = right
+    op = atom.op if positive else NEGATED[atom.op]
+    (_, P1), (_, P2) = _side_polys((atom.left, atom.right), var, field, "value comparison")
     if P1.is_zero and P2.is_zero:
-        from .regions import _holds
-
-        return region_all(field) if _holds(INF, INF, op) else []
+        return region_all(field) if holds(INF, INF, op) else []
     if P2.is_zero:
-        return vcomp_region(P1, ValQ(0), None, ValQ(0), op, field)
+        return vcomp_region(P1, None, op, field)
     if P1.is_zero:
-        return vcomp_region(P2, ValQ(0), None, ValQ(0), _SWAPPED[op], field)
-    return vcomp_region(P1, c1, P2, c2, op, field)
-
-
-def _value_side(term, var, field):
-    """v(term) as (Poly, offset): products add values, so the polynomial is
-    the product and literal values contribute a constant offset."""
-    data = rvterm_to_poly(term, var, field)
-    if data is None:
-        return None
-    return data[1], ValQ(0)
+        return vcomp_region(P2, None, FLIP[op], field)
+    return vcomp_region(P1, P2, op, field)
 
 
 def _oplus_region(atom: OplusA, positive, var, field) -> Region:
     """oplus holds exactly when v(P3 - P1 - P2) > min(v(P1), v(P2)) + d,
     with the degenerate case of both summands vanishing handled pointwise
     (there the relation asks the third side to vanish as well)."""
-    parts = []
-    for side in (atom.a, atom.b, atom.c):
-        data = rvterm_to_poly(side, var, field)
-        if data is None:
-            raise NonEffectiveQuantifier("oplus operand not polynomial in the variable")
-        parts.append(data[1])
-    P1, P2, P3 = parts
+    (_, P1), (_, P2), (_, P3) = _side_polys((atom.a, atom.b, atom.c), var, field, "oplus operand")
     d = ValQ(atom.order)
     S = P3 + (-P1) + (-P2)
     op = ">" if positive else "<="
@@ -348,8 +316,8 @@ def _oplus_region(atom: OplusA, positive, var, field) -> Region:
             return region_all(field) if positive else []
         if P_.is_zero:
             eff = "=" if positive else "!="
-            return vcomp_region(S_, ValQ(0), None, ValQ(0), eff, field)
-        return vcomp_region(S_, ValQ(0), P_, d, op, field)
+            return vcomp_region(S_, None, eff, field)
+        return vcomp_region(S_, P_, op, field, d)
 
     if P1.is_zero and P2.is_zero:
         # oplus(inf, inf, c) asks c = inf
@@ -359,8 +327,8 @@ def _oplus_region(atom: OplusA, positive, var, field) -> Region:
         return _rv_eq_polys_region(P3, P2, atom.order, positive, field)
     if P2.is_zero:
         return _rv_eq_polys_region(P3, P1, atom.order, positive, field)
-    low1 = vcomp_region(P1, ValQ(0), P2, ValQ(0), "<=", field)
-    low2 = vcomp_region(P2, ValQ(0), P1, ValQ(0), "<", field)
+    low1 = vcomp_region(P1, P2, "<=", field)
+    low2 = vcomp_region(P2, P1, "<", field)
     reg = region_union(
         region_intersect(low1, compare(S, P1)),
         region_intersect(low2, compare(S, P2)),
@@ -371,11 +339,11 @@ def _oplus_region(atom: OplusA, positive, var, field) -> Region:
         [
             r
             for r in field_roots(P1) + ([] if P1 == P2 else field_roots(P2))
-            if _vanishes_at(P1, r, field) and _vanishes_at(P2, r, field)
+            if is_root(P1, r) and is_root(P2, r)
         ],
         field,
     )
-    fixups = [r for r in joint if _vanishes_at(P3, r, field) == positive]
+    fixups = [r for r in joint if is_root(P3, r) == positive]
     reg = region_without_points(reg, joint)
     return reg + [SwissCheese.of_ball(Ball.point(r)) for r in fixups]
 
@@ -384,7 +352,7 @@ def _dedupe_roots(roots, field):
     out = []
     for r in roots:
         if not any(
-            (r - s).val_lb() >= ValQ(field.prec // 2) for s in out
+            (r - s).val_lb() >= ValQ(resolution_horizon(field)) for s in out
         ):
             out.append(r)
     return out
@@ -435,39 +403,33 @@ def _dnf(phi) -> list[list]:
     return [[(phi, True)]]
 
 
-def _fold_constants(phi, protected, env, field):
+def _fold_constants(phi, protected, field):
     """Evaluate subformulas involving none of the protected variables."""
     if isinstance(phi, (TrueF, FalseF)):
         return phi
     if not (free_vars(phi) & protected):
-        return TRUE if evaluate(phi, env, field) else FALSE
+        return TRUE if evaluate(phi, {}, field) else FALSE
     if isinstance(phi, Not):
-        return neg(_fold_constants(phi.arg, protected, env, field))
+        return neg(_fold_constants(phi.arg, protected, field))
     if isinstance(phi, And):
-        return conj([_fold_constants(a, protected, env, field) for a in phi.args])
+        return conj([_fold_constants(a, protected, field) for a in phi.args])
     if isinstance(phi, Or):
-        return disj([_fold_constants(a, protected, env, field) for a in phi.args])
+        return disj([_fold_constants(a, protected, field) for a in phi.args])
     if isinstance(phi, Implies):
-        return _fold_constants(Or((Not(phi.left), phi.right)), protected, env, field)
+        return _fold_constants(Or((Not(phi.left), phi.right)), protected, field)
     return phi
 
 
-def decide_exists(var: str, matrix, env, field: Field) -> bool:
-    """Decide EX var : K. matrix, the matrix being field-quantifier-free
-    with concrete parameters."""
-    return decide_exists_block([var], matrix, env, field)
-
-
-def decide_exists_block(varlist, matrix, env, field: Field) -> bool:
-    """Decide EX x1 ... xn : K. matrix; each branch must pin all but one
+def decide_exists_block(varlist, matrix, field: Field) -> bool:
+    """Decide EX x1 ... xn : K. matrix, the matrix being free of field
+    quantifiers and of parameters; each branch must pin all but one
     variable through equations, the last one falling to the region path."""
-    matrix = subst(matrix, {k: _as_literal(v) for k, v in env.items()})
     extra = free_vars(matrix) - set(varlist)
     if extra:
         raise NonEffectiveQuantifier(
             f"parameters must be concrete before elimination: {sorted(extra)}"
         )
-    matrix = _fold_constants(matrix, set(varlist), {}, field)
+    matrix = _fold_constants(matrix, set(varlist), field)
     for branch in _dnf(_nnf(matrix)):
         if _branch_block_satisfiable(branch, list(varlist), field):
             return True
@@ -559,36 +521,20 @@ def _branch_satisfiable(branch, var, field) -> bool:
     return region_nonempty(region)
 
 
-def _vanishes_at(g: Poly, root: FieldElem, field: Field) -> bool:
-    y = g(root)
-    if y.is_zero:
-        return True
-    horizon = ValQ(field.prec // 2)
-    if y.is_small:
-        return ValQ(y.rel) >= horizon
-    return y.val() >= horizon
-
-
 def _holds_at(lit, sign, var, root, source, field) -> bool:
     if isinstance(lit, PolyZero):
         g = term_to_poly(lit.arg, var, field)
         y = g(root)
         if y.is_zero:
             return sign
-        if not y.is_small and y.val() < ValQ(field.prec // 2):
+        if not y.is_small and y.val() < ValQ(resolution_horizon(field)):
             return not sign
         # vanishing at available precision: an approximated root satisfies a
         # second equation exactly when the two polynomials share the root
         h = poly_gcd(source, g)
-        shared = h.degree is not None and h.degree >= 1 and _vanishes_at(h, root, field)
+        shared = h.degree is not None and h.degree >= 1 and is_root(h, root)
         return shared == sign
     return evaluate(lit, {var: root}, field) == sign
-
-
-def decide_field_quantifier(phi, env, field: Field) -> bool:
-    if isinstance(phi, ExistsF):
-        return decide_exists(phi.var, phi.body, env, field)
-    return not decide_exists(phi.var, Not(phi.body), env, field)
 
 
 def qe(phi, field: Field, params=None):
@@ -629,9 +575,9 @@ def _qe_walk(phi, field):
             body = body.body
         body = _qe_walk(body, field)
         if kind is ExistsF:
-            result = decide_exists_block(chain, body, {}, field)
+            result = decide_exists_block(chain, body, field)
         else:
-            result = not decide_exists_block(chain, Not(body), {}, field)
+            result = not decide_exists_block(chain, Not(body), field)
         return TRUE if result else FALSE
     raise TypeError(f"not a formula: {phi!r}")
 
@@ -673,54 +619,22 @@ class NormalForm:
         return f"pullback [{cs}] of {print_formula(self.D)}"
 
 
-def _qe_inner(phi, var, field):
-    """Eliminate field quantifiers not involving the free variable."""
-    if isinstance(phi, (TrueF, FalseF, PolyZero, RVEq, OplusA, VComp)):
-        return phi
-    if isinstance(phi, Not):
-        return neg(_qe_inner(phi.arg, var, field))
-    if isinstance(phi, And):
-        return conj([_qe_inner(a, var, field) for a in phi.args])
-    if isinstance(phi, Or):
-        return disj([_qe_inner(a, var, field) for a in phi.args])
-    if isinstance(phi, Implies):
-        return Implies(_qe_inner(phi.left, var, field), _qe_inner(phi.right, var, field))
-    if isinstance(phi, (ExistsRV, ForallRV)):
-        return type(phi)(phi.var, phi.order, _qe_inner(phi.body, var, field))
-    if isinstance(phi, (ExistsF, ForallF)):
-        if var in free_vars(phi):
-            raise NonEffectiveQuantifier(
-                "an inner field quantifier depends on the normal-form variable"
-            )
-        return TRUE if decide_field_quantifier(phi, {}, field) else FALSE
-    raise TypeError(f"not a formula: {phi!r}")
-
-
 def _atom_polys(phi, var, field, acc):
     """Collect (poly, order) data needed to linearize every atom in var."""
     if isinstance(phi, PolyZero):
         acc.append((term_to_poly(phi.arg, var, field), 0))
         return
     if isinstance(phi, RVEq):
-        for side in (phi.left, phi.right):
-            data = rvterm_to_poly(side, var, field)
-            if data is None:
-                raise NonEffectiveQuantifier("atom not polynomial in the variable")
-            acc.append((data[1], data[0]))
+        for d, P in _side_polys((phi.left, phi.right), var, field, "atom"):
+            acc.append((P, d))
         return
     if isinstance(phi, VComp):
-        for side in (phi.left, phi.right):
-            data = rvterm_to_poly(side, var, field)
-            if data is None:
-                raise NonEffectiveQuantifier("atom not polynomial in the variable")
-            acc.append((data[1], 0))
+        for _, P in _side_polys((phi.left, phi.right), var, field, "atom"):
+            acc.append((P, 0))
         return
     if isinstance(phi, OplusA):
-        for side in (phi.a, phi.b, phi.c):
-            data = rvterm_to_poly(side, var, field)
-            if data is None:
-                raise NonEffectiveQuantifier("atom not polynomial in the variable")
-            acc.append((data[1], phi.order))
+        for _, P in _side_polys((phi.a, phi.b, phi.c), var, field, "atom"):
+            acc.append((P, phi.order))
         return
     for ch in (
         phi.args if isinstance(phi, (And, Or)) else
@@ -744,8 +658,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     extra = free_vars(phi) - {var}
     if extra:
         raise NonEffectiveQuantifier(f"parameters must be concrete: {sorted(extra)}")
-    phi = _qe_inner(phi, var, field)
-    phi = _fold_constants(phi, {var}, {}, field)
+    phi = _fold_constants(_qe_walk(phi, field), {var}, field)
     acc = []
     _atom_polys(phi, var, field, acc)
     work = [(P, d) for P, d in acc if P.degree is not None and P.degree >= 1]
@@ -772,7 +685,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     def center_index(a: FieldElem) -> int:
         for i, c in enumerate(centers):
             d = a - c
-            if d.val_lb() >= ValQ(field.prec // 2):
+            if d.val_lb() >= ValQ(resolution_horizon(field)):
                 return i
         centers.append(a)
         return len(centers) - 1
@@ -858,8 +771,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     used = free_vars(D)
     keep = [i for i, n in enumerate(names) if n in used]
     if keep and len(keep) < len(names):
-        remap = {names[i]: f"w{j + 1}" for j, i in enumerate(keep)}
-        D = _rename_rv_vars(D, remap)
+        D = subst(D, {names[i]: RVVarT(f"w{j + 1}", gamma) for j, i in enumerate(keep)})
         centers = [centers[i] for i in keep]
         names = [f"w{j + 1}" for j in range(len(keep))]
     if not keep:
@@ -915,38 +827,3 @@ def _absorb_inf(phi):
             continue
         kept.append(a)
     return conj(kept)
-
-
-def _rename_rv_vars(phi, remap):
-    def rn_term(t):
-        if isinstance(t, RVVarT) and t.name in remap:
-            return RVVarT(remap[t.name], t.order)
-        if isinstance(t, RVMulT):
-            return RVMulT(rn_term(t.left), rn_term(t.right))
-        if isinstance(t, RVPowT):
-            return RVPowT(rn_term(t.base), t.exp)
-        if isinstance(t, RVProjT):
-            return RVProjT(t.order, rn_term(t.arg))
-        if isinstance(t, RVSumT):
-            return RVSumT(t.order, tuple(rn_term(a) for a in t.args))
-        return t
-
-    if isinstance(phi, (TrueF, FalseF, PolyZero)):
-        return phi
-    if isinstance(phi, RVEq):
-        return RVEq(rn_term(phi.left), rn_term(phi.right))
-    if isinstance(phi, VComp):
-        return VComp(phi.op, rn_term(phi.left), rn_term(phi.right))
-    if isinstance(phi, OplusA):
-        return OplusA(phi.order, rn_term(phi.a), rn_term(phi.b), rn_term(phi.c))
-    if isinstance(phi, Not):
-        return Not(_rename_rv_vars(phi.arg, remap))
-    if isinstance(phi, And):
-        return And(tuple(_rename_rv_vars(a, remap) for a in phi.args))
-    if isinstance(phi, Or):
-        return Or(tuple(_rename_rv_vars(a, remap) for a in phi.args))
-    if isinstance(phi, Implies):
-        return Implies(_rename_rv_vars(phi.left, remap), _rename_rv_vars(phi.right, remap))
-    if isinstance(phi, (ExistsRV, ForallRV)):
-        return type(phi)(phi.var, phi.order, _rename_rv_vars(phi.body, remap))
-    return phi

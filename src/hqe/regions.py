@@ -1,7 +1,7 @@
 """Solution regions of one-variable leading-term conditions.
 
 Every atom in one field variable reduces to comparisons of valuations of
-polynomials, v(H(x)) + c1 <=> v(G(x)) + c2, plus root equations.  On an
+polynomials, v(H(x)) <=> v(G(x)) + c, plus root equations.  On an
 exact cell decomposition both sides are linear in the radii v(x - center),
 so the satisfying set is a finite union of swiss cheeses, computed here.
 """
@@ -9,14 +9,15 @@ so the satisfying set is a finite union of swiss cheeses, computed here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .balls import Ball, SwissCheese
-from .decomp import decompose, resolution_horizon
+from .decomp import decompose
 from .errors import NonEffectiveQuantifier, PrecisionExhausted
 from .field import Field, FieldElem
-from .hensel import field_roots
+from .hensel import field_roots, resolution_horizon
 from .poly import Poly
-from .valq import INF, NEG_INF, ValQ
+from .valq import FLIP, INF, NEG_INF, ValQ, holds
 
 # a region is a finite union of swiss cheeses
 Region = list
@@ -24,10 +25,6 @@ Region = list
 
 def region_all(field: Field) -> Region:
     return [SwissCheese.all(field)]
-
-
-def region_empty() -> Region:
-    return []
 
 
 def region_union(a: Region, b: Region) -> Region:
@@ -46,10 +43,6 @@ def region_intersect(a: Region, b: Region) -> Region:
 
 def region_nonempty(region: Region) -> bool:
     return any(not c.is_empty for c in region)
-
-
-def region_contains(region: Region, x: FieldElem) -> bool:
-    return any(c.contains(x) for c in region)
 
 
 def region_without_points(region: Region, points) -> Region:
@@ -72,39 +65,31 @@ class _CellData:
     base: ValQ  # v(a_m); the linearized valuation is base + m * v(x - center)
 
 
-_CONSTANT = object()
-
-
-_CELLS_CACHE: dict = {}
-
-
-def exact_cells(H: Poly, field: Field) -> list[_CellData]:
+def exact_cells(H: Poly, field: Field) -> tuple[_CellData, ...]:
     """Cells on which v(H(x)) = base + m * v(x - center) exactly."""
     if H.is_zero:
         raise NonEffectiveQuantifier("valuation of the zero polynomial")
     if H.degree == 0:
-        return [_CellData(SwissCheese.all(field), field.zero(), 0, H.coeffs[0].val())]
-    key = (field, H.coeffs)
-    cached = _CELLS_CACHE.get(key)
-    if cached is not None:
-        return cached
+        return (_CellData(SwissCheese.all(field), field.zero(), 0, H.coeffs[0].val()),)
+    return _exact_cells(field, H.coeffs)
+
+
+@lru_cache(maxsize=2048)
+def _exact_cells(field: Field, coeffs) -> tuple[_CellData, ...]:
     out = []
-    for p in decompose(H, None, _exact=True):
+    for p in decompose(Poly(field, coeffs), None, _exact=True):
         assert p.severity_bound == ValQ(0)
         a_m = p.coeffs[p.m]
         base = INF if a_m.is_zero else a_m.val()
         out.append(_CellData(p.cheese, p.center, p.m, base))
-    if len(_CELLS_CACHE) > 2048:
-        _CELLS_CACHE.clear()
-    _CELLS_CACHE[key] = out
-    return out
+    return tuple(out)
 
 
-def vcomp_region(H: Poly, c1: ValQ, G, c2: ValQ, op: str, field: Field) -> Region:
-    """{x : v(H(x)) + c1  op  v(G(x)) + c2} as a union of swiss cheeses.
+def vcomp_region(H: Poly, G, op: str, field: Field, c: ValQ = ValQ(0)) -> Region:
+    """{x : v(H(x))  op  v(G(x)) + c} as a union of swiss cheeses.
 
-    G may be a Poly, the marker _CONSTANT with c2 carrying the whole right
-    side, or None for +inf (comparisons against the value of a root)."""
+    G may be a Poly, or None for +inf (comparisons against the value of a
+    root)."""
     if G is None:
         # the right side is +inf
         if H.is_zero:
@@ -121,29 +106,26 @@ def vcomp_region(H: Poly, c1: ValQ, G, c2: ValQ, op: str, field: Field) -> Regio
         _, roots = roots_region(H, field)
         return region_without_points(region_all(field), roots)
     cellsH = exact_cells(H, field)
-    if G is _CONSTANT:
-        cellsG = [_CellData(SwissCheese.all(field), field.zero(), 0, ValQ(0))]
-    else:
-        cellsG = exact_cells(G, field)
+    cellsG = exact_cells(G, field)
     out: Region = []
     for ch in cellsH:
         for cg in cellsG:
             cheese = ch.cheese.intersect(cg.cheese)
             if cheese.is_empty:
                 continue
-            for piece in _cell_compare(ch, c1, cg, c2, op, cheese, field):
+            for piece in _cell_compare(ch, cg, c, op, cheese, field):
                 if not piece.is_empty:
                     out.append(piece)
     return out
 
 
-def _cell_compare(ch: _CellData, c1, cg: _CellData, c2, op, cheese, field) -> Region:
-    A = ch.base + c1 if ch.base.is_finite else INF
-    B = cg.base + c2 if cg.base.is_finite else INF
+def _cell_compare(ch: _CellData, cg: _CellData, c, op, cheese, field) -> Region:
+    A = ch.base
+    B = cg.base + c if cg.base.is_finite else INF
     m1, m2 = ch.m, cg.m
     a1, a2 = ch.center, cg.center
     if m1 == 0 and m2 == 0:
-        return [cheese] if _holds(A, B, op) else []
+        return [cheese] if holds(A, B, op) else []
     d = a1 - a2
     dv = d.val_lb()
     if not d.is_zero and d.is_small and d.rel < resolution_horizon(field):
@@ -158,16 +140,12 @@ def _cell_compare(ch: _CellData, c1, cg: _CellData, c2, op, cheese, field) -> Re
         # r1 < dd forces r2 = r1
         for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, dd - ValQ(1), False):
             out.extend(_radius_range(a1, lo, hi, inc, field))
+        A2, B2 = _affine(A, m1, dd), _affine(B, m2, dd)
         # r1 > dd forces r2 = dd
-        B2 = B + dd * m2 if B.is_finite else INF
         for lo, hi, inc in _solve(A, m1, B2, 0, op, dd + ValQ(1), INF, True):
             out.extend(_radius_range(a1, lo, hi, inc, field))
         # r1 = dd, r2 = dd
-        if _holds(
-            (A + dd * m1) if A.is_finite else INF,
-            (B + dd * m2) if B.is_finite else INF,
-            op,
-        ):
+        if holds(A2, B2, op):
             r = dd.as_int()
             both = SwissCheese(
                 Ball.at_least(a1, r),
@@ -175,71 +153,42 @@ def _cell_compare(ch: _CellData, c1, cg: _CellData, c2, op, cheese, field) -> Re
             )
             out.append(both)
         # r1 = dd, r2 > dd (x near a2): solve over r2
-        A2 = A + dd * m1 if A.is_finite else INF
         for lo, hi, inc in _solve(A2, 0, B, m2, op, dd + ValQ(1), INF, True):
             out.extend(_radius_range(a2, lo, hi, inc, field))
     return [c.intersect(cheese) for c in out]
-
-
-def _holds(a: ValQ, b: ValQ, op: str) -> bool:
-    if op == "<":
-        return a < b
-    if op == "<=":
-        return a <= b
-    if op == "=":
-        return a == b
-    if op == "!=":
-        return a != b
-    if op == ">":
-        return a > b
-    if op == ">=":
-        return a >= b
-    raise ValueError(op)
-
-
-_FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
 
 
 def _solve(A, m1, B, m2, op, lo, hi, allow_inf):
     """Integer intervals of r in [lo, hi] (plus the radius r = +inf when
     allowed, i.e. the center itself) where A + m1 r  op  B + m2 r.
     Yields triples (lo', hi', include_infinite_radius)."""
-    inf_ok = allow_inf and _holds(_affine(A, m1, INF), _affine(B, m2, INF), op)
+    inf_ok = allow_inf and holds(_affine(A, m1, INF), _affine(B, m2, INF), op)
     finite = []
-    if A == INF or B == INF:
-        if A == INF and B == INF:
-            always = _holds(INF, INF, op)
-        elif A == INF:
-            always = op in ("!=", ">", ">=")
-        else:
-            always = op in ("!=", "<", "<=")
-        if always:
+    k = m1 - m2
+    if A == INF or B == INF or k == 0:
+        # an infinite side, or equal slopes: the same answer at every finite r
+        if holds(A, B, op):
             finite.append((lo, hi))
     else:
-        k = m1 - m2
-        if k == 0:
-            if _holds(A, B, op):
+        bound = (B - A) / k
+        eff = op if k > 0 else FLIP[op]
+        if eff == "=":
+            if bound.is_int:
+                finite.append((bound, bound))
+        elif eff == "!=":
+            if bound.is_int:
+                finite.append((lo, bound - 1))
+                finite.append((bound + 1, hi))
+            else:
                 finite.append((lo, hi))
-        else:
-            bound = (B - A) / k
-            eff = op if k > 0 else _FLIP[op]
-            if eff == "=":
-                if bound.is_int:
-                    finite.append((bound, bound))
-            elif eff == "!=":
-                if bound.is_int:
-                    finite.append((lo, bound - 1))
-                    finite.append((bound + 1, hi))
-                else:
-                    finite.append((lo, hi))
-            elif eff == "<":
-                finite.append((lo, ValQ(bound.ceil() - 1)))
-            elif eff == "<=":
-                finite.append((lo, ValQ(bound.floor())))
-            elif eff == ">":
-                finite.append((ValQ(bound.floor() + 1), hi))
-            else:  # >=
-                finite.append((ValQ(bound.ceil()), hi))
+        elif eff == "<":
+            finite.append((lo, ValQ(bound.ceil() - 1)))
+        elif eff == "<=":
+            finite.append((lo, ValQ(bound.floor())))
+        elif eff == ">":
+            finite.append((ValQ(bound.floor() + 1), hi))
+        else:  # >=
+            finite.append((ValQ(bound.ceil()), hi))
     out = []
     attached = False
     for l2, h2 in finite:

@@ -1,10 +1,10 @@
 """Evaluation of formulas over concrete field and leading-term values.
 
-Quantifiers over the field sort are delegated to the elimination engine;
-quantifiers over leading-term sorts are evaluated only for the effective
-patterns the engine itself emits: the two-witness severity pattern (the
-collision test chi) and the guarded universal pattern from the ball
-intersection analysis.  Everything else raises NonEffectiveQuantifier.
+Quantifiers over the field sort are eliminated by the engine under the
+assignment; quantifiers over leading-term sorts are evaluated only for the
+effective patterns the engine itself emits: the two-witness severity
+pattern (the collision test chi) and the guarded universal pattern from the
+ball intersection analysis.  Everything else raises NonEffectiveQuantifier.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .formula import (
     term_vars,
 )
 from .rv import RVElem, oplus_holds, rv, rv_sum_analyze
-from .valq import ValQ, vmin
+from .valq import ValQ, holds, vmin
 
 
 def eval_field_term(term, env, field: Field) -> FieldElem:
@@ -142,13 +142,7 @@ def evaluate(phi, env, field: Field) -> bool:
     if isinstance(phi, VComp):
         va = eval_rv_term(phi.left, env, field).val()
         vb = eval_rv_term(phi.right, env, field).val()
-        if phi.op == "<":
-            return va < vb
-        if phi.op == "<=":
-            return va <= vb
-        if phi.op == "=":
-            return va == vb
-        return va != vb
+        return holds(va, vb, phi.op)
     if isinstance(phi, Not):
         return not evaluate(phi.arg, env, field)
     if isinstance(phi, And):
@@ -158,9 +152,9 @@ def evaluate(phi, env, field: Field) -> bool:
     if isinstance(phi, Implies):
         return (not evaluate(phi.left, env, field)) or evaluate(phi.right, env, field)
     if isinstance(phi, (ExistsF, ForallF)):
-        from .qe import decide_field_quantifier
+        from .qe import qe
 
-        return decide_field_quantifier(phi, env, field)
+        return evaluate(qe(phi, field, env), env, field)
     if isinstance(phi, (ExistsRV, ForallRV)):
         return _eval_rv_quantifier(phi, env, field)
     raise TypeError(f"not a formula: {phi!r}")

@@ -7,6 +7,7 @@ infinity conventions ((+inf) + (-inf) is rejected).
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import ceil, floor
 
@@ -67,12 +68,6 @@ class ValQ:
         if not self.is_finite:
             raise ValueError("infinite value")
         return ceil(Fraction(self.num, self.den))
-
-    def _key(self):
-        # comparison key: finite values between the infinities
-        if self.den == 0:
-            return (self.num, Fraction(0))
-        return (0, Fraction(self.num, self.den))
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -164,7 +159,29 @@ class ValQ:
 
 INF = ValQ(1, 0)
 NEG_INF = ValQ(-1, 0)
-ZERO = ValQ(0)
+
+
+# the six comparisons of values: a op b holds iff b FLIP[op] a, and it fails
+# iff a NEGATED[op] b
+_COMPARE = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+FLIP = {"<": ">", "<=": ">=", "=": "=", "!=": "!=", ">": "<", ">=": "<="}
+NEGATED = {"<": ">=", "<=": ">", "=": "!=", "!=": "=", ">": "<=", ">=": "<"}
+
+
+def holds(a: ValQ, b: ValQ, op: str) -> bool:
+    """Whether a op b, for op one of the six comparisons."""
+    try:
+        compare = _COMPARE[op]
+    except KeyError:
+        raise ValueError(f"unknown value comparison {op!r}") from None
+    return compare(a, b)
 
 
 def vmin(values):

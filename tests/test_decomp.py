@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hqe.balls import Ball, SwissCheese
-from hqe.decomp import Piece, decompose, m_bound, piece_eval_rv, piece_eval_v, rv_decompose
+from hqe.decomp import Piece, decompose, m_bound, rv_decompose
 from hqe.errors import NotInPiece
 from hqe.field import Field
 from hqe.hensel import derivative_roots, is_root
@@ -159,7 +159,7 @@ def test_rv_decompose_single_piece(laurent):
     assert all(p.q == 1 for cell in dec.cells for p in cell.pieces)
     for x in grid(laurent):
         cell = dec.cell_of(x)
-        assert piece_eval_rv(cell.pieces[0], x, 0) == rv(f(x), 0)
+        assert cell.pieces[0].eval_rv(x, 0) == rv(f(x), 0)
 
 
 def test_rv_decompose_multi(laurent):
@@ -170,8 +170,8 @@ def test_rv_decompose_multi(laurent):
     dec = rv_decompose([f, g], [0, 1])
     for x in grid(laurent, ks=range(-3, 4)):
         cell = dec.cell_of(x)
-        assert piece_eval_rv(cell.pieces[0], x, 0) == rv(f(x), 0)
-        assert piece_eval_rv(cell.pieces[1], x, 1) == rv(g(x), 1)
+        assert cell.pieces[0].eval_rv(x, 0) == rv(f(x), 0)
+        assert cell.pieces[1].eval_rv(x, 1) == rv(g(x), 1)
 
 
 def test_rv_decompose_padic_offsets(padic2):
@@ -183,7 +183,7 @@ def test_rv_decompose_padic_offsets(padic2):
         assert ValQ(len(bin(p.q)) - 3 if p.q > 1 else 0) <= bound
     for x in grid(padic2, ks=range(-3, 4)):
         cell = dec.cell_of(x)
-        assert piece_eval_rv(cell.pieces[0], x, 0) == rv(f(x), 0)
+        assert cell.pieces[0].eval_rv(x, 0) == rv(f(x), 0)
 
 
 def test_piece_eval_errors(laurent):
@@ -205,7 +205,6 @@ def test_piece_at_center_root(laurent):
     owner = [p for p in pieces if p.contains(t)]
     assert len(owner) == 1
     assert owner[0].eval_v(t) == INF
-    assert piece_eval_v(owner[0], t) == INF
 
 
 def test_piece_eval_rv_correction_example(laurent):
@@ -216,7 +215,7 @@ def test_piece_eval_rv_correction_example(laurent):
     owner = next(p for p in pieces if p.contains(t + t**3) and not (p.center - t).is_zero is False)
     x = t + t**3
     owner = next(p for p in pieces if p.contains(x))
-    assert piece_eval_rv(owner, x, 0) == rv(f(x), 0)
+    assert owner.eval_rv(x, 0) == rv(f(x), 0)
     assert rv(f(x), 0) == rv(laurent.parse("2*t^4 + t^6"), 0)
 
 

@@ -281,6 +281,22 @@ def test_field_roots_multiple(laurent):
     assert len(found) == 2  # t (despite multiplicity) and -1
 
 
+def test_field_roots_memo_hands_out_fresh_lists(laurent):
+    """A repeated root search is answered by the bounded memo, and the list
+    a caller receives is its own."""
+    from hqe.hensel import _field_roots
+
+    t = laurent.uniformizer()
+    f = sq_minus(laurent, laurent.from_rational(3) * t**4)
+    first = field_roots(f)
+    hits = _field_roots.cache_info().hits
+    first.append(laurent.one())
+    again = field_roots(f)
+    assert _field_roots.cache_info().hits == hits + 1
+    assert _field_roots.cache_info().maxsize == 4096
+    assert again == first[:-1] and again is not first
+
+
 def test_collision_root_example(laurent):
     t = laurent.uniformizer()
     one = laurent.one()

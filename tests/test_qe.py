@@ -7,6 +7,8 @@ from hqe import selftest
 from hqe.errors import NonEffectiveQuantifier, PrecisionExhausted
 from hqe.field import Field
 from hqe.formula import (
+    FALSE,
+    TRUE,
     FLit,
     parse_formula,
     print_formula,
@@ -64,6 +66,27 @@ def test_qe_output_is_field_quantifier_free(laurent):
         assert not has_field_quantifier(out)
         # output is evaluable (closed)
         evaluate(out, {}, laurent)
+
+
+def test_nested_block_same_answer_everywhere(laurent):
+    """qe, evaluate and normal_form eliminate a nested block alike."""
+    for text, want in (
+        ("EX y:K. EX z:K. y^2 = t^2 & z = y", True),
+        ("EX y:K. EX z:K. y^2 = 2*t^2 & z = y", False),
+    ):
+        phi = parse_formula(laurent, text)
+        assert qe(phi, laurent) == (TRUE if want else FALSE)
+        assert evaluate(phi, {}, laurent) == want
+        nf = normal_form(parse_formula(laurent, f"x = t & ({text})"), "x", laurent)
+        t = laurent.uniformizer()
+        assert nf.member(t) == want
+        assert not nf.member(2 * t)
+
+
+def test_normal_form_rejects_quantifier_over_its_variable(laurent):
+    phi = parse_formula(laurent, "EX y:K. y^2 = x")
+    with pytest.raises(NonEffectiveQuantifier):
+        normal_form(phi, "x", laurent)
 
 
 def test_qe_with_params(laurent):

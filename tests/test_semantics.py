@@ -1,8 +1,11 @@
+import operator
+from math import inf
+
 import pytest
 
 from hqe.errors import NonEffectiveQuantifier, OrderMismatch, PrecisionExhausted
 from hqe.field import Field
-from hqe.formula import RVOf, RVLitT, parse_formula
+from hqe.formula import FLit, RVOf, RVLitT, VComp, parse_formula
 from hqe.rv import RVElem, rv, rv_sum_analyze
 from hqe.semantics import (
     evaluate,
@@ -124,6 +127,47 @@ def test_field_quantifier_delegates(laurent):
     assert evaluate(phi, {}, laurent)
     phi2 = parse_formula(laurent, "ALL y:K. y^2 = 1 + t")
     assert not evaluate(phi2, {}, laurent)
+
+
+def test_field_quantifier_binds_its_variable(laurent):
+    """An assignment to the bound variable does not reach the body; free
+    parameters are still substituted."""
+    two = laurent.from_rational(2)
+    assert evaluate(parse_formula(laurent, "EX x:K. x = 1"), {"x": two}, laurent)
+    assert not evaluate(parse_formula(laurent, "ALL x:K. x = 1"), {"x": laurent.one()}, laurent)
+    phi = parse_formula(laurent, "EX y:K. y^2 = c")
+    assert evaluate(phi, {"c": laurent.parse("t^2")}, laurent)
+    assert not evaluate(phi, {"c": laurent.parse("2*t^2")}, laurent)
+
+
+_VALUE_OPS = {
+    "<": operator.lt,
+    "<=": operator.le,
+    "=": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+@pytest.mark.parametrize("op", sorted(_VALUE_OPS))
+def test_value_comparison_every_op(laurent, op):
+    """v(a) op v(b) over all orderings of the two values, +inf included."""
+    t = laurent.uniformizer()
+
+    def side(k):
+        return RVOf(0, FLit(laurent.zero() if k == inf else t**k))
+
+    for a in (1, 2, inf):
+        for b in (1, 2, inf):
+            phi = VComp(op, side(a), side(b))
+            assert evaluate(phi, {}, laurent) == _VALUE_OPS[op](a, b), (a, op, b)
+
+
+def test_value_comparison_unknown_op(laurent):
+    t = laurent.uniformizer()
+    with pytest.raises(ValueError):
+        evaluate(VComp("<>", RVOf(0, FLit(t)), RVOf(0, FLit(t))), {}, laurent)
 
 
 def test_order_mismatch(laurent):
