@@ -2,7 +2,12 @@
 characteristic zero: truncated Laurent series over Q and p-adic numbers,
 leading-term structures RV_d with partial addition, Hensel lifting, the
 collision-driven swiss-cheese decomposition, field-quantifier elimination
-over concrete parameters, and the one-variable pullback normal form."""
+over concrete parameters, and the one-variable pullback normal form.
+
+Valuations are plain numbers: ``int`` in the value group Z, ``Fraction``
+for ball radii delta/n, and ``INF`` / ``NEG_INF`` for +/-infinity."""
+
+from fractions import Fraction
 
 from .balls import Ball, SwissCheese
 from .decomp import Cell, Piece, RVDecomposition, decompose, m_bound, rv_decompose
@@ -47,14 +52,13 @@ from .rv import (
     parse_rv,
     residue_of,
     rv,
-    rv_inv,
-    rv_mul,
-    rv_project,
     rv_sum_analyze,
-    value_of,
 )
 from .semantics import evaluate, guarded_forall_pattern, two_witness_pattern
-from .valq import INF, NEG_INF, ValQ
+from .valq import INF, NEG_INF
+
+# values are plain numbers; ValQ(n) and ValQ(a, b) still build them
+ValQ = Fraction
 
 __all__ = [
     "Ball",
@@ -110,12 +114,8 @@ __all__ = [
     "residue_roots",
     "rv",
     "rv_decompose",
-    "rv_inv",
-    "rv_mul",
-    "rv_project",
     "rv_sum_analyze",
     "squarefree_part",
     "taylor_shift",
     "two_witness_pattern",
-    "value_of",
 ]

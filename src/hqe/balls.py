@@ -9,9 +9,11 @@ fractional radii delta/n.  K itself, the empty set and singletons are balls.
 
 from __future__ import annotations
 
+import math
+
 from .errors import PrecisionExhausted
 from .field import LAURENT, Field, FieldElem
-from .valq import INF, NEG_INF, ValQ
+from .valq import INF, NEG_INF, as_value
 
 _ALL = "all"
 _EMPTY = "empty"
@@ -19,12 +21,12 @@ _POINT = "point"
 _BALL = "ball"
 
 
-def _v_at_least(x: FieldElem, bound: ValQ) -> bool:
+def _v_at_least(x: FieldElem, bound) -> bool:
     """Decide v(x) >= bound, honestly."""
     if x.is_zero:
         return True
     if x.is_small:
-        if ValQ(x.rel) >= bound:
+        if x.rel >= bound:
             return True
         raise PrecisionExhausted(f"cannot decide v >= {bound} at precision {x.rel}")
     return x.val() >= bound
@@ -56,37 +58,37 @@ class Ball:
     @staticmethod
     def at_least(center: FieldElem, radius) -> "Ball":
         """{x : v(x - center) >= radius}, radius in Q extended."""
-        r = ValQ.of(radius)
+        r = as_value(radius)
         if r == NEG_INF:
             return Ball.all(center.field)
         if r == INF:
             return Ball.point(center)
-        return Ball(center.field, _BALL, center, r.ceil())
+        return Ball(center.field, _BALL, center, math.ceil(r))
 
     @staticmethod
     def more_than(center: FieldElem, radius) -> "Ball":
         """{x : v(x - center) > radius}; fractional radii compare via
         n*v(x-center) > eta."""
-        r = ValQ.of(radius)
+        r = as_value(radius)
         if r == NEG_INF:
             return Ball.all(center.field)
         if r == INF:
             return Ball.empty(center.field)
-        return Ball(center.field, _BALL, center, r.floor() + 1)
+        return Ball(center.field, _BALL, center, math.floor(r) + 1)
 
     @property
     def is_empty(self) -> bool:
         return self.kind == _EMPTY
 
     @property
-    def radius(self) -> ValQ:
+    def radius(self):
         if self.kind == _ALL:
             return NEG_INF
         if self.kind == _POINT:
             return INF
         if self.kind == _EMPTY:
             return INF
-        return ValQ(self.radius_int)
+        return self.radius_int
 
     def contains(self, x: FieldElem) -> bool:
         if self.kind == _ALL:
@@ -105,7 +107,7 @@ class Ball:
         d = x.truncate_abs(r) - self.center.truncate_abs(r)
         if d.is_zero or (d.is_small and d.rel >= r):
             return True
-        return _v_at_least(d, ValQ(r))
+        return _v_at_least(d, r)
 
     def contains_ball(self, other: "Ball") -> bool:
         if other.kind == _EMPTY or self.kind == _ALL:
@@ -119,7 +121,7 @@ class Ball:
         if other.kind == _POINT:
             return self.contains(other.center)
         return other.radius_int >= self.radius_int and _v_at_least(
-            other.center - self.center, ValQ(self.radius_int)
+            other.center - self.center, self.radius_int
         )
 
     def intersect(self, other: "Ball") -> "Ball":
@@ -143,7 +145,7 @@ class Ball:
         if self.kind == _POINT:
             return (self.center - other.center).is_zero
         return self.radius_int == other.radius_int and _v_at_least(
-            self.center - other.center, ValQ(self.radius_int)
+            self.center - other.center, self.radius_int
         )
 
     def __hash__(self):
@@ -333,7 +335,7 @@ class SwissCheese:
                     k = min(k, h.radius_int - 1)
                 d = h.center - field.zero()
                 if not d.is_zero:
-                    k = min(k, d.val().as_int() - 1)
+                    k = min(k, d.val() - 1)
             probe = field.monomial(1, k)
             if all(not h.contains(probe) for h in self.holes):
                 return probe
@@ -367,7 +369,7 @@ class SwissCheese:
 
     def realized_radii(self, alpha: FieldElem):
         """All values of v(x - alpha) for x in the cheese, as a sorted list
-        of integer intervals (lo, hi) with ValQ endpoints (hi may be +inf),
+        of integer intervals (lo, hi) with int endpoints (lo may be -inf, hi +inf),
         plus a flag for v = +inf (x = alpha itself)."""
         if self.is_empty:
             return [], False
@@ -382,8 +384,8 @@ class SwissCheese:
             intervals, point = [(d.val(), d.val())], False
         else:
             d = out.center - alpha
-            if _v_at_least(d, ValQ(out.radius_int)):
-                intervals, point = [(ValQ(out.radius_int), INF)], True
+            if _v_at_least(d, out.radius_int):
+                intervals, point = [(out.radius_int, INF)], True
             else:
                 s = d.val()
                 intervals, point = [(s, s)], False
@@ -395,9 +397,9 @@ class SwissCheese:
                     point = False
                 continue
             d = h.center - alpha
-            if _v_at_least(d, ValQ(h.radius_int)):
+            if _v_at_least(d, h.radius_int):
                 # alpha inside the hole: radii >= hole radius disappear
-                cap = ValQ(h.radius_int - 1)
+                cap = h.radius_int - 1
                 intervals = _cap_intervals(intervals, cap)
                 point = False
             else:
@@ -409,7 +411,7 @@ class SwissCheese:
         return intervals, point
 
 
-def _cap_intervals(intervals, cap: ValQ):
+def _cap_intervals(intervals, cap: int):
     out = []
     for lo, hi in intervals:
         if lo > cap:
@@ -418,25 +420,24 @@ def _cap_intervals(intervals, cap: ValQ):
     return out
 
 
-def _remove_radius(intervals, s: ValQ):
+def _remove_radius(intervals, s: int):
     out = []
     for lo, hi in intervals:
         if s < lo or s > hi:
             out.append((lo, hi))
             continue
         if lo <= s - 1:
-            out.append((lo, s - ValQ(1)))
+            out.append((lo, s - 1))
         if s + 1 <= hi:
-            out.append((s + ValQ(1), hi))
+            out.append((s + 1, hi))
     return out
 
 
-def _sphere_covered(cheese: SwissCheese, alpha: FieldElem, s: ValQ) -> bool:
-    """Whether the holes swallow the whole sphere {v(x - alpha) = s}."""
+def _sphere_covered(cheese: SwissCheese, alpha: FieldElem, r) -> bool:
+    """Whether the holes swallow the whole sphere {v(x - alpha) = r}."""
     field = cheese.field
-    if not s.is_finite:
+    if r == INF:
         return False
-    r = s.as_int()
     for d in range(1, field.p):
         cls = Ball.at_least(alpha + field.monomial(d, r), r + 1)
         if not ball_covered(cls, cheese.holes):

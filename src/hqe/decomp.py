@@ -15,15 +15,16 @@ derivative roots inside) terminates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import factorial
 
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
 from .field import LAURENT, Field, FieldElem
 from .hensel import derivative_roots, elem_sort_key, resolution_horizon
-from .poly import Poly, argmin_indices, residue_roots, taylor_shift
+from .poly import Poly, annulus_residue_poly, argmin_indices, residue_roots, taylor_shift
 from .rv import RVElem, rv
-from .valq import INF, NEG_INF, ValQ, vmin
+from .valq import INF, NEG_INF, as_order, as_value
 
 _MAX_DEPTH = 600
 
@@ -42,13 +43,13 @@ class Piece:
     center: FieldElem
     coeffs: tuple
     m: int
-    severity_bound: ValQ
+    severity_bound: int
     q: int
 
     def contains(self, x: FieldElem) -> bool:
         return self.cheese.contains(x)
 
-    def eval_v(self, x: FieldElem) -> ValQ:
+    def eval_v(self, x: FieldElem):
         """The linearized valuation v(a_m (x-center)^m)."""
         if not self.contains(x):
             raise NotInPiece(f"{x} is not in {self.cheese}")
@@ -61,11 +62,11 @@ class Piece:
         self._depth_guard(r)
         return a_m.val() + r * self.m
 
-    def _depth_guard(self, r: ValQ):
+    def _depth_guard(self, r):
         # a piece built around truncated data does not resolve structure
         # below the working precision
         field = self.center.field
-        if r >= ValQ(resolution_horizon(field)) and not (
+        if r >= resolution_horizon(field) and not (
             self.center.is_exact and all(c.is_exact or c.is_zero for c in self.coeffs)
         ):
             raise PrecisionExhausted("point lies deeper than the center is known")
@@ -76,7 +77,7 @@ class Piece:
         the sum is projected to order delta."""
         if not self.contains(x):
             raise NotInPiece(f"{x} is not in {self.cheese}")
-        delta = ValQ.of(delta).as_int()
+        delta = as_order(delta)
         field = self.center.field
         vq = _int_val(field, self.q)
         gamma = delta + vq
@@ -94,7 +95,7 @@ class Piece:
             if coeff_unresolved(field, a):
                 if j > 0 and d.is_zero:
                     continue  # the whole term vanishes exactly
-                lb = ValQ(a.rel) if a.is_small else a.val()
+                lb = a.rel if a.is_small else a.val()
                 if j > 0:
                     lb = lb + d.val_lb() * j
                 ignored = min(ignored, lb)
@@ -105,7 +106,7 @@ class Piece:
             if term.is_zero:
                 continue
             if term.is_small:
-                ignored = min(ignored, ValQ(term.rel))
+                ignored = min(ignored, term.rel)
                 continue
             reps.append(rv(term, gamma).rep())
         if not reps:
@@ -113,7 +114,7 @@ class Piece:
         total = field.zero()
         for r in reps:
             total = total + r
-        if ignored < INF and not total.is_zero and total.val() + ValQ(gamma) >= ignored:
+        if ignored < INF and not total.is_zero and total.val() + gamma >= ignored:
             raise PrecisionExhausted("dropped term could affect the leading term")
         return rv(total, delta)
 
@@ -134,20 +135,17 @@ class Piece:
             field.parse(data["center"]),
             tuple(field.parse(c) for c in data["coeffs"]),
             data["m"],
-            _parse_valq(data["severity_bound"]),
+            _parse_value(data["severity_bound"]),
             data["q"],
         )
 
 
-def _parse_valq(s: str) -> ValQ:
-    if s == "inf":
-        return INF
-    if s == "-inf":
-        return NEG_INF
-    if "/" in s:
-        n, d = s.split("/")
-        return ValQ(int(n), int(d))
-    return ValQ(int(s))
+def _parse_value(s: str):
+    """A value as str() prints it: an int, a fraction a/b, inf or -inf."""
+    if s in ("inf", "-inf"):
+        return float(s)
+    n, _, d = s.partition("/")
+    return Fraction(int(n), int(d)) if d else int(n)
 
 
 def _int_val(field: Field, q: int) -> int:
@@ -168,7 +166,7 @@ def coeff_unresolved(field: Field, c) -> bool:
     horizon = resolution_horizon(field)
     if c.is_small:
         return c.rel >= horizon
-    return not c.is_exact and c.val() >= ValQ(horizon)
+    return not c.is_exact and c.val() >= horizon
 
 
 def _support_vals(field: Field, coeffs):
@@ -220,7 +218,7 @@ def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> li
     d = f.degree
     if d == 0:
         cheese = S if S is not None else SwissCheese.all(field)
-        return [Piece(cheese, field.zero(), (f.coeffs[0],), 0, ValQ(0), 1)]
+        return [Piece(cheese, field.zero(), (f.coeffs[0],), 0, 0, 1)]
     # initial center: the root of the linear derivative, always in K
     top = f.coeffs[d]
     below = f.coeffs[d - 1]
@@ -242,7 +240,7 @@ def _count_inside(droots, ball: Ball) -> int:
     seen = []
     for _, r in droots:
         try:
-            if ball.contains(r) and not any((r - s).val_lb() >= ValQ(r.field.prec) for s in seen):
+            if ball.contains(r) and not any((r - s).val_lb() >= r.field.prec for s in seen):
                 seen.append(r)
                 n += 1
         except PrecisionExhausted:
@@ -257,12 +255,12 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
     field = f.field
     if ball.kind == "point":
         coeffs = taylor_shift(f, center)
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, ValQ(0), 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, 0, 1)]
     coeffs = taylor_shift(f, center)
     pairs = _support_vals(field, coeffs)
     if not pairs:
         raise PreconditionViolated("zero polynomial in decomposition")
-    gamma = ValQ(ball.radius_int) if ball.kind == "ball" else NEG_INF
+    gamma = ball.radius_int if ball.kind == "ball" else NEG_INF
     m = max(argmin_indices(pairs, gamma))
     # measure of the double induction: m drops, or the number of derivative
     # roots strictly inside drops
@@ -272,23 +270,23 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
             "decomposition measure failed to decrease"
         )
     if m == 0:
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, ValQ(0), 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, 0, 1)]
     vm = dict(pairs)[m]
-    cuts = [(v - vm) / (m - i) for i, v in pairs if i < m]
+    cuts = [Fraction(v - vm, m - i) for i, v in pairs if i < m]
     if not cuts:
         # the m-th monomial is strictly minimal on the whole ball
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), m, ValQ(0), 1)]
-    rho = vmin(cuts)
+        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), m, 0, 1)]
+    rho = min(cuts, default=INF)
     pieces = []
     inner_ball = Ball.more_than(center, rho)
     # radii in [gamma, rho): the m-th monomial is strictly minimal
     outer = SwissCheese(ball, [Ball.at_least(center, rho)])
     if not outer.is_empty:
-        pieces.append(Piece(outer, center, tuple(coeffs), m, ValQ(0), 1))
+        pieces.append(Piece(outer, center, tuple(coeffs), m, 0, 1))
     # the tie annulus at rho, when it is realized in the value group
     count = _count_inside(droots, ball)
-    if rho.is_int:
-        r = rho.as_int()
+    if rho.denominator == 1:
+        r = int(rho)
         annulus = SwissCheese(Ball.at_least(center, r), [inner_ball])
         if not annulus.is_empty:
             class_balls, slack = _annulus_analysis(
@@ -298,9 +296,9 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
             if not remainder.is_empty:
                 if slack:
                     bound = field.factorial_val(m) * (2**m)
-                    q = factorial(m) ** (2**m) if bound > ValQ(0) else 1
+                    q = factorial(m) ** (2**m) if bound > 0 else 1
                 else:
-                    bound, q = ValQ(0), 1
+                    bound, q = 0, 1
                 pieces.append(Piece(remainder, center, tuple(coeffs), m, bound, q))
     # inside: the maximal index drops strictly
     pieces.extend(_region(f, center, inner_ball, droots, exact, depth + 1, (m, count)))
@@ -317,19 +315,9 @@ def _annulus_analysis(f, coeffs, center, r, m, droots, exact, depth, pieces, cou
     Returns (class balls removed from the annulus, slack flag).
     """
     field = f.field
-    vals = {i: v.as_int() + i * r for i, v in _support_vals(field, coeffs)}
-    mu = min(vals.values())
-    ties = [i for i, w in vals.items() if w == mu]
-    if len(ties) <= 1:
-        return [], False
-    m_ann = max(ties)
-    respoly = []
-    for i in range(m_ann + 1):
-        if i not in vals or vals[i] > mu:
-            respoly.append(0)
-        else:
-            u = coeffs[i].shift(i * r - mu)
-            respoly.append(u.unit_digits(1)[0] if field.backend == LAURENT else u.unit_digits(1))
+    respoly = annulus_residue_poly(coeffs, _support_vals(field, coeffs), r)
+    if sum(1 for c in respoly if c != 0) <= 1:
+        return [], False  # a single minimal monomial: no residue root but 0
     pi_r = field.monomial(1, r)
     class_balls = []
     slack = False
@@ -409,7 +397,7 @@ class RVDecomposition:
             )
             for c in data["cells"]
         )
-        deltas = tuple(_parse_valq(d) for d in data["deltas"])
+        deltas = tuple(_parse_value(d) for d in data["deltas"])
         return RVDecomposition((), deltas, cells)
 
 
@@ -417,7 +405,7 @@ def rv_decompose(fs, deltas, _exact: bool = False) -> RVDecomposition:
     """A common partition of K adapted to every f in fs at its order delta:
     intersect the per-polynomial decompositions."""
     fs = list(fs)
-    deltas = [ValQ.of(d) for d in deltas]
+    deltas = [as_value(d) for d in deltas]
     if len(fs) != len(deltas):
         raise ValueError("one order per polynomial required")
     for d in deltas:

@@ -31,7 +31,7 @@ from .errors import (
     NegativeValue,
     PrecisionExhausted,
 )
-from .valq import INF, ValQ
+from .valq import INF, as_order
 
 LAURENT = "laurent-q"
 PADIC = "padic"
@@ -86,15 +86,15 @@ class Field:
     def with_prec(self, prec: int) -> "Field":
         return Field(self.backend, self.p, prec)
 
-    def factorial_val(self, m: int) -> ValQ:
+    def factorial_val(self, m: int) -> int:
         """v(m!): zero over laurent-q, Legendre's formula over Q_p."""
         if self.backend == LAURENT or m <= 1:
-            return ValQ(0)
+            return 0
         total, q = 0, self.p
         while q <= m:
             total += m // q
             q *= self.p
-        return ValQ(total)
+        return total
 
     def __eq__(self, other):
         return (
@@ -244,30 +244,31 @@ class FieldElem:
         return self.kind == _ZERO or (self.kind == _NUM and self.rel is None)
 
     @property
-    def abs_prec(self) -> ValQ:
-        """Digits below this valuation are known."""
+    def abs_prec(self):
+        """Digits below this valuation are known (an int, or INF)."""
         if self.kind == _ZERO:
             return INF
         if self.kind == _SMALL:
-            return ValQ(self.rel)
+            return self.rel
         if self.rel is None:
             return INF
-        return ValQ(self.v + self.rel)
+        return self.v + self.rel
 
-    def val(self) -> ValQ:
+    def val(self):
+        """The valuation: an int, or INF for an exact zero."""
         if self.kind == _NUM:
-            return ValQ(self.v)
+            return self.v
         if self.kind == _ZERO:
             return INF
         raise PrecisionExhausted(
             f"element is zero modulo pi^{self.rel} but not known to be an exact zero"
         )
 
-    def val_lb(self) -> ValQ:
+    def val_lb(self):
         """A usable lower bound on v(x): exact when known, the order bound
         for an element that is zero to its precision."""
         if self.kind == _SMALL:
-            return ValQ(self.rel)
+            return self.rel
         return self.val()
 
     # ---- digit access -------------------------------------------------------
@@ -289,10 +290,7 @@ class FieldElem:
 
     def residue(self, delta) -> "Residue":
         """The class of the element in O / m_delta (digits 0..delta)."""
-        delta = ValQ.of(delta)
-        if not delta.is_int or delta < 0:
-            raise NegativeValue(f"residue order must be a nonnegative integer, got {delta}")
-        d = delta.as_int()
+        d = as_order(delta)
         f = self.field
         if self.kind == _ZERO:
             return Residue(f, d, _zero_res(f, d))
@@ -302,7 +300,7 @@ class FieldElem:
             raise PrecisionExhausted("residue not determined at available precision")
         if self.v < 0:
             raise NegativeValue("residue of an element of negative valuation")
-        if self.abs_prec <= ValQ(d):
+        if self.abs_prec <= d:
             raise PrecisionExhausted(f"residue mod m_{d} needs {d + 1} known digits")
         if f.backend == LAURENT:
             if self.v > d:
@@ -317,7 +315,7 @@ class FieldElem:
             raise ValueError("coeff() is a laurent-q operation")
         if self.kind == _ZERO:
             return Fraction(0)
-        if self.abs_prec <= ValQ(k):
+        if self.abs_prec <= k:
             raise PrecisionExhausted(f"coefficient of t^{k} beyond precision")
         if self.kind == _SMALL or k < self.v:
             return Fraction(0)
@@ -791,7 +789,7 @@ def _parse_elem_body(field: Field, sc: _Scanner) -> FieldElem:
     x = field.from_terms(terms)
     if bound is None:
         return x
-    if x.is_zero or x.val() >= ValQ(bound):
+    if x.is_zero or x.val() >= bound:
         return field.small(bound)
     return x.truncate_rel(bound - x.v)
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import FormulaSyntaxError
+from .errors import FormulaSyntaxError, OrderMismatch
 from .field import LAURENT, Field, FieldElem, _Scanner
 from .rv import RVElem, parse_rv_scan
 
@@ -316,12 +316,36 @@ def free_vars(phi, bound=frozenset()):
     return out
 
 
+_FIELD_TERMS = (FVar, FLit, FAdd, FMul, FNeg, FPow)
+
+
+def _rv_order(term):
+    """The order of an rv term, None for a term of another sort."""
+    while isinstance(term, (RVMulT, RVPowT)):
+        term = term.left if isinstance(term, RVMulT) else term.base
+    if isinstance(term, RVLitT):
+        return term.value.order
+    if isinstance(term, (RVVarT, RVOf, RVProjT, RVSumT)):
+        return term.order
+    return None
+
+
 def subst_term(term, env):
-    """Substitute variables by literal terms in a field/rv term."""
+    """Substitute variables by literal terms in a field/rv term; a term of
+    the wrong sort or order raises OrderMismatch."""
     if isinstance(term, FVar):
-        return env.get(term.name, term)
+        new = env.get(term.name, term)
+        if not isinstance(new, _FIELD_TERMS):
+            raise OrderMismatch(f"{term.name} is not field-sorted")
+        return new
     if isinstance(term, RVVarT):
-        return env.get(term.name, term)
+        new = env.get(term.name, term)
+        order = _rv_order(new)
+        if order is None:
+            raise OrderMismatch(f"{term.name} is not RV-sorted")
+        if order != term.order:
+            raise OrderMismatch(f"{term.name} has order {order}, expected {term.order}")
+        return new
     if isinstance(term, FAdd):
         return FAdd(subst_term(term.left, env), subst_term(term.right, env))
     if isinstance(term, FMul):

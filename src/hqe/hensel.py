@@ -11,16 +11,18 @@ from .errors import PrecisionExhausted, PreconditionViolated
 from .field import LAURENT, Field, FieldElem
 from .poly import (
     Poly,
+    annulus_residue_poly,
     coeff_vals,
     count_roots_val_at_least,
     derivative,
     residue_roots,
+    slope_root_counts,
     squarefree_part,
     taylor_shift,
     _strip_content,
 )
 from .rv import rv
-from .valq import INF, ValQ, vmin
+from .valq import INF, as_value
 
 _MAX_NEWTON_STEPS = 64
 # digits an iterate carries beyond the precision its next step is predicted
@@ -35,7 +37,7 @@ class LiftCertificate:
 
     root: FieldElem
     iterations: int
-    separation: ValQ
+    separation: int | float  # INF when the starting point is a root
 
 
 def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
@@ -47,12 +49,12 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
     target (the working precision by default) or P(x) vanishes at the
     precision available.
     """
-    delta = ValQ.of(delta)
+    delta = as_value(delta)
     field = P.field
     for c in P.coeffs:
-        if not c.val_lb() >= ValQ(0):
+        if not c.val_lb() >= 0:
             raise PreconditionViolated("polynomial must have coefficients in O")
-    if not a.val_lb() >= ValQ(0):
+    if not a.val_lb() >= 0:
         raise PreconditionViolated("starting point must lie in O")
     dP = derivative(P)
     fa = P(a)
@@ -68,21 +70,20 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
             f"henselian bound fails: v(P(a)) = {va} <= 2*{vd} + {delta}"
         )
     separation = va - vd
-    vd_int = vd.as_int() if vd.is_finite else 0
     if target is None:
-        target = ValQ(field.prec)
+        target = field.prec
     base_target = target
     # the root is known to v(P(x)) - v(P'(x)) digits, so certifying prec
     # root digits needs v(P(x)) past prec + v(P'); best effort when the
     # input data cannot support that depth
-    target = max(target, ValQ(field.prec) + vd)
+    target = max(target, field.prec + vd)
     # every step loses about v(P') digits of absolute precision over about
     # log2(target) steps, so give that much headroom and truncate at the end
-    margin = 10 * max(0, vd_int) + 16
-    work = field.with_prec(field.prec + 2 * vd_int + margin)
+    margin = 10 * max(0, vd) + 16
+    work = field.with_prec(field.prec + 2 * vd + margin)
     # iterates never need digits beyond the certification target plus the
     # per-step losses, so cap their length independently of the field
-    cap = min(work.prec, (target.as_int() if target.is_finite else field.prec) + margin)
+    cap = min(work.prec, (target if target != INF else field.prec) + margin)
     P = Poly(work, [c.with_field(work) for c in P.coeffs])
     dP = Poly(work, [c.with_field(work) for c in dP.coeffs])
     # precision doubling: an iterate is only a point to go on from, so it is
@@ -100,9 +101,9 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
             return work.zero()
         if x.is_zero:
             return x
-        r = cap if w is None else min(cap, 2 * (w - vd_int) + _SLACK - x.v)
-        if limit.is_finite:
-            r = min(r, limit.as_int() - x.v)
+        r = cap if w is None else min(cap, 2 * (w - vd) + _SLACK - x.v)
+        if limit != INF:
+            r = min(r, limit - x.v)
         return x.padded(max(1, r))
 
     def evaluate(y: FieldElem, w: int):
@@ -118,7 +119,7 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
         return x, fx
 
     y = a.with_field(work)
-    x, fx = evaluate(y, va.as_int())
+    x, fx = evaluate(y, va)
     vfx = fx.val_lb()
     steps = 0
     dfx = None
@@ -126,7 +127,7 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
         if fx.is_small:
             # zero at the precision the data supports; nothing more can be
             # revealed by iterating
-            if ValQ(fx.rel) >= base_target:
+            if fx.rel >= base_target:
                 break
             raise PrecisionExhausted(
                 f"root certified only modulo pi^{fx.rel}, target {base_target}"
@@ -137,7 +138,7 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
         if dfx.is_zero or dfx.is_small:
             raise PrecisionExhausted("derivative lost to precision during iteration")
         y_next = x - fx / dfx
-        x_next, fx_next = evaluate(y_next, 2 * (vfx.as_int() - vd_int))
+        x_next, fx_next = evaluate(y_next, 2 * (vfx - vd))
         if not (fx_next.is_zero or fx_next.is_small) and fx_next.val() >= vd + y_next.abs_prec:
             # the step converged past the digits x carried, so v(P) may be
             # cut short there: take the step again from all digits of y
@@ -162,8 +163,8 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
         # drop digits beyond the certified accuracy of the root
         last_vd = dfx.val() if dfx is not None and not (dfx.is_zero or dfx.is_small) else vd
         accuracy = vfx - last_vd
-        if accuracy.is_finite and not x.is_zero and not x.is_small:
-            x = x.truncate_abs(accuracy.as_int())
+        if accuracy != INF and not x.is_zero and not x.is_small:
+            x = x.truncate_abs(accuracy)
     root = x.truncate_rel(field.prec).with_field(field)
     return LiftCertificate(root, steps, separation)
 
@@ -258,37 +259,18 @@ def _rational_reconstruct(u: int, m: int):
 
 def _integer_slopes(g: Poly):
     """Integer candidate valuations for nonzero roots of g."""
-    pairs = coeff_vals(g)
-    out = []
-    from .poly import lower_hull
-
-    hull = lower_hull(pairs)
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = -(y2 - y1) / (x2 - x1)
-        if s.denominator == 1:
-            out.append(int(s))
-    return sorted(set(out))
+    return sorted({int(s) for s, _ in slope_root_counts(g) if s.denominator == 1})
 
 
 def _scale_to_radius(g: Poly, s: int) -> Poly:
     """g(pi^s * x) normalized to O-coefficients with unit content."""
     field = g.field
     pairs = coeff_vals(g)
-    mu = vmin(v + ValQ(i * s) for i, v in pairs)
+    mu = min((v + i * s for i, v in pairs), default=INF)
     coeffs = []
     for i, c in enumerate(g.coeffs):
-        coeffs.append(c.shift(i * s - mu.as_int()) if not c.is_zero else c)
+        coeffs.append(c.shift(i * s - mu) if not c.is_zero else c)
     return Poly(field, coeffs)
-
-
-def _residue_poly(H: Poly):
-    out = []
-    for c in H.coeffs:
-        if c.is_zero or c.val() > ValQ(0):
-            out.append(0)
-        else:
-            out.append(c.unit_digits(1)[0] if H.field.backend == LAURENT else c.unit_digits(1))
-    return out
 
 
 def _roots_in_O(H: Poly, depth: int, only_units: bool = False) -> list[FieldElem]:
@@ -303,9 +285,10 @@ def _roots_in_O(H: Poly, depth: int, only_units: bool = False) -> list[FieldElem
     if H.degree is None or H.degree == 0:
         return []
     out: list[FieldElem] = []
-    if count_roots_val_at_least(H, ValQ(0)) == 0:
+    if count_roots_val_at_least(H, 0) == 0:
         return out
-    respoly = _residue_poly(H)
+    # the content is stripped, so the unit coefficients are the minimal ones
+    respoly = annulus_residue_poly(H.coeffs, coeff_vals(H), 0)
     for c in residue_roots(field, respoly):
         if only_units and c == 0:
             continue
@@ -316,7 +299,7 @@ def _roots_in_O(H: Poly, depth: int, only_units: bool = False) -> list[FieldElem
             rest = Poly(field, Hc.coeffs[1:])  # simple root: deflation is exact
             out.extend(chat + w for w in _descend(rest, depth))
             continue
-        inner = count_roots_val_at_least(Hc, ValQ(1))
+        inner = count_roots_val_at_least(Hc, 1)
         if inner == 0:
             continue
         if inner == 1:
@@ -353,9 +336,9 @@ def is_root(g: Poly, x: FieldElem) -> bool:
     y = g(x)
     if y.is_zero:
         return True
-    bound = ValQ(resolution_horizon(g.field))
+    bound = resolution_horizon(g.field)
     if y.is_small:
-        return ValQ(y.rel) >= bound
+        return y.rel >= bound
     return y.val() >= bound
 
 
@@ -382,8 +365,8 @@ def collision_data(f: Poly, alpha: FieldElem, beta: FieldElem):
     for i, c in enumerate(a):
         term = c * diff**i if i else c
         vals.append(term.val_lb())
-    mu = vmin(vals)
-    if not mu.is_finite:
+    mu = min(vals, default=INF)
+    if mu == INF:
         raise PreconditionViolated("all recentered monomials vanish")
     m = max(i for i, v in enumerate(vals) if v == mu)
     fb = f(beta)
@@ -400,7 +383,7 @@ def collision_root(f: Poly, alpha: FieldElem, beta: FieldElem, delta=0):
     to 0) whose gap admits Newton lifting of P^(n) from 1, and map the
     lifted root back.
     """
-    delta = ValQ.of(delta)
+    delta = as_value(delta)
     field = f.field
     m, mu, severity = collision_data(f, alpha, beta)
     threshold = (field.factorial_val(m) + delta) * (2**m)
@@ -434,7 +417,7 @@ def collision_root(f: Poly, alpha: FieldElem, beta: FieldElem, delta=0):
             break
     if chosen is None:
         raise PreconditionViolated("no derivative gap admits lifting")
-    cert = newton_lift(derivative(P, chosen), one, delta, target=ValQ(field.prec))
+    cert = newton_lift(derivative(P, chosen), one, delta, target=field.prec)
     lam = _snap_exact(derivative(f, chosen), diff * cert.root + alpha)
     if not lam.is_exact:
         lam = lam.truncate_rel(field.prec)
@@ -459,20 +442,10 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int, threshold=None)
     pairs = [(i, c.val()) for i, c in enumerate(a) if not c.is_zero]
     if not pairs:
         raise PreconditionViolated("zero polynomial")
-    vals = {i: v + ValQ(i * delta_ann) for i, v in pairs}
-    mu = vmin(vals.values())
-    ties = [i for i, w in vals.items() if w == mu]
-    if len(ties) <= 1:
-        return []
-    m_ann = max(ties)
-    respoly = []
-    for i in range(m_ann + 1):
-        c = a[i] if i < len(a) else field.zero()
-        if c.is_zero or vals[i] > mu:
-            respoly.append(0)
-        else:
-            u = c.shift(i * delta_ann - mu.as_int())
-            respoly.append(u.unit_digits(1)[0] if field.backend == LAURENT else u.unit_digits(1))
+    respoly = annulus_residue_poly(a, pairs, delta_ann)
+    if sum(1 for c in respoly if c != 0) <= 1:
+        return []  # a single minimal monomial: no residue root but 0
+    m_ann = len(respoly) - 1
     pi_d = field.monomial(1, delta_ann)
     droots = derivative_roots(f)
     out = []
@@ -490,7 +463,7 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int, threshold=None)
             except (PreconditionViolated, PrecisionExhausted):
                 lam = None
         if lam is None:
-            inside = [(n, r) for n, r in droots if (r - beta).val_lb() > ValQ(delta_ann)]
+            inside = [(n, r) for n, r in droots if (r - beta).val_lb() > delta_ann]
             if not inside:
                 continue
             inside.sort(key=lambda nr: (nr[0], elem_sort_key(nr[1])))

@@ -8,7 +8,7 @@ from math import gcd, lcm
 
 from .errors import PrecisionExhausted
 from .field import LAURENT, Field, FieldElem
-from .valq import INF, NEG_INF, ValQ, vmin
+from .valq import INF, NEG_INF
 
 
 class Poly:
@@ -217,10 +217,10 @@ def _strip_content(f: Poly) -> Poly:
         vals = [c.val() for c in f.coeffs if not c.is_zero]
     except PrecisionExhausted:
         return f
-    m = vmin(vals)
-    if not m.is_finite or m == ValQ(0):
+    m = min(vals, default=INF)
+    if m == INF or m == 0:
         return f
-    return Poly(f.field, [c.shift(-m.as_int()) if not c.is_zero else c for c in f.coeffs])
+    return Poly(f.field, [c.shift(-m) if not c.is_zero else c for c in f.coeffs])
 
 
 def exact_divide(g: Poly, f: Poly) -> Poly:
@@ -259,7 +259,7 @@ def coeff_vals(f: Poly):
     return out
 
 
-def argmin_indices(pairs, r: ValQ):
+def argmin_indices(pairs, r):
     """Indices i minimizing v(a_i) + i*r among the given (i, v) pairs.
 
     r = -inf selects the largest support index, r = +inf the smallest.
@@ -286,7 +286,7 @@ def argmin_indices(pairs, r: ValQ):
 
 def lower_hull(pairs):
     """Vertices of the lower convex hull of {(i, v(a_i))}, by increasing i."""
-    pts = sorted((i, v.as_fraction()) for i, v in pairs if v.is_finite)
+    pts = sorted((i, v) for i, v in pairs if v != INF)
     hull = []
     for p in pts:
         while len(hull) >= 2:
@@ -306,23 +306,44 @@ def slope_root_counts(f: Poly):
     hull = lower_hull(pairs)
     out = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        s = -(y2 - y1) / (x2 - x1)
+        s = Fraction(y1 - y2, x2 - x1)
         out.append((s, int(x2 - x1)))
     return out
 
 
-def count_roots_val_at_least(f: Poly, bound: ValQ) -> int:
+def count_roots_val_at_least(f: Poly, bound) -> int:
     """Number of algebraic-closure roots (with multiplicity) of valuation
     >= bound, excluding roots at exactly 0."""
     n = 0
     for s, k in slope_root_counts(f):
-        if ValQ.of(s) >= bound:
+        if s >= bound:
             n += k
     low = min(i for i, _ in coeff_vals(f)) if not f.is_zero else 0
     return n + low  # x = 0 counts (valuation +inf)
 
 
 # ---- roots over the residue field ------------------------------------------
+
+
+def annulus_residue_poly(coeffs, pairs, r: int) -> list:
+    """The residue polynomial of sum a_i x^i on the annulus v(x) = r, in the
+    form residue_roots takes.
+
+    ``pairs`` are the (i, v(a_i)) the caller counts as the support.  Entry i
+    is the leading unit digit of a_i where v(a_i) + i r attains the minimum
+    over the pairs, and 0 elsewhere, up to the largest such i.
+    """
+    vals = {i: v + i * r for i, v in pairs}
+    mu = min(vals.values())
+    top = max(i for i, w in vals.items() if w == mu)
+    out = []
+    for i in range(top + 1):
+        if vals.get(i, INF) > mu:
+            out.append(0)
+        else:
+            digits = coeffs[i].unit_digits(1)
+            out.append(digits[0] if coeffs[i].field.backend == LAURENT else digits)
+    return out
 
 
 def residue_roots(field: Field, coeffs):

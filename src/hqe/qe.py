@@ -71,7 +71,7 @@ from .regions import (
 )
 from .rv import RVElem, rv
 from .semantics import evaluate
-from .valq import FLIP, INF, NEGATED, ValQ, holds
+from .valq import FLIP, INF, NEGATED, as_order, holds
 
 
 # ---- linear systems: the ball intersection elimination ------------------------
@@ -88,7 +88,7 @@ def eliminate_linear_exists(constraints, field: Field, case_log=None) -> bool:
     balls = []
     singles = []
     for z, a, b, delta in constraints:
-        delta = ValQ.of(delta).as_int()
+        delta = as_order(delta)
         if a.is_zero or a.is_small:
             raise PreconditionViolated("the coefficient of x must be nonzero")
         if z.is_small:
@@ -102,7 +102,7 @@ def eliminate_linear_exists(constraints, field: Field, case_log=None) -> bool:
         balls.append(
             {
                 "center": center + rep,
-                "radius": zs.val() + ValQ(delta),
+                "radius": zs.val() + delta,
                 "z": zs,
                 "c": center,
                 "delta": delta,
@@ -284,9 +284,9 @@ def _rv_eq_polys_region(P1: Poly, P2: Poly, order: int, positive, field) -> Regi
         return region_all(field) if positive else []
     joint = [r for r in field_roots(P2) if is_root(P1, r)]
     if positive:
-        reg = vcomp_region(diff, P2, ">", field, ValQ(order))
+        reg = vcomp_region(diff, P2, ">", field, order)
         return reg + [SwissCheese.of_ball(Ball.point(r)) for r in joint]
-    reg = vcomp_region(diff, P2, "<=", field, ValQ(order))
+    reg = vcomp_region(diff, P2, "<=", field, order)
     return region_without_points(reg, joint)
 
 
@@ -307,7 +307,7 @@ def _oplus_region(atom: OplusA, positive, var, field) -> Region:
     with the degenerate case of both summands vanishing handled pointwise
     (there the relation asks the third side to vanish as well)."""
     (_, P1), (_, P2), (_, P3) = _side_polys((atom.a, atom.b, atom.c), var, field, "oplus operand")
-    d = ValQ(atom.order)
+    d = atom.order
     S = P3 + (-P1) + (-P2)
     op = ">" if positive else "<="
 
@@ -352,7 +352,7 @@ def _dedupe_roots(roots, field):
     out = []
     for r in roots:
         if not any(
-            (r - s).val_lb() >= ValQ(resolution_horizon(field)) for s in out
+            (r - s).val_lb() >= resolution_horizon(field) for s in out
         ):
             out.append(r)
     return out
@@ -527,7 +527,7 @@ def _holds_at(lit, sign, var, root, source, field) -> bool:
         y = g(root)
         if y.is_zero:
             return sign
-        if not y.is_small and y.val() < ValQ(resolution_horizon(field)):
+        if not y.is_small and y.val() < resolution_horizon(field):
             return not sign
         # vanishing at available precision: an approximated root satisfies a
         # second equation exactly when the two polynomials share the root
@@ -685,7 +685,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     def center_index(a: FieldElem) -> int:
         for i, c in enumerate(centers):
             d = a - c
-            if d.val_lb() >= ValQ(resolution_horizon(field)):
+            if d.val_lb() >= resolution_horizon(field):
                 return i
         centers.append(a)
         return len(centers) - 1

@@ -8,7 +8,9 @@ so the satisfying set is a finite union of swiss cheeses, computed here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .balls import Ball, SwissCheese
@@ -17,7 +19,7 @@ from .errors import NonEffectiveQuantifier, PrecisionExhausted
 from .field import Field, FieldElem
 from .hensel import field_roots, resolution_horizon
 from .poly import Poly
-from .valq import FLIP, INF, NEG_INF, ValQ, holds
+from .valq import FLIP, INF, NEG_INF, holds
 
 # a region is a finite union of swiss cheeses
 Region = list
@@ -62,7 +64,7 @@ class _CellData:
     cheese: SwissCheese
     center: FieldElem
     m: int
-    base: ValQ  # v(a_m); the linearized valuation is base + m * v(x - center)
+    base: int  # v(a_m), or INF; the linearized valuation is base + m * v(x - center)
 
 
 def exact_cells(H: Poly, field: Field) -> tuple[_CellData, ...]:
@@ -78,14 +80,14 @@ def exact_cells(H: Poly, field: Field) -> tuple[_CellData, ...]:
 def _exact_cells(field: Field, coeffs) -> tuple[_CellData, ...]:
     out = []
     for p in decompose(Poly(field, coeffs), None, _exact=True):
-        assert p.severity_bound == ValQ(0)
+        assert p.severity_bound == 0
         a_m = p.coeffs[p.m]
         base = INF if a_m.is_zero else a_m.val()
         out.append(_CellData(p.cheese, p.center, p.m, base))
     return tuple(out)
 
 
-def vcomp_region(H: Poly, G, op: str, field: Field, c: ValQ = ValQ(0)) -> Region:
+def vcomp_region(H: Poly, G, op: str, field: Field, c: int = 0) -> Region:
     """{x : v(H(x))  op  v(G(x)) + c} as a union of swiss cheeses.
 
     G may be a Poly, or None for +inf (comparisons against the value of a
@@ -121,7 +123,7 @@ def vcomp_region(H: Poly, G, op: str, field: Field, c: ValQ = ValQ(0)) -> Region
 
 def _cell_compare(ch: _CellData, cg: _CellData, c, op, cheese, field) -> Region:
     A = ch.base
-    B = cg.base + c if cg.base.is_finite else INF
+    B = cg.base + c if cg.base != INF else INF
     m1, m2 = ch.m, cg.m
     a1, a2 = ch.center, cg.center
     if m1 == 0 and m2 == 0:
@@ -131,29 +133,28 @@ def _cell_compare(ch: _CellData, cg: _CellData, c, op, cheese, field) -> Region:
     if not d.is_zero and d.is_small and d.rel < resolution_horizon(field):
         raise PrecisionExhausted("cell centers indistinguishable at precision")
     out: Region = []
-    if dv == INF or (not d.is_zero and dv >= ValQ(resolution_horizon(field))):
+    if dv == INF or (not d.is_zero and dv >= resolution_horizon(field)):
         # same center: one radius r, w1 = A + m1 r, w2 = B + m2 r
         for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, INF, True):
             out.extend(_radius_range(a1, lo, hi, inc, field))
     else:
         dd = dv
         # r1 < dd forces r2 = r1
-        for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, dd - ValQ(1), False):
+        for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, dd - 1, False):
             out.extend(_radius_range(a1, lo, hi, inc, field))
         A2, B2 = _affine(A, m1, dd), _affine(B, m2, dd)
         # r1 > dd forces r2 = dd
-        for lo, hi, inc in _solve(A, m1, B2, 0, op, dd + ValQ(1), INF, True):
+        for lo, hi, inc in _solve(A, m1, B2, 0, op, dd + 1, INF, True):
             out.extend(_radius_range(a1, lo, hi, inc, field))
         # r1 = dd, r2 = dd
         if holds(A2, B2, op):
-            r = dd.as_int()
             both = SwissCheese(
-                Ball.at_least(a1, r),
-                [Ball.at_least(a1, r + 1), Ball.at_least(a2, r + 1)],
+                Ball.at_least(a1, dd),
+                [Ball.at_least(a1, dd + 1), Ball.at_least(a2, dd + 1)],
             )
             out.append(both)
         # r1 = dd, r2 > dd (x near a2): solve over r2
-        for lo, hi, inc in _solve(A2, 0, B, m2, op, dd + ValQ(1), INF, True):
+        for lo, hi, inc in _solve(A2, 0, B, m2, op, dd + 1, INF, True):
             out.extend(_radius_range(a2, lo, hi, inc, field))
     return [c.intersect(cheese) for c in out]
 
@@ -170,25 +171,25 @@ def _solve(A, m1, B, m2, op, lo, hi, allow_inf):
         if holds(A, B, op):
             finite.append((lo, hi))
     else:
-        bound = (B - A) / k
+        bound = Fraction(B - A, k)
         eff = op if k > 0 else FLIP[op]
         if eff == "=":
-            if bound.is_int:
-                finite.append((bound, bound))
+            if bound.denominator == 1:
+                finite.append((int(bound), int(bound)))
         elif eff == "!=":
-            if bound.is_int:
-                finite.append((lo, bound - 1))
-                finite.append((bound + 1, hi))
+            if bound.denominator == 1:
+                finite.append((lo, int(bound) - 1))
+                finite.append((int(bound) + 1, hi))
             else:
                 finite.append((lo, hi))
         elif eff == "<":
-            finite.append((lo, ValQ(bound.ceil() - 1)))
+            finite.append((lo, math.ceil(bound) - 1))
         elif eff == "<=":
-            finite.append((lo, ValQ(bound.floor())))
+            finite.append((lo, math.floor(bound)))
         elif eff == ">":
-            finite.append((ValQ(bound.floor() + 1), hi))
+            finite.append((math.floor(bound) + 1, hi))
         else:  # >=
-            finite.append((ValQ(bound.ceil()), hi))
+            finite.append((math.ceil(bound), hi))
     out = []
     attached = False
     for l2, h2 in finite:
@@ -201,11 +202,11 @@ def _solve(A, m1, B, m2, op, lo, hi, allow_inf):
         else:
             out.append((l2, h2, False))
     if inf_ok and not attached:
-        out.append((ValQ(1), ValQ(0), True))  # no finite radii, the point only
+        out.append((1, 0, True))  # no finite radii, the point only
     return out
 
 
-def _affine(A: ValQ, m: int, r: ValQ) -> ValQ:
+def _affine(A, m: int, r):
     if A == INF:
         return INF
     if r == INF:
@@ -215,14 +216,14 @@ def _affine(A: ValQ, m: int, r: ValQ) -> ValQ:
     return A + r * m
 
 
-def _radius_range(center: FieldElem, lo: ValQ, hi: ValQ, include_point: bool, field) -> Region:
+def _radius_range(center: FieldElem, lo, hi, include_point: bool, field) -> Region:
     """{x : lo <= v(x - center) <= hi} (integers), optionally with x = center."""
     out = []
     if lo <= hi:
         outer = Ball.at_least(center, lo) if lo != NEG_INF else Ball.all(field)
         holes = []
         if hi != INF:
-            holes.append(Ball.at_least(center, hi.as_int() + 1))
+            holes.append(Ball.at_least(center, hi + 1))
         elif not include_point:
             holes.append(Ball.point(center))
         cheese = SwissCheese(outer, holes)

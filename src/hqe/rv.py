@@ -20,7 +20,7 @@ from .errors import (
     PrecisionExhausted,
 )
 from .field import LAURENT, Field, FieldElem, Residue, _Scanner
-from .valq import INF, ValQ, vmin
+from .valq import INF, as_order
 
 
 class RVElem:
@@ -42,8 +42,9 @@ class RVElem:
     def is_inf(self) -> bool:
         return self.value is None
 
-    def val(self) -> ValQ:
-        return INF if self.is_inf else ValQ(self.value)
+    def val(self):
+        """The valuation, well-defined on classes: an int, or INF."""
+        return INF if self.is_inf else self.value
 
     def rep(self) -> FieldElem:
         """The canonical (exact) field representative of the class."""
@@ -56,7 +57,7 @@ class RVElem:
 
     def project(self, order) -> "RVElem":
         """The image under RV_gamma -> RV_delta for delta = order <= gamma."""
-        order = _as_order(order)
+        order = as_order(order)
         if order > self.order:
             raise OrderViolation(f"cannot project order {self.order} up to {order}")
         if self.is_inf:
@@ -130,13 +131,6 @@ def _p_digits(u: int, p: int, k: int):
     return out
 
 
-def _as_order(delta) -> int:
-    d = ValQ.of(delta)
-    if not d.is_int or d < 0:
-        raise NegativeValue(f"order must be a nonnegative integer, got {d}")
-    return d.as_int()
-
-
 def _check_same(a: RVElem, b: RVElem):
     if a.order != b.order:
         raise OrderMismatch(f"orders {a.order} and {b.order} differ")
@@ -149,7 +143,7 @@ def rv(x: FieldElem, delta) -> RVElem:
 
     Needs delta + 1 known unit digits of x, else PrecisionExhausted.
     """
-    delta = _as_order(delta)
+    delta = as_order(delta)
     f = x.field
     if x.is_zero:
         return RVElem.inf(f, delta)
@@ -157,23 +151,6 @@ def rv(x: FieldElem, delta) -> RVElem:
         raise PrecisionExhausted("class of an element with unknown leading digit")
     digits = x.unit_digits(delta + 1)
     return RVElem(f, delta, x.v, digits)
-
-
-def rv_project(a: RVElem, delta) -> RVElem:
-    return a.project(delta)
-
-
-def rv_mul(a: RVElem, b: RVElem) -> RVElem:
-    return a * b
-
-
-def rv_inv(a: RVElem) -> RVElem:
-    return a.inv()
-
-
-def value_of(a: RVElem) -> ValQ:
-    """The valuation, well-defined on classes."""
-    return a.val()
 
 
 def residue_of(a: RVElem) -> Residue:
@@ -239,12 +216,13 @@ def rv_sum_analyze(xs, order=None) -> SumAnalysis:
     total = field.zero()
     for r in reps:
         total = total + r
-    low = vmin(r.val() for r in reps)
+    low = min((r.val() for r in reps), default=INF)
     tv = total.val()  # may raise PrecisionExhausted for truncated representatives
-    severity = tv - low if low.is_finite else ValQ(0)
-    if severity == ValQ(0):
-        return SumAnalysis(True, rv(total, order), ValQ(0), tv)
-    witness = tv if severity <= ValQ(order) else None
+    # all summands zero: the sum is zero too, and inf - inf is no severity
+    severity = tv - low if low != INF else 0
+    if severity == 0:
+        return SumAnalysis(True, rv(total, order), 0, tv)
+    witness = tv if severity <= order else None
     return SumAnalysis(False, None, severity, witness)
 
 
@@ -267,7 +245,7 @@ def oplus_holds(a: RVElem, b: RVElem, c: RVElem) -> bool:
     if c.is_inf:
         return b == -a
     diff = c.rep() - (a.rep() + b.rep())
-    bound = vmin([a.val(), b.val()]) + ValQ(a.order)
+    bound = min(a.val(), b.val()) + a.order
     return diff.val() > bound
 
 

@@ -21,9 +21,9 @@ from .formula import parse_formula, has_field_quantifier
 from .hensel import collision_data, collision_root, is_root, newton_lift
 from .poly import Poly, derivative
 from .qe import decide, eliminate_linear_exists, normal_form, qe
-from .rv import RVElem, oplus_holds, rv, rv_project, rv_sum_analyze
+from .rv import RVElem, oplus_holds, rv, rv_sum_analyze
 from .semantics import evaluate
-from .valq import INF, ValQ
+from .valq import INF
 
 
 @dataclass
@@ -75,7 +75,7 @@ def _grid(field, ks=range(-6, 7), n_units=13):
 def _rand_elem(rng, field, kmin=-5, kmax=5, extra=2):
     units = _units(field)
     x = field.monomial(rng.choice(units), rng.randrange(kmin, kmax + 1))
-    k = x.val().as_int()
+    k = x.val()
     for _ in range(rng.randrange(0, extra + 1)):
         k += rng.randrange(1, 4)
         x = x + field.monomial(rng.choice(units), k)
@@ -115,14 +115,14 @@ def suite_rv_equivalence(seed=0) -> SuiteResult:
                 delta = rng.randrange(0, 5)
                 c1 = rv(x, delta) == rv(y, delta)
                 d = x - y
-                c2 = (INF if d.is_zero else d.val()) > y.val() + ValQ(delta)
+                c2 = (INF if d.is_zero else d.val()) > y.val() + delta
                 q = x / y
-                if q.val() < ValQ(0):
+                if q.val() < 0:
                     c3 = False
                 else:
                     c3 = q.residue(delta).is_one
-                b1 = Ball.more_than(x, x.val() + ValQ(delta))
-                b2 = Ball.more_than(y, y.val() + ValQ(delta))
+                b1 = Ball.more_than(x, x.val() + delta)
+                b2 = Ball.more_than(y, y.val() + delta)
                 c4 = b1 == b2
                 if not (c1 == c2 == c3 == c4):
                     _fail(result, f"{field.backend} x={x} y={y} d={delta}: {c1},{c2},{c3},{c4}")
@@ -181,12 +181,12 @@ def suite_partial_addition(seed=0) -> SuiteResult:
                 # ambiguous sums: witnesses project consistently, values agree
                 eps2 = rng.randrange(1, 4)
                 gamma = delta + eps2 + rng.randrange(0, 2)
-                b = field.monomial(rng.choice(units), x.val().as_int() + eps2)
+                b = field.monomial(rng.choice(units), x.val() + eps2)
                 xs2 = [x, -x + b]
                 analysis2 = rv_sum_analyze(xs2, order=gamma)
-                if analysis2.well_defined or analysis2.severity != ValQ(eps2):
+                if analysis2.well_defined or analysis2.severity != eps2:
                     _fail(result, f"severity {field.backend} x={x} eps={eps2}")
-                if analysis2.witness_value != ValQ(x.val().as_int() + eps2):
+                if analysis2.witness_value != x.val() + eps2:
                     _fail(result, f"witness value {field.backend} x={x} eps={eps2}")
                 target = rv(b, delta)
                 vals = set()
@@ -194,7 +194,7 @@ def suite_partial_addition(seed=0) -> SuiteResult:
                     for j in (1, 2, 3):
                         w = b + x * field.monomial(c, gamma + j)
                         wcls = rv(w, gamma)
-                        if rv_project(wcls, delta) != target:
+                        if wcls.project(delta) != target:
                             _fail(result, f"witness projection {field.backend} x={x}")
                         vals.add(str(wcls.val()))
                 if len(vals) != 1:
@@ -215,9 +215,9 @@ def suite_partial_addition(seed=0) -> SuiteResult:
                 grid_y = [field.zero()] + [
                     y3 * field.monomial(c, delta + j) for c in units[:3] for j in (1, 2, 3)
                 ]
-                if not w.is_zero and w.val() > x.val() + ValQ(delta):
+                if not w.is_zero and w.val() > x.val() + delta:
                     grid_x.append(w)
-                if not w.is_zero and w.val() > y3.val() + ValQ(delta):
+                if not w.is_zero and w.val() > y3.val() + delta:
                     grid_y.append(w)
                 found = False
                 for mx in grid_x:
@@ -287,7 +287,7 @@ def suite_hensel(seed=0) -> SuiteResult:
                         field, [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 3))] + [1]
                     )
                     qa = Q(a)
-                    if not qa.is_zero and qa.val() == ValQ(0):
+                    if not qa.is_zero and qa.val() == 0:
                         break
                 root = a + e
                 P = Poly(field, [-root, one]) * Q
@@ -296,7 +296,7 @@ def suite_hensel(seed=0) -> SuiteResult:
                 diff = cert.root - a
                 achieved = INF if diff.is_zero else diff.val()
                 ok = (
-                    cert.separation > ValQ(delta)
+                    cert.separation > delta
                     and achieved == cert.separation
                     and is_root(P, cert.root)
                     and _close(cert.root, root, field.prec // 2)
@@ -335,7 +335,7 @@ def _close(x, y, bound):
         return True
     if d.is_small:
         return d.rel >= bound
-    return d.val() >= ValQ(bound)
+    return d.val() >= bound
 
 
 # ---- suite 4: collisions ------------------------------------------------------------
@@ -367,12 +367,12 @@ def suite_collisions(seed=0) -> SuiteResult:
                 delta = rng.randrange(0, 3)
                 lam = None
                 for j in range(delta + 1, delta + 40):
-                    beta = target + field.monomial(rng.choice(units), target.val().as_int() + j)
+                    beta = target + field.monomial(rng.choice(units), target.val() + j)
                     try:
                         m, mu, eps = collision_data(f, alpha, beta)
                     except PreconditionViolated:
                         continue
-                    threshold = (field.factorial_val(m) + ValQ(delta)) * (2**m)
+                    threshold = (field.factorial_val(m) + delta) * (2**m)
                     if eps > threshold:
                         n, lam = collision_root(f, alpha, beta, delta)
                         if not is_root(derivative(f, n), lam):
@@ -390,7 +390,7 @@ def suite_collisions(seed=0) -> SuiteResult:
                         _, _, eps2 = collision_data(f, alpha, beta2)
                     except PreconditionViolated:
                         continue
-                    if eps2 == ValQ(0):
+                    if eps2 == 0:
                         try:
                             collision_root(f, alpha, beta2, delta)
                             _fail(result, f"missing violation {field.backend} case {i}")
@@ -466,7 +466,7 @@ def suite_decomposition(seed=0) -> SuiteResult:
                 for _ in range(3):
                     beta = field.monomial(rng.choice(_units(field)), rng.randrange(-2, 3))
                     sub = SwissCheese(
-                        Ball.at_least(beta, beta.val().as_int() + rng.randrange(0, 3))
+                        Ball.at_least(beta, beta.val() + rng.randrange(0, 3))
                     )
                     if m_bound(f, beta, sub) > m_outer:
                         _fail(result, f"monotonicity {field.backend} case {i}")
@@ -483,12 +483,11 @@ def suite_decomposition(seed=0) -> SuiteResult:
 def _brute_force_linear(constraints, field):
     candidates = []
     for z, a, b, delta in constraints:
-        delta = ValQ.of(delta).as_int()
         if z.is_zero:
             candidates.append((b / a, True))
             continue
         zs = z / a
-        candidates.append(((b / a) + rv(zs, delta).rep(), zs.val() + ValQ(delta)))
+        candidates.append(((b / a) + rv(zs, delta).rep(), zs.val() + delta))
     best = None
     for x0, r in candidates:
         if r is True or best is None or (best[1] is not True and r > best[1]):
@@ -497,7 +496,6 @@ def _brute_force_linear(constraints, field):
                 break
     x0 = best[0]
     for z, a, b, delta in constraints:
-        delta = ValQ.of(delta).as_int()
         val = a * x0 - b
         if z.is_zero or val.is_zero:
             if not (z.is_zero and val.is_zero):
@@ -617,7 +615,7 @@ def suite_qe(seed=0) -> SuiteResult:
                 if rng.random() < 0.5 and roots:
                     anchor = rng.choice(roots)
                     if rng.random() < 0.5:
-                        side_text = f"rv[0](y - ({_elem_text(anchor)})) = rv[0]({_elem_text(field.monomial(1, anchor.val().as_int() + 2))})"
+                        side_text = f"rv[0](y - ({_elem_text(anchor)})) = rv[0]({_elem_text(field.monomial(1, anchor.val() + 2))})"
                     else:
                         side_text = f"v(rv[0](y)) <= v(rv[0]({_elem_text(anchor)}))"
                 text = f"EX y:K. {gtext} = 0" + (f" & {side_text}" if side_text else "")

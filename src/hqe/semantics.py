@@ -44,7 +44,7 @@ from .formula import (
     term_vars,
 )
 from .rv import RVElem, oplus_holds, rv, rv_sum_analyze
-from .valq import ValQ, holds, vmin
+from .valq import INF, holds
 
 
 def eval_field_term(term, env, field: Field) -> FieldElem:
@@ -101,7 +101,7 @@ def eval_rv_term(term, env, field: Field) -> RVElem:
         analysis = rv_sum_analyze(args)
         if analysis.well_defined:
             return analysis.result.project(term.order)
-        if analysis.severity <= ValQ(gamma - term.order):
+        if analysis.severity <= gamma - term.order:
             total = field.zero()
             for a in args:
                 total = total + a.rep()
@@ -268,7 +268,7 @@ def _eval_rv_quantifier(phi, env, field: Field) -> bool:
         terms, gamma = matched
         values = [eval_rv_term(t, env, field) for t in terms]
         analysis = rv_sum_analyze(values)
-        return (not analysis.well_defined) and analysis.severity > ValQ(gamma)
+        return (not analysis.well_defined) and analysis.severity > gamma
     if isinstance(phi, ForallRV) and isinstance(phi.body, Implies):
         guard, body = phi.body.left, phi.body.right
         # the guarded body must itself be a severity pattern for evaluation
@@ -291,17 +291,17 @@ def _eval_rv_quantifier(phi, env, field: Field) -> bool:
                 return evaluate(body, {**env, phi.var: lift}, field)
             lift = rv(target.rep(), phi.order)
             values = [eval_rv_term(t, {**env, phi.var: lift}, field) for t in terms]
-            low = vmin(v.val() for v in values)
+            low = min((v.val() for v in values), default=INF)
             # varying the bound variable inside the guard class moves the sum
             # by elements of value > v(guard) + guard order; for the severity
             # comparison against gamma to be choice-independent this must
             # reach past the witness threshold
-            if not target.val() + ValQ(guard.left.order) >= low + ValQ(gamma):
+            if not target.val() + guard.left.order >= low + gamma:
                 raise NonEffectiveQuantifier(
                     "guard does not pin the variable deeply enough"
                 )
             analysis = rv_sum_analyze(values)
-            return (not analysis.well_defined) and analysis.severity > ValQ(gamma)
+            return (not analysis.well_defined) and analysis.severity > gamma
     raise NonEffectiveQuantifier(
         "leading-term quantifier outside the effective patterns"
     )

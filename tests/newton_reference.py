@@ -12,16 +12,16 @@ from __future__ import annotations
 from hqe.errors import PrecisionExhausted, PreconditionViolated
 from hqe.hensel import _MAX_NEWTON_STEPS, LiftCertificate
 from hqe.poly import Poly, derivative
-from hqe.valq import INF, ValQ
+from hqe.valq import INF, as_value
 
 
 def newton_lift(P: Poly, a, delta=0, target=None) -> LiftCertificate:
-    delta = ValQ.of(delta)
+    delta = as_value(delta)
     field = P.field
     for c in P.coeffs:
-        if not (c.is_zero or c.val_lb() >= ValQ(0)):
+        if not (c.is_zero or c.val_lb() >= 0):
             raise PreconditionViolated("polynomial must have coefficients in O")
-    if not (a.is_zero or a.val_lb() >= ValQ(0)):
+    if not (a.is_zero or a.val_lb() >= 0):
         raise PreconditionViolated("starting point must lie in O")
     dP = derivative(P)
     fa = P(a)
@@ -37,14 +37,14 @@ def newton_lift(P: Poly, a, delta=0, target=None) -> LiftCertificate:
             f"henselian bound fails: v(P(a)) = {va} <= 2*{vd} + {delta}"
         )
     separation = va - vd
-    vd_int = vd.as_int() if vd.is_finite else 0
+    vd_int = vd if vd != INF else 0
     if target is None:
-        target = ValQ(field.prec)
+        target = field.prec
     base_target = target
-    target = max(target, ValQ(field.prec) + vd)
+    target = max(target, field.prec + vd)
     margin = 10 * max(0, vd_int) + 16
     work = field.with_prec(field.prec + 2 * vd_int + margin)
-    cap = min(work.prec, (target.as_int() if target.is_finite else field.prec) + margin)
+    cap = min(work.prec, (target if target != INF else field.prec) + margin)
     P = Poly(work, [c.with_field(work) for c in P.coeffs])
     dP = Poly(work, [c.with_field(work) for c in dP.coeffs])
     x = a.with_field(work)
@@ -54,7 +54,7 @@ def newton_lift(P: Poly, a, delta=0, target=None) -> LiftCertificate:
     dfx = None
     while vfx < target:
         if fx.is_small:
-            if ValQ(fx.rel) >= base_target:
+            if fx.rel >= base_target:
                 break
             raise PrecisionExhausted(
                 f"root certified only modulo pi^{fx.rel}, target {base_target}"
@@ -79,7 +79,7 @@ def newton_lift(P: Poly, a, delta=0, target=None) -> LiftCertificate:
     if not fx.is_zero:
         last_vd = dfx.val() if dfx is not None and not (dfx.is_zero or dfx.is_small) else vd
         accuracy = vfx - last_vd
-        if accuracy.is_finite and not x.is_zero and not x.is_small:
-            x = x.truncate_abs(accuracy.as_int())
+        if accuracy != INF and not x.is_zero and not x.is_small:
+            x = x.truncate_abs(accuracy)
     root = x.truncate_rel(field.prec).with_field(field)
     return LiftCertificate(root, steps, separation)

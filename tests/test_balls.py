@@ -1,9 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
 from hqe.balls import Ball, SwissCheese, ball_covered
 from hqe.errors import PrecisionExhausted
 from hqe.field import Field
-from hqe.valq import INF, NEG_INF, ValQ
+from hqe.valq import INF, NEG_INF
 
 
 def test_nested_intersection(laurent):
@@ -20,9 +22,9 @@ def test_disjoint_balls(laurent):
 
 def test_fractional_radius_normalizes(laurent):
     zero = laurent.zero()
-    assert Ball.more_than(zero, ValQ(3, 2)) == Ball.at_least(zero, 2)
-    assert Ball.more_than(zero, ValQ(2)) == Ball.at_least(zero, 3)
-    assert Ball.at_least(zero, ValQ(5, 3)) == Ball.at_least(zero, 2)
+    assert Ball.more_than(zero, Fraction(3, 2)) == Ball.at_least(zero, 2)
+    assert Ball.more_than(zero, 2) == Ball.at_least(zero, 3)
+    assert Ball.at_least(zero, Fraction(5, 3)) == Ball.at_least(zero, 2)
 
 
 def test_any_member_is_a_center(laurent):
@@ -89,10 +91,10 @@ def test_realized_radii(laurent):
     t = laurent.uniformizer()
     assert SwissCheese.all(laurent).realized_radii(zero) == ([(NEG_INF, INF)], True)
     ann = SwissCheese(Ball.at_least(zero, 1), [Ball.at_least(zero, 2)])
-    assert ann.realized_radii(zero) == ([(ValQ(1), ValQ(1))], False)
+    assert ann.realized_radii(zero) == ([(1, 1)], False)
     # from an off-center point the outer ball sits at one radius
     ch = SwissCheese(Ball.at_least(t, 2))
-    assert ch.realized_radii(zero) == ([(ValQ(1), ValQ(1))], False)
+    assert ch.realized_radii(zero) == ([(1, 1)], False)
 
 
 def test_realized_radii_sphere_removal(padic2):
@@ -101,7 +103,7 @@ def test_realized_radii_sphere_removal(padic2):
     s = SwissCheese(Ball.all(padic2), [Ball.at_least(padic2.one(), 1)])
     intervals, point = s.realized_radii(z)
     assert point
-    assert intervals == [(NEG_INF, ValQ(-1)), (ValQ(1), INF)]
+    assert intervals == [(NEG_INF, -1), (1, INF)]
 
 
 def test_json_roundtrip(any_field):

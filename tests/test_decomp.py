@@ -10,7 +10,7 @@ from hqe.field import Field
 from hqe.hensel import derivative_roots, is_root
 from hqe.poly import Poly, derivative
 from hqe.rv import rv
-from hqe.valq import INF, ValQ
+from hqe.valq import INF
 
 
 def val_of(x):
@@ -65,7 +65,7 @@ def test_decompose_constant(laurent):
     f = Poly.from_rationals(laurent, [6])
     pieces = decompose(f)
     assert len(pieces) == 1 and pieces[0].m == 0
-    assert pieces[0].eval_v(laurent.uniformizer()) == ValQ(0)
+    assert pieces[0].eval_v(laurent.uniformizer()) == 0
 
 
 def test_decompose_restricted_to_cheese(laurent):
@@ -177,10 +177,10 @@ def test_rv_decompose_multi(laurent):
 def test_rv_decompose_padic_offsets(padic2):
     f = Poly(padic2, [padic2.from_rational(-17), padic2.zero(), padic2.one()])
     dec = rv_decompose([f], [0])
-    bound = ValQ(4)  # 2^2 * v(2!)
+    bound = 4  # 2^2 * v(2!)
     for cell in dec.cells:
         p = cell.pieces[0]
-        assert ValQ(len(bin(p.q)) - 3 if p.q > 1 else 0) <= bound
+        assert (len(bin(p.q)) - 3 if p.q > 1 else 0) <= bound
     for x in grid(padic2, ks=range(-3, 4)):
         cell = dec.cell_of(x)
         assert cell.pieces[0].eval_rv(x, 0) == rv(f(x), 0)

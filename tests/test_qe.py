@@ -19,7 +19,6 @@ from hqe.poly import Poly
 from hqe.qe import decide, eliminate_linear_exists, normal_form, qe
 from hqe.rv import rv
 from hqe.semantics import evaluate
-from hqe.valq import ValQ
 
 
 def test_discriminating_pair(laurent):
@@ -164,12 +163,11 @@ def brute_force_linear(constraints, field):
     term arithmetic."""
     candidates = []
     for z, a, b, delta in constraints:
-        delta = ValQ.of(delta).as_int()
         if z.is_zero:
             candidates.append((b / a, True))
             continue
         zs = z / a
-        candidates.append(((b / a) + rv(zs, delta).rep(), zs.val() + ValQ(delta)))
+        candidates.append(((b / a) + rv(zs, delta).rep(), zs.val() + delta))
     best = None
     for x0, r in candidates:
         if r is True or best is None or (best[1] is not True and r > best[1]):
@@ -178,7 +176,6 @@ def brute_force_linear(constraints, field):
                 break
     x0 = best[0]
     for z, a, b, delta in constraints:
-        delta = ValQ.of(delta).as_int()
         lhs = rv(z, delta) if not z.is_zero else None
         val = a * x0 - b
         rhs = rv(val, delta) if not val.is_zero else None

@@ -8,11 +8,12 @@ from hqe.decomp import decompose, m_bound, rv_decompose
 from hqe.errors import PrecisionExhausted
 from hqe.field import Field
 from hqe.formula import parse_formula
+from hqe.hensel import collision_root, newton_lift
 from hqe.poly import Poly
-from hqe.qe import decide, normal_form
+from hqe.qe import decide, eliminate_linear_exists, normal_form
 from hqe.rv import rv
 from hqe.semantics import evaluate
-from hqe.valq import INF, ValQ
+from hqe.valq import INF
 
 
 def val_of(x):
@@ -72,8 +73,8 @@ def test_piece_eval_at_negative_valuation(laurent):
     pieces = decompose(f)
     x = laurent.from_rational(2) * t**-1
     owner = next(p for p in pieces if p.contains(x))
-    assert owner.eval_v(x) == ValQ(-2)
-    assert val_of(f(x)) == ValQ(-2)
+    assert owner.eval_v(x) == -2
+    assert val_of(f(x)) == -2
 
 
 def test_m_bound_center_outside(laurent):
@@ -399,3 +400,23 @@ def test_mixed_branch_paths(laurent):
         "EX x:K. (x^2 = 2*t^2 & rv[0](x) = rv[0](t)) | rv[0](x^2) = rv[0](2*t^2)",
     )
     assert not decide(phi2, laurent)
+
+
+@pytest.mark.parametrize("bad", [1.5, "1"])
+def test_entries_reject_non_values(laurent, bad):
+    # a float order or radius would be inexact, a string no number at all
+    t, one, zero = laurent.uniformizer(), laurent.one(), laurent.zero()
+    f = Poly(laurent, [-(t * t), zero, one])
+    piece = decompose(f)[0]
+    calls = [
+        lambda: newton_lift(f, t + t**3, bad),
+        lambda: collision_root(f, zero, t, bad),
+        lambda: piece.eval_rv(piece.cheese.sample(), bad),
+        lambda: eliminate_linear_exists([(t, one, zero, bad)], laurent),
+        lambda: rv_decompose([f], [bad]),
+        lambda: Ball.at_least(t, bad),
+        lambda: Ball.more_than(t, bad),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()

@@ -14,7 +14,6 @@ from hqe.semantics import (
     guarded_forall_pattern,
     two_witness_pattern,
 )
-from hqe.valq import ValQ
 
 
 def test_atom_evaluation(laurent):
@@ -174,3 +173,22 @@ def test_order_mismatch(laurent):
     phi = parse_formula(laurent, "rv[0](t) = rv[1](t)")
     with pytest.raises(OrderMismatch):
         evaluate(phi, {}, laurent)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("EX y:K. y = x", lambda L: rv(L.uniformizer(), 0)),
+        ("EX y:K. rv[0](y) = x", lambda L: L.one()),
+        ("EX y:K. rv[0](y) = x", lambda L: rv(L.uniformizer(), 1)),
+    ],
+    ids=["rv-for-field", "field-for-rv", "wrong-order"],
+)
+def test_wrong_sort_assignment_under_field_quantifier(laurent, text, value):
+    # the same error as without the quantifier, where evaluate reads x itself
+    rv_vars = {"x": 0} if "rv[0](y)" in text else None
+    phi = parse_formula(laurent, text, rv_vars)
+    with pytest.raises(OrderMismatch):
+        evaluate(phi, {"x": value(laurent)}, laurent)
+    with pytest.raises(OrderMismatch):
+        evaluate(phi.body, {"x": value(laurent), "y": laurent.one()}, laurent)
