@@ -357,7 +357,7 @@ class SwissCheese:
                     ball.radius_int + 1,
                 )
                 inside = [h for h in holes if h.intersects(sub)]
-                if any(h.contains_ball(sub) for h in inside):
+                if ball_covered(sub, inside):
                     continue
                 ball, holes = sub, inside
                 break

@@ -261,17 +261,14 @@ def _children(node):
     return ()
 
 
-def atoms_of(phi):
-    if isinstance(phi, (PolyZero, RVEq, OplusA, VComp)):
-        yield phi
-    for ch in _children(phi):
-        yield from atoms_of(ch)
-
-
 def has_field_quantifier(phi) -> bool:
     if isinstance(phi, (ExistsF, ForallF)):
         return True
-    return any(has_field_quantifier(ch) for ch in _children(phi))
+    # a loop, not any() over a generator: one stack frame per nesting level
+    for ch in _children(phi):
+        if has_field_quantifier(ch):
+            return True
+    return False
 
 
 def term_vars(term, out=None):
@@ -816,22 +813,24 @@ class _FormulaParser:
         return FVar(name)
 
 
-def parse_formula(field: Field, text: str, rv_vars=None):
+def _parse(field: Field, text: str, rv_vars, rule, what: str):
     p = _FormulaParser(field, text, rv_vars)
-    phi = p.formula()
+    try:
+        out = rule(p)
+    except RecursionError:
+        raise FormulaSyntaxError(f"{what} nested too deeply") from None
     p.sc.skip_ws()
     if not p.sc.done():
-        raise FormulaSyntaxError("trailing input after formula", p.sc.pos)
-    return phi
+        raise FormulaSyntaxError(f"trailing input after {what}", p.sc.pos)
+    return out
+
+
+def parse_formula(field: Field, text: str, rv_vars=None):
+    return _parse(field, text, rv_vars, _FormulaParser.formula, "formula")
 
 
 def parse_field_term(field: Field, text: str):
-    p = _FormulaParser(field, text)
-    term = p.fterm()
-    p.sc.skip_ws()
-    if not p.sc.done():
-        raise FormulaSyntaxError("trailing input after term", p.sc.pos)
-    return term
+    return _parse(field, text, None, _FormulaParser.fterm, "term")
 
 
 def normalize(field: Field, text: str, rv_vars=None) -> str:

@@ -331,15 +331,14 @@ def resolution_horizon(field: Field) -> int:
     return field.prec // 2
 
 
+def same_point(a: FieldElem, b: FieldElem) -> bool:
+    """Whether a and b agree to the resolution horizon."""
+    return (a - b).val_lb() >= resolution_horizon(a.field)
+
+
 def is_root(g: Poly, x: FieldElem) -> bool:
     """Whether g(x) vanishes to the resolution horizon."""
-    y = g(x)
-    if y.is_zero:
-        return True
-    bound = resolution_horizon(g.field)
-    if y.is_small:
-        return y.rel >= bound
-    return y.val() >= bound
+    return g(x).val_lb() >= resolution_horizon(g.field)
 
 
 def derivative_roots(f: Poly) -> list[tuple[int, FieldElem]]:

@@ -3,13 +3,19 @@ ball-intersection elimination, the decision procedure, and the one-variable
 pullback normal form.
 
 With all parameters instantiated, every branch condition of the uniform
-procedure is decided rather than disjuncted: an existential with an
-equation conjunct is resolved by the certified root list of the equation;
-a purely leading-term existential is resolved by intersecting the solution
-regions of its literals, which the region calculus expresses as swiss
-cheeses.  Formulas with no field quantifiers pass through unchanged."""
+procedure is decided rather than disjuncted.  A block of field quantifiers
+is decided on one cell partition of K per variable: the balls of the
+solution regions of its atoms, with the certified roots of its equations
+as points, are nested or disjoint, so every atom is a bitmask over the
+cells and the matrix is evaluated with &, | and ~.  An atom joining two
+variables is taken apart by pinning one of them at the roots of an
+equation in it alone.  Formulas with no field quantifiers pass through
+unchanged."""
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import and_, or_
 
 from .balls import Ball, SwissCheese
 from .decomp import _int_val, coeff_unresolved, rv_decompose
@@ -55,23 +61,19 @@ from .formula import (
     has_field_quantifier,
     neg,
     subst,
-    term_vars,
 )
-from .hensel import field_roots, is_root, resolution_horizon
+from .hensel import field_roots, is_root, resolution_horizon, same_point
 from .poly import Poly, poly_gcd
 from .regions import (
     Region,
+    cell_partition,
     region_all,
-    region_intersect,
-    region_nonempty,
-    region_union,
-    region_without_points,
     roots_region,
     vcomp_region,
 )
 from .rv import RVElem, rv
 from .semantics import evaluate
-from .valq import FLIP, INF, NEGATED, as_order, holds
+from .valq import FLIP, as_order
 
 
 # ---- linear systems: the ball intersection elimination ------------------------
@@ -226,29 +228,23 @@ def rvterm_to_poly(term, var: str, field: Field):
 # ---- literal regions -----------------------------------------------------------
 
 
-def literal_region(atom, positive: bool, var: str, field: Field) -> Region:
-    """The set of witnesses x satisfying the literal, as a union of cheeses."""
+def literal_region(atom, var: str, field: Field) -> Region:
+    """The set of witnesses x satisfying the atom, as a region."""
     if isinstance(atom, PolyZero):
-        return _equation_region(term_to_poly(atom.arg, var, field), positive, field)
+        return _equation_region(term_to_poly(atom.arg, var, field), field)
     if isinstance(atom, RVEq):
-        return _rveq_region(atom, positive, var, field)
+        return _rveq_region(atom, var, field)
     if isinstance(atom, VComp):
-        return _vcomp_atom_region(atom, positive, var, field)
+        return _vcomp_atom_region(atom, var, field)
     if isinstance(atom, OplusA):
-        return _oplus_region(atom, positive, var, field)
+        return _oplus_region(atom, var, field)
     raise NonEffectiveQuantifier(f"unsupported atom {atom!r}")
 
 
-def _equation_region(P: Poly, positive, field) -> Region:
+def _equation_region(P: Poly, field) -> Region:
     if P.is_zero:
-        return region_all(field) if positive else []
-    if P.degree == 0:
-        ok = P.coeffs[0].is_zero
-        return region_all(field) if ok == positive else []
-    reg, roots = roots_region(P, field)
-    if positive:
-        return reg
-    return region_without_points(region_all(field), roots)
+        return region_all(field)
+    return roots_region(P, field)[0] if P.degree else []
 
 
 def _side_polys(sides, var, field, what):
@@ -262,221 +258,251 @@ def _side_polys(sides, var, field, what):
     return out
 
 
-def _rveq_region(atom: RVEq, positive, var, field) -> Region:
+def _rveq_region(atom: RVEq, var, field) -> Region:
     (d1, P1), (d2, P2) = _side_polys((atom.left, atom.right), var, field, "leading-term term")
     if d1 != d2:
         raise NonEffectiveQuantifier(f"comparing leading terms of orders {d1} and {d2}")
-    return _rv_eq_polys_region(P1, P2, d1, positive, field)
+    return _rv_eq_polys_region(P1, P2, d1, field)
 
 
-def _rv_eq_polys_region(P1: Poly, P2: Poly, order: int, positive, field) -> Region:
-    """{x : rv_order(P1(x)) = rv_order(P2(x))} or its complement."""
-    if P1.is_zero and P2.is_zero:
-        return region_all(field) if positive else []
+def _rv_eq_polys_region(P1: Poly, P2: Poly, order: int, field) -> Region:
+    """{x : rv_order(P1(x)) = rv_order(P2(x))}."""
     if P2.is_zero:
-        return _equation_region(P1, positive, field)
+        return _equation_region(P1, field)
     if P1.is_zero:
-        return _equation_region(P2, positive, field)
+        return _equation_region(P2, field)
     # equal leading terms <=> v(P1 - P2) > v(P2) + order away from the zeros
     # of P2, and <=> P1 = 0 at them
     diff = P1 + (-P2)
     if diff.is_zero:
-        return region_all(field) if positive else []
+        return region_all(field)
     joint = [r for r in field_roots(P2) if is_root(P1, r)]
-    if positive:
-        reg = vcomp_region(diff, P2, ">", field, order)
-        return reg + [SwissCheese.of_ball(Ball.point(r)) for r in joint]
-    reg = vcomp_region(diff, P2, "<=", field, order)
-    return region_without_points(reg, joint)
+    reg = vcomp_region(diff, P2, ">", field, order)
+    return reg + [SwissCheese.of_ball(Ball.point(r)) for r in joint]
 
 
-def _vcomp_atom_region(atom: VComp, positive, var, field) -> Region:
-    op = atom.op if positive else NEGATED[atom.op]
+def _vcomp_atom_region(atom: VComp, var, field) -> Region:
     (_, P1), (_, P2) = _side_polys((atom.left, atom.right), var, field, "value comparison")
-    if P1.is_zero and P2.is_zero:
-        return region_all(field) if holds(INF, INF, op) else []
     if P2.is_zero:
-        return vcomp_region(P1, None, op, field)
+        return vcomp_region(P1, None, atom.op, field)
     if P1.is_zero:
-        return vcomp_region(P2, None, FLIP[op], field)
-    return vcomp_region(P1, P2, op, field)
+        return vcomp_region(P2, None, FLIP[atom.op], field)
+    return vcomp_region(P1, P2, atom.op, field)
 
 
-def _oplus_region(atom: OplusA, positive, var, field) -> Region:
+def _oplus_region(atom: OplusA, var, field) -> Region:
     """oplus holds exactly when v(P3 - P1 - P2) > min(v(P1), v(P2)) + d,
     with the degenerate case of both summands vanishing handled pointwise
     (there the relation asks the third side to vanish as well)."""
     (_, P1), (_, P2), (_, P3) = _side_polys((atom.a, atom.b, atom.c), var, field, "oplus operand")
-    d = atom.order
     S = P3 + (-P1) + (-P2)
-    op = ">" if positive else "<="
 
-    def compare(S_, P_):
-        if S_.is_zero:
-            return region_all(field) if positive else []
-        if P_.is_zero:
-            eff = "=" if positive else "!="
-            return vcomp_region(S_, None, eff, field)
-        return vcomp_region(S_, P_, op, field, d)
+    def compare(P_):
+        return region_all(field) if S.is_zero else vcomp_region(S, P_, ">", field, atom.order)
 
     if P1.is_zero and P2.is_zero:
         # oplus(inf, inf, c) asks c = inf
-        return _equation_region(P3, positive, field)
+        return _equation_region(P3, field)
     if P1.is_zero:
         # oplus(inf, b, c) asks c = b
-        return _rv_eq_polys_region(P3, P2, atom.order, positive, field)
+        return _rv_eq_polys_region(P3, P2, atom.order, field)
     if P2.is_zero:
-        return _rv_eq_polys_region(P3, P1, atom.order, positive, field)
+        return _rv_eq_polys_region(P3, P1, atom.order, field)
     low1 = vcomp_region(P1, P2, "<=", field)
     low2 = vcomp_region(P2, P1, "<", field)
-    reg = region_union(
-        region_intersect(low1, compare(S, P1)),
-        region_intersect(low2, compare(S, P2)),
-    )
+    reg = [(low1, compare(P1)), (low2, compare(P2))]
     # points where both summands vanish: there the relation asks the third
     # side to vanish as well
-    joint = _dedupe_roots(
-        [
-            r
-            for r in field_roots(P1) + ([] if P1 == P2 else field_roots(P2))
-            if is_root(P1, r) and is_root(P2, r)
-        ],
-        field,
-    )
-    fixups = [r for r in joint if is_root(P3, r) == positive]
-    reg = region_without_points(reg, joint)
-    return reg + [SwissCheese.of_ball(Ball.point(r)) for r in fixups]
-
-
-def _dedupe_roots(roots, field):
-    out = []
-    for r in roots:
-        if not any(
-            (r - s).val_lb() >= resolution_horizon(field) for s in out
-        ):
-            out.append(r)
-    return out
+    joint = []
+    for r in field_roots(P1) + field_roots(P2):
+        if is_root(P1, r) and is_root(P2, r) and not any(same_point(r, s) for s in joint):
+            joint.append(r)
+    fixups = [SwissCheese.of_ball(Ball.point(r)) for r in joint if is_root(P3, r)]
+    return [(reg, [SwissCheese(Ball.all(field), [Ball.point(r) for r in joint])])] + fixups
 
 
 # ---- the engine ---------------------------------------------------------------
 
 
-def _nnf(phi, positive=True):
+def _fold(phi, leaf, conj=conj, disj=disj, neg=neg):
+    """phi's boolean structure rebuilt over leaf(atom) for every atom (truth
+    constants and quantified subformulas included), in the boolean algebra
+    given by conj, disj and neg."""
     if isinstance(phi, Not):
-        return _nnf(phi.arg, not positive)
+        return neg(_fold(phi.arg, leaf, conj, disj, neg))
+    if isinstance(phi, (And, Or)):
+        parts = [_fold(a, leaf, conj, disj, neg) for a in phi.args]
+        return conj(parts) if isinstance(phi, And) else disj(parts)
     if isinstance(phi, Implies):
-        return _nnf(Or((Not(phi.left), phi.right)), positive)
-    if isinstance(phi, And):
-        parts = tuple(_nnf(a, positive) for a in phi.args)
-        return conj(parts) if positive else disj(parts)
-    if isinstance(phi, Or):
-        parts = tuple(_nnf(a, positive) for a in phi.args)
-        return disj(parts) if positive else conj(parts)
-    if isinstance(phi, TrueF):
-        return TRUE if positive else FALSE
-    if isinstance(phi, FalseF):
-        return FALSE if positive else TRUE
-    return phi if positive else Not(phi)
+        left = neg(_fold(phi.left, leaf, conj, disj, neg))
+        return disj([left, _fold(phi.right, leaf, conj, disj, neg)])
+    return leaf(phi)
 
 
-def _dnf(phi) -> list[list]:
-    """List of conjunctions of (atom-or-opaque, sign) literals."""
-    if isinstance(phi, Or):
-        out = []
-        for a in phi.args:
-            out.extend(_dnf(a))
-        return out
-    if isinstance(phi, And):
-        branches = [[]]
-        for a in phi.args:
-            sub = _dnf(a)
-            branches = [br + s for br in branches for s in sub]
-            if len(branches) > 4096:
-                raise NonEffectiveQuantifier("matrix too large to normalize")
-        return branches
-    if isinstance(phi, Not):
-        return [[(phi.arg, False)]]
-    if isinstance(phi, TrueF):
-        return [[]]
-    if isinstance(phi, FalseF):
-        return []
-    return [[(phi, True)]]
+def _atoms(phi) -> list:
+    """The distinct atoms of phi's boolean structure, less truth constants."""
+    out = {}
+
+    def note(atom):
+        if atom not in (TRUE, FALSE):
+            out[atom] = None
+        return atom
+
+    _fold(phi, note)
+    return list(out)
 
 
-def _fold_constants(phi, protected, field):
-    """Evaluate subformulas involving none of the protected variables."""
-    if isinstance(phi, (TrueF, FalseF)):
-        return phi
-    if not (free_vars(phi) & protected):
-        return TRUE if evaluate(phi, {}, field) else FALSE
-    if isinstance(phi, Not):
-        return neg(_fold_constants(phi.arg, protected, field))
-    if isinstance(phi, And):
-        return conj([_fold_constants(a, protected, field) for a in phi.args])
-    if isinstance(phi, Or):
-        return disj([_fold_constants(a, protected, field) for a in phi.args])
-    if isinstance(phi, Implies):
-        return _fold_constants(Or((Not(phi.left), phi.right)), protected, field)
-    return phi
+def _fold_closed(phi, field):
+    """phi with every atom free of variables replaced by its truth value."""
+    return _fold(phi, lambda a: a if free_vars(a) else TRUE if evaluate(a, {}, field) else FALSE)
 
 
 def decide_exists_block(varlist, matrix, field: Field) -> bool:
     """Decide EX x1 ... xn : K. matrix, the matrix being free of field
-    quantifiers and of parameters; each branch must pin all but one
-    variable through equations, the last one falling to the region path."""
+    quantifiers and of parameters."""
+    return witness_box(varlist, matrix, field) is not None
+
+
+def witness_box(varlist, matrix, field: Field):
+    """Nonempty swiss cheeses, by variable, such that every choice of points
+    from them satisfies the matrix (a variable left out is free), or None.
+
+    An atom joining x with other variables is taken apart at the roots r of
+    the equations in x alone: x := r there, and off the roots those
+    equations are false.  An atom joining variables that no such equation
+    pins is not effective."""
     extra = free_vars(matrix) - set(varlist)
     if extra:
         raise NonEffectiveQuantifier(
             f"parameters must be concrete before elimination: {sorted(extra)}"
         )
-    matrix = _fold_constants(matrix, set(varlist), field)
-    for branch in _dnf(_nnf(matrix)):
-        if _branch_block_satisfiable(branch, list(varlist), field):
-            return True
-    return False
+    return _witness(varlist, _fold_closed(matrix, field), {v: [] for v in varlist}, field)
 
 
-def _branch_block_satisfiable(branch, varlist, field) -> bool:
-    live = [v for v in varlist if any(v in free_vars(lit) for lit, _ in branch)]
-    if not live:
-        return all(evaluate(lit, {}, field) == sign for lit, sign in branch)
-    if len(live) == 1:
-        return _branch_satisfiable(branch, live[0], field)
-    # pin some variable by an equation involving it alone
-    for lit, sign in branch:
-        if not (sign and isinstance(lit, PolyZero)):
-            continue
-        involved = term_vars(lit.arg) & set(live)
-        if len(involved) != 1:
-            continue
-        x = involved.pop()
-        f = term_to_poly(lit.arg, x, field)
-        if f.degree is None or f.degree == 0:
-            continue
-        rest = [(l, s) for l, s in branch if l is not lit]
-        for root in field_roots(f):
-            new_branch = []
-            ok = True
-            for l, s in rest:
-                l2 = subst(l, {x: FLit(root)})
-                if free_vars(l2):
-                    new_branch.append((l2, s))
-                    continue
-                if isinstance(l2, PolyZero):
-                    holds = _holds_at(l, s, x, root, f, field)
-                else:
-                    holds = evaluate(l2, {}, field) == s
-                if not holds:
-                    ok = False
-                    break
-            if ok and _branch_block_satisfiable(
-                new_branch, [v for v in live if v != x], field
-            ):
-                return True
-        return False
-    raise NonEffectiveQuantifier(
-        "no quantified variable is pinned by an equation of its own"
+def _witness(varlist, matrix, pinned, field):
+    """witness_box, each variable v kept off the points pinned[v]."""
+    while True:
+        atoms = _atoms(matrix)
+        joint = [a for a in atoms if len(free_vars(a)) > 1]
+        if not joint:
+            break
+        joined = {v for a in joint for v in free_vars(a)}
+        pinnable = [v for v in varlist if v in joined and _equations(atoms, v, field)]
+        if not pinnable:
+            raise NonEffectiveQuantifier(
+                "no quantified variable is pinned by an equation of its own"
+            )
+        x = pinnable[0]
+        of_atom, cells, roots = _axis(atoms, x, pinned[x], field)
+        rest = [v for v in varlist if v != x]
+        for i, r in roots.items():
+            if cells[i] is None:
+                continue
+            # x's own atoms read their bit at the cell of r, the rest get x := r
+            at_root = _fold(
+                matrix,
+                lambda a: (TRUE if of_atom[a] >> i & 1 else FALSE)
+                if a in of_atom
+                else subst(a, {x: FLit(r)}),
+            )
+            w = _witness(rest, at_root, {v: list(p) for v, p in pinned.items()}, field)
+            if w is not None:
+                return {x: SwissCheese.of_ball(Ball.point(r)), **w}
+        pinned[x].extend(roots.values())
+        equations = _equations(atoms, x, field)
+        matrix = _fold(matrix, lambda a: FALSE if a in equations else a)
+    # off its pinned points, each variable ranges over the cells
+    live = [v for v in varlist if pinned[v] or any(v in free_vars(a) for a in atoms)]
+    return _cell_witness(matrix, atoms, live, pinned, field)
+
+
+def _equations(atoms, v, field) -> dict:
+    """The nonconstant equations in v alone among the atoms, as polynomials."""
+    out = {}
+    for a in atoms:
+        if isinstance(a, PolyZero) and free_vars(a) == {v}:
+            f = term_to_poly(a.arg, v, field)
+            if f.degree:
+                out[a] = f
+    return out
+
+
+def _axis(atoms, v, pinned, field):
+    """The cells of K for v, cut along the regions of the atoms in v alone
+    and at the roots of their equations: the bitmask of each such atom over
+    the cells, the cells (None at the pinned points) and the roots by cell.
+    An equation holds at none but its roots."""
+    mine = [a for a in atoms if free_vars(a) == {v}]
+    equations = _equations(mine, v, field)
+    others = [a for a in mine if a not in equations]
+    roots = [(r, f) for f in dict.fromkeys(equations.values()) for r in field_roots(f)]
+    masks, cells, at = cell_partition(
+        [literal_region(a, v, field) for a in others], [r for r, _ in roots] + pinned, field
     )
+    of_atom = dict(zip(others, masks))
+    for a, g in equations.items():
+        hits = [1 << at[k] for k, (r, f) in enumerate(roots) if _holds_at(g, r, f, field)]
+        of_atom[a] = reduce(or_, hits, 0)
+    for i in at[len(roots):]:
+        cells[i] = None
+    return of_atom, cells, {at[k]: r for k, (r, _) in enumerate(roots)}
+
+
+def _holds_at(g: Poly, root, source: Poly, field) -> bool:
+    """Whether g vanishes at a root of source."""
+    if g == source:
+        return True
+    y = g(root)
+    if y.is_zero:
+        return True
+    if not y.is_small and y.val() < resolution_horizon(field):
+        return False
+    # vanishing at available precision: an approximated root satisfies a
+    # second equation exactly when the two polynomials share the root
+    h = poly_gcd(source, g)
+    return h.degree is not None and h.degree >= 1 and is_root(h, root)
+
+
+def _cell_witness(matrix, atoms, varlist, pinned, field):
+    """A witness box of the variables off their pinned points, or None;
+    every atom is in one of the variables alone.
+
+    A box, one cell of each variable's axis, fixes every atom, so an atom
+    becomes a bitmask over the boxes and the matrix is evaluated with &, |
+    and ~; a box is nonempty unless a node is covered by its children."""
+    of_atom, axes, boxes = {}, [], 1
+    for v in varlist:
+        of_v, cells, _ = _axis(atoms, v, pinned[v], field)
+        # box b lies in cell (b // boxes) % len(cells) of this variable
+        copies = sum(1 << (i * boxes) for i in range(len(cells)))
+        of_atom = {a: m * copies for a, m in of_atom.items()}
+        block = (1 << boxes) - 1
+        for a, m in of_v.items():
+            of_atom[a] = sum(block << (i * boxes) for i in range(len(cells)) if m >> i & 1)
+        axes.append((v, cells, boxes))
+        boxes *= len(cells)
+    full = (1 << boxes) - 1
+    of_atom.update({TRUE: full, FALSE: 0})
+    hit = _fold(
+        matrix,
+        of_atom.__getitem__,
+        lambda ms: reduce(and_, ms, full),
+        lambda ms: reduce(or_, ms, 0),
+        lambda m: full & ~m,
+    )
+    while hit:
+        b = (hit & -hit).bit_length() - 1
+        hit &= hit - 1
+        found = {}
+        for v, cells, stride in axes:
+            cell = cells[b // stride % len(cells)]
+            cheese = None if cell is None else SwissCheese(*cell)
+            if cheese is None or cheese.is_empty:
+                break
+            found[v] = cheese
+        else:
+            return found
+    return None
 
 
 def _as_literal(v):
@@ -485,56 +511,6 @@ def _as_literal(v):
     if isinstance(v, RVElem):
         return RVLitT(v)
     return v
-
-
-def _branch_satisfiable(branch, var, field) -> bool:
-    equations = []
-    others = []
-    for lit, sign in branch:
-        if isinstance(lit, (ExistsRV, ForallRV, ExistsF, ForallF)):
-            raise NonEffectiveQuantifier(
-                "quantified subformula still involves the field variable"
-            )
-        if isinstance(lit, PolyZero) and sign:
-            f = term_to_poly(lit.arg, var, field)
-            if f.is_zero:
-                continue
-            if f.degree == 0:
-                if not f.coeffs[0].is_zero:
-                    return False
-                continue
-            equations.append(f)
-        else:
-            others.append((lit, sign))
-    if equations:
-        equations.sort(key=lambda f: f.degree)
-        f = equations[0]
-        for root in field_roots(f):
-            if all(_holds_at(lit, sign, var, root, f, field) for lit, sign in branch):
-                return True
-        return False
-    region = region_all(field)
-    for lit, sign in others:
-        region = region_intersect(region, literal_region(lit, sign, var, field))
-        if not region:
-            return False
-    return region_nonempty(region)
-
-
-def _holds_at(lit, sign, var, root, source, field) -> bool:
-    if isinstance(lit, PolyZero):
-        g = term_to_poly(lit.arg, var, field)
-        y = g(root)
-        if y.is_zero:
-            return sign
-        if not y.is_small and y.val() < resolution_horizon(field):
-            return not sign
-        # vanishing at available precision: an approximated root satisfies a
-        # second equation exactly when the two polynomials share the root
-        h = poly_gcd(source, g)
-        shared = h.degree is not None and h.degree >= 1 and is_root(h, root)
-        return shared == sign
-    return evaluate(lit, {var: root}, field) == sign
 
 
 def qe(phi, field: Field, params=None):
@@ -619,32 +595,6 @@ class NormalForm:
         return f"pullback [{cs}] of {print_formula(self.D)}"
 
 
-def _atom_polys(phi, var, field, acc):
-    """Collect (poly, order) data needed to linearize every atom in var."""
-    if isinstance(phi, PolyZero):
-        acc.append((term_to_poly(phi.arg, var, field), 0))
-        return
-    if isinstance(phi, RVEq):
-        for d, P in _side_polys((phi.left, phi.right), var, field, "atom"):
-            acc.append((P, d))
-        return
-    if isinstance(phi, VComp):
-        for _, P in _side_polys((phi.left, phi.right), var, field, "atom"):
-            acc.append((P, 0))
-        return
-    if isinstance(phi, OplusA):
-        for _, P in _side_polys((phi.a, phi.b, phi.c), var, field, "atom"):
-            acc.append((P, phi.order))
-        return
-    for ch in (
-        phi.args if isinstance(phi, (And, Or)) else
-        (phi.arg,) if isinstance(phi, Not) else
-        (phi.left, phi.right) if isinstance(phi, Implies) else
-        ()
-    ):
-        _atom_polys(ch, var, field, acc)
-
-
 def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     """Present {x : phi(x)} as a pullback from the leading-term sorts.
 
@@ -658,9 +608,18 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     extra = free_vars(phi) - {var}
     if extra:
         raise NonEffectiveQuantifier(f"parameters must be concrete: {sorted(extra)}")
-    phi = _fold_constants(_qe_walk(phi, field), {var}, field)
+    phi = _fold_closed(_qe_walk(phi, field), field)
+    # (poly, order) data needed to linearize every atom in var
     acc = []
-    _atom_polys(phi, var, field, acc)
+    for a in _atoms(phi):
+        if isinstance(a, PolyZero):
+            acc.append((term_to_poly(a.arg, var, field), 0))
+        elif isinstance(a, RVEq):
+            acc += [(P, d) for d, P in _side_polys((a.left, a.right), var, field, "atom")]
+        elif isinstance(a, VComp):
+            acc += [(P, 0) for _, P in _side_polys((a.left, a.right), var, field, "atom")]
+        elif isinstance(a, OplusA):
+            acc += [(P, a.order) for _, P in _side_polys((a.a, a.b, a.c), var, field, "atom")]
     work = [(P, d) for P, d in acc if P.degree is not None and P.degree >= 1]
     if not work:
         # no dependence on the variable beyond trivial atoms
@@ -684,8 +643,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
 
     def center_index(a: FieldElem) -> int:
         for i, c in enumerate(centers):
-            d = a - c
-            if d.val_lb() >= resolution_horizon(field):
+            if same_point(a, c):
                 return i
         centers.append(a)
         return len(centers) - 1

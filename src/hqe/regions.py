@@ -3,7 +3,8 @@
 Every atom in one field variable reduces to comparisons of valuations of
 polynomials, v(H(x)) <=> v(G(x)) + c, plus root equations.  On an
 exact cell decomposition both sides are linear in the radii v(x - center),
-so the satisfying set is a finite union of swiss cheeses, computed here.
+so the satisfying set is a finite union of swiss cheeses, computed here,
+and the balls of finitely many regions cut K into one cell partition.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ from .balls import Ball, SwissCheese
 from .decomp import decompose
 from .errors import NonEffectiveQuantifier, PrecisionExhausted
 from .field import Field, FieldElem
-from .hensel import field_roots, resolution_horizon
+from .hensel import field_roots, resolution_horizon, same_point
 from .poly import Poly
 from .valq import FLIP, INF, NEG_INF, holds
 
-# a region is a finite union of swiss cheeses
+# a region is a finite union of swiss cheeses and of intersections of
+# regions, the latter written as tuples
 Region = list
 
 
@@ -29,31 +31,72 @@ def region_all(field: Field) -> Region:
     return [SwissCheese.all(field)]
 
 
-def region_union(a: Region, b: Region) -> Region:
-    return list(a) + list(b)
-
-
-def region_intersect(a: Region, b: Region) -> Region:
-    out = []
-    for x in a:
-        for y in b:
-            z = x.intersect(y)
-            if not z.is_empty:
-                out.append(z)
-    return out
-
-
-def region_nonempty(region: Region) -> bool:
-    return any(not c.is_empty for c in region)
-
-
-def region_without_points(region: Region, points) -> Region:
-    return [c.minus_balls([Ball.point(p) for p in points]) for c in region]
-
-
 def roots_region(f: Poly, field: Field) -> tuple[Region, list]:
     roots = field_roots(f)
     return [SwissCheese.of_ball(Ball.point(r)) for r in roots], roots
+
+
+def _cheeses(region: Region):
+    for item in region:
+        if isinstance(item, tuple):
+            for r in item:
+                yield from _cheeses(r)
+        elif not item.is_empty:
+            yield item
+
+
+def _inside(ball: Ball, node: Ball) -> bool:
+    if node.kind == "point":
+        return ball.kind == "point" and same_point(ball.center, node.center)
+    return node.contains_ball(ball)
+
+
+def cell_partition(regions, points, field: Field):
+    """Cut K into cells along every ball of the regions and the points.
+
+    Two balls are nested or disjoint, so the balls form a containment
+    forest under K (Holly's canonical swiss cheeses): a cell is a node minus
+    its children, and n balls cut K into at most n + 1 cells.  Returns the
+    bitmask of each region over the cells, and the cells as (node, children)
+    pairs, and the cell of each point."""
+    nodes, kids, index = [Ball.all(field)], [[]], {}
+    marks = [Ball.point(r) for r in points]
+    balls = marks + [b for reg in regions for c in _cheeses(reg) for b in (c.outer, *c.holes)]
+    # larger balls first, so that a ball is inserted below all its supersets
+    for b in sorted(balls, key=lambda b: b.radius):
+        i = 0
+        while nodes[i].radius != b.radius:
+            k = next((k for k in kids[i] if _inside(b, nodes[k])), None)
+            if k is None:
+                k = len(nodes)
+                nodes.append(b)
+                kids.append([])
+                kids[i].append(k)
+            i = k
+        index[id(b)] = i
+    # a node's children come after it
+    sub = [1 << i for i in range(len(nodes))]
+    for i in reversed(range(len(nodes))):
+        for k in kids[i]:
+            sub[i] |= sub[k]
+
+    def mask(region):
+        out = 0
+        for item in region:
+            if isinstance(item, tuple):
+                m = sub[0]
+                for r in item:
+                    m &= mask(r)
+                out |= m
+            elif not item.is_empty:
+                m = sub[index[id(item.outer)]]
+                for h in item.holes:
+                    m &= ~sub[index[id(h)]]
+                out |= m
+        return out
+
+    cells = [(b, [nodes[k] for k in kids[i]]) for i, b in enumerate(nodes)]
+    return [mask(r) for r in regions], cells, [index[id(b)] for b in marks]
 
 
 # ---- exact cells --------------------------------------------------------------
@@ -106,7 +149,7 @@ def vcomp_region(H: Poly, G, op: str, field: Field, c: int = 0) -> Region:
             return reg
         # "<" and "!=" hold exactly away from the roots
         _, roots = roots_region(H, field)
-        return region_without_points(region_all(field), roots)
+        return [SwissCheese(Ball.all(field), [Ball.point(r) for r in roots])]
     cellsH = exact_cells(H, field)
     cellsG = exact_cells(G, field)
     out: Region = []
@@ -133,7 +176,7 @@ def _cell_compare(ch: _CellData, cg: _CellData, c, op, cheese, field) -> Region:
     if not d.is_zero and d.is_small and d.rel < resolution_horizon(field):
         raise PrecisionExhausted("cell centers indistinguishable at precision")
     out: Region = []
-    if dv == INF or (not d.is_zero and dv >= resolution_horizon(field)):
+    if same_point(a1, a2):
         # same center: one radius r, w1 = A + m1 r, w2 = B + m2 r
         for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, INF, True):
             out.extend(_radius_range(a1, lo, hi, inc, field))

@@ -86,6 +86,16 @@ def test_padic_cover(padic2):
     assert not ball_covered(lb, holes)
 
 
+def test_sample_skips_sub_balls_covered_by_several_holes(padic2):
+    # B[>=0](1/2) is covered by B[>=1](3/2) and B[>=1](5/2) together, so the
+    # only points are the 2-adic units
+    F = padic2
+    holes = [Ball.at_least(F.parse(c), 1) for c in ("3/2", "0", "5/2")]
+    cheese = SwissCheese(Ball.at_least(F.parse("1/2"), -1), holes)
+    x = cheese.sample()
+    assert cheese.contains(x) and x.val() == 0
+
+
 def test_realized_radii(laurent):
     zero = laurent.zero()
     t = laurent.uniformizer()

@@ -83,6 +83,14 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", [250, 3000])
+def test_deep_nesting_is_a_syntax_error(capsys, depth):
+    text = "EX x:K. " + "(" * depth + "x = 1" + ")" * depth
+    code, out, err = run_cli(capsys, "decide", text)
+    assert code == 1 and out == ""
+    assert err == "syntax error: formula nested too deeply\n"
+
+
 def test_deterministic_output(capsys):
     a = run_cli(capsys, "--json", "decompose", "--poly", "x^3 - t*x")
     b = run_cli(capsys, "--json", "decompose", "--poly", "x^3 - t*x")

@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import dnf_reference
 from hqe import selftest
-from hqe.errors import NonEffectiveQuantifier, PrecisionExhausted
+from hqe.errors import FormulaSyntaxError, HQEError, NonEffectiveQuantifier, PrecisionExhausted
 from hqe.field import Field
 from hqe.formula import (
     FALSE,
@@ -16,7 +19,7 @@ from hqe.formula import (
 )
 from hqe.hensel import field_roots
 from hqe.poly import Poly
-from hqe.qe import decide, eliminate_linear_exists, normal_form, qe
+from hqe.qe import decide, decide_exists_block, eliminate_linear_exists, normal_form, qe
 from hqe.rv import rv
 from hqe.semantics import evaluate
 
@@ -111,6 +114,131 @@ def test_region_path_sentences(laurent):
     ]
     for text, want in cases:
         assert decide(parse_formula(laurent, text), laurent) == want, text
+
+
+def test_verdict_does_not_depend_on_disjunct_order(laurent):
+    pinned = ("(v(rv[0](y)) > v(rv[0](1)) & y = z)", "(y = t & z = t)")
+    unordered = ("v(rv[0](x)) > v(rv[0](1))", "rv[0](x) = rv[1](x)")
+    for left, right in (pinned, pinned[::-1]):
+        assert decide(parse_formula(laurent, f"EX y:K. EX z:K. {left} | {right}"), laurent)
+    # every atom is read, so an atom outside the region calculus is found in
+    # either order
+    for left, right in (unordered, unordered[::-1]):
+        with pytest.raises(NonEffectiveQuantifier):
+            decide(parse_formula(laurent, f"EX x:K. {left} | {right}"), laurent)
+
+
+def test_atoms_at_approximated_roots(padic7):
+    # sqrt(2) is known to 64 digits only; the leading terms of x^2 - 2 at it
+    # are read off the cells, not evaluated
+    for text in (
+        "!(x^2 = 2) & rv[0](x^2 - 2) = rv[0](7)",
+        "x^2 = 2 | rv[0](x^2 - 2) = rv[0](7)",
+        "!(x^2 = 2) & v(rv[0](x^2 - 2)) > v(rv[0](7^3))",
+        "x^2 = 2 & v(rv[0](x^2 - 2)) > v(rv[0](7^3))",
+    ):
+        assert decide(parse_formula(padic7, f"EX x:K. {text}"), padic7), text
+    assert not decide(parse_formula(padic7, "EX x:K. x^2 = 2 & v(rv[0](x^2 - 2)) < v(rv[0](7^3))"), padic7)
+
+
+def test_pinned_points_stay_excluded(laurent):
+    # rv(y - x) = rv(5) pins x at 1; off that root x = 1 is folded to false,
+    # so x must stay off 1, the only point where rv(x - 1) = rv(0)
+    text = "(x = 1 & rv[0](y - x) = rv[0](5) & y = 1) | (rv[0](x - 1) = rv[0](0) & !(x = 1))"
+    assert not decide(parse_formula(laurent, f"EX x:K. EX y:K. {text}"), laurent)
+
+
+def _family_b(field, k, truth):
+    """EX x:K. core & (a_1 | b_1) & ... & (a_k | b_k), whose disjunctive
+    normal form has 2^k branches.  TRUE: the core is a ball around c0, every
+    a_i contradicts it and every b_i holds at a point w of the ball.  FALSE:
+    the core asks for two disjoint balls."""
+    centres = [_lit(field, c, j) for c, j in ((1, 0), (2, -1), (3, 1), (-1, 2))]
+
+    def vatom(c, op, j):
+        return f"v(rv[0](x - ({c}))) {op} v(rv[0]({_lit(field, 1, j)}))"
+
+    if truth:
+        w = field.parse(centres[0]) + field.monomial(1, 2)
+        core = [vatom(centres[0], ">=", 1)]
+        disj = []
+        for i in range(k):
+            c = centres[i % 4]
+            d = (w - field.parse(c)).val()
+            op, j = (("=", d), (">=", d - 1), ("<", d + 1), ("!=", d + 2))[i % 4]
+            disj.append((vatom(centres[0], "<", 0), vatom(c, op, j)))
+    else:
+        # v(c0 - c1) = -1, so the balls of radius 0 around them are disjoint
+        core = [vatom(centres[0], ">=", 0), vatom(centres[1], ">=", 0)]
+        ops = ("=", ">=", "<", "<=", "!=")
+        disj = [
+            (vatom(centres[i % 4], ops[i % 5], i % 4 - 1), vatom(centres[(i + 1) % 4], ops[(i + 2) % 5], i % 3))
+            for i in range(k)
+        ]
+    return "EX x:K. " + " & ".join(core + [f"({a} | {b})" for a, b in disj])
+
+
+@pytest.mark.parametrize("k", [13, 20])
+@pytest.mark.parametrize("truth", [True, False])
+@pytest.mark.parametrize("name", ["laurent-q", "padic-7"])
+def test_wide_disjunctions_decide(k, truth, name):
+    """More than 4,096 DNF branches: the cell partition has no branch cap."""
+    field = Field.laurent() if name == "laurent-q" else Field.padic(7)
+    assert decide(parse_formula(field, _family_b(field, k, truth)), field) is truth
+
+
+_DNF_FIELDS = [Field.laurent(), Field.padic(7), Field.padic(2)]
+
+
+@st.composite
+def one_variable_matrices(draw):
+    field = draw(st.sampled_from(_DNF_FIELDS))
+    units = [1, 2, -1, 3] if field.backend == "laurent-q" else [u for u in (1, 2, 3, 5, -1) if u % field.p]
+
+    def const():
+        return f"({_lit(field, draw(st.sampled_from(units)), draw(st.integers(-2, 2)))})"
+
+    # atoms share centres, so that equations and leading terms meet at
+    # the same (approximated) roots
+    centres = [const(), const()]
+
+    def atom():
+        kind = draw(st.sampled_from(["v", "rv", "rv2", "oplus", "eq", "eq2"]))
+        a, b = draw(st.sampled_from(centres)), const()
+        if kind == "v":
+            op = draw(st.sampled_from(["<", "<=", "=", "!=", ">", ">="]))
+            return f"v(rv[0](x - {a})) {op} v(rv[0]({b}))"
+        if kind == "rv":
+            return f"rv[0](x - {a}) = rv[0]({b})"
+        if kind == "rv2":
+            return f"rv[1](x^2 - {a}) = rv[1]({b})"
+        if kind == "oplus":
+            return f"oplus[1](rv[1](x), rv[1](-{a}), rv[1]({b}))"
+        return f"x = {a}" if kind == "eq" else f"x^2 = {a}"
+
+    def formula(depth):
+        if depth == 0 or draw(st.booleans()):
+            return atom()
+        op = draw(st.sampled_from(["&", "|", "!", "->"]))
+        if op == "!":
+            return f"!({formula(depth - 1)})"
+        return f"({formula(depth - 1)}) {op} ({formula(depth - 1)})"
+
+    return field, formula(3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=one_variable_matrices())
+def test_cell_partition_matches_dnf_reference(case):
+    """Same verdict as the frozen DNF path; where that raised, the cell
+    partition may answer."""
+    field, text = case
+    matrix = parse_formula(field, text)
+    try:
+        want = dnf_reference.decide_exists_block(["x"], matrix, field)
+    except HQEError:
+        return
+    assert decide_exists_block(["x"], matrix, field) == want, text
 
 
 def test_region_vs_sampling(any_field):
@@ -309,3 +437,29 @@ def test_normal_form_matches_direct_evaluation(any_field):
             except PrecisionExhausted:
                 continue
             assert nf.member(x0) == want, (text, str(x0))
+
+
+_DEEP_SHAPES = [
+    lambda n: "EX x:K. " + "!" * n + "x = 1",
+    lambda n: " -> ".join(["1 = 1"] * n),
+    lambda n: "EX x:K. " + " -> ".join(["v(rv[0](x)) > v(rv[0](1))"] * n),
+    lambda n: "EX x:K. " + "(v(rv[0](x)) > v(rv[0](1)) | " * n + "x = 1" + ")" * n,
+    lambda n: "".join(f"EX x{i}:K. " for i in range(n)) + "x0 = 1",
+]
+
+
+@pytest.mark.parametrize("shape", range(len(_DEEP_SHAPES)))
+def test_deepest_parsed_formula_decides(laurent, shape):
+    """The parser gives up first: whatever parses, decide walks without a
+    RecursionError."""
+    make = _DEEP_SHAPES[shape]
+    lo, hi = 1, 4000
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        try:
+            parse_formula(laurent, make(mid))
+            lo = mid
+        except FormulaSyntaxError:
+            hi = mid - 1
+    assert lo < 4000
+    assert isinstance(decide(parse_formula(laurent, make(lo)), laurent), bool)

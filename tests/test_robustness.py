@@ -232,12 +232,13 @@ def test_singleton_and_ball_constraints(laurent):
 
 
 def test_region_witness_extraction(any_field):
-    """When the region path says TRUE, the region yields a verified witness."""
+    """When the one-variable decider says TRUE, a point of its witness box
+    satisfies the matrix."""
     import random
     from fractions import Fraction
 
-    from hqe.qe import literal_region
-    from hqe.regions import region_all, region_intersect
+    from hqe.errors import HQEError
+    from hqe.qe import witness_box
 
     field = any_field
     rng = random.Random(5150 + (field.p or 0))
@@ -271,20 +272,13 @@ def test_region_witness_extraction(any_field):
             for _ in range(n)
         ]
         body = parse_formula(field, " & ".join(parts))
-        atoms = body.args if hasattr(body, "args") else (body,)
-        region = region_all(field)
-        ok = True
-        for a in atoms:
-            positive = not a.__class__.__name__ == "Not"
-            atom = a if positive else a.arg
-            try:
-                region = region_intersect(region, literal_region(atom, positive, "x", field))
-            except Exception:
-                ok = False
-                break
-        if not ok or not any(not c.is_empty for c in region):
+        try:
+            box = witness_box(["x"], body, field)
+        except HQEError:
             continue
-        witness = next(c for c in region if not c.is_empty).sample()
+        if box is None:
+            continue
+        witness = box["x"].sample()
         try:
             assert evaluate(body, {"x": witness}, field), (parts, str(witness))
             checked += 1
