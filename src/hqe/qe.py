@@ -4,11 +4,13 @@ pullback normal form.
 
 With all parameters instantiated, every branch condition of the uniform
 procedure is decided rather than disjuncted.  A block of field quantifiers
-is decided on one cell partition of K per variable: the balls of the
-solution regions of its atoms, with the certified roots of its equations
-as points, are nested or disjoint, so every atom is a bitmask over the
-cells and the matrix is evaluated with &, | and ~.  An atom joining two
-variables is taken apart by pinning one of them at the roots of an
+is decided one variable at a time on a cell partition of K: the balls of
+the solution regions of the variable's atoms, with the certified roots of
+its equations as points, are nested or disjoint, so every such atom is a
+bitmask over the cells.  The variable is fixed at each root and each cell
+in turn and the rest of the block is decided on the matrix folded there;
+the last variable's matrix is evaluated with &, | and ~.  An atom joining
+two variables is taken apart by pinning one of them at the roots of an
 equation in it alone.  Formulas with no field quantifiers pass through
 unchanged."""
 
@@ -367,53 +369,83 @@ def witness_box(varlist, matrix, field: Field):
     """Nonempty swiss cheeses, by variable, such that every choice of points
     from them satisfies the matrix (a variable left out is free), or None.
 
-    An atom joining x with other variables is taken apart at the roots r of
-    the equations in x alone: x := r there, and off the roots those
-    equations are false.  An atom joining variables that no such equation
-    pins is not effective."""
+    One variable x at a time is fixed at each cell of its axis, the roots of
+    its equations first, and the other variables are decided on the matrix
+    folded there; the last variable is decided on one bitmask over its
+    cells.  An atom joining x with other variables is taken apart at the
+    roots r of the equations in x alone: x := r there, and off the roots
+    those equations are false.  An atom joining variables that no such
+    equation pins is not effective."""
     extra = free_vars(matrix) - set(varlist)
     if extra:
         raise NonEffectiveQuantifier(
             f"parameters must be concrete before elimination: {sorted(extra)}"
         )
-    return _witness(varlist, _fold_closed(matrix, field), {v: [] for v in varlist}, field)
+    return _witness(varlist, _fold_closed(matrix, field), {v: () for v in varlist}, field)
 
 
 def _witness(varlist, matrix, pinned, field):
     """witness_box, each variable v kept off the points pinned[v]."""
-    while True:
-        atoms = _atoms(matrix)
-        joint = [a for a in atoms if len(free_vars(a)) > 1]
-        if not joint:
-            break
-        joined = {v for a in joint for v in free_vars(a)}
-        pinnable = [v for v in varlist if v in joined and _equations(atoms, v, field)]
-        if not pinnable:
-            raise NonEffectiveQuantifier(
-                "no quantified variable is pinned by an equation of its own"
-            )
-        x = pinnable[0]
-        of_atom, cells, roots = _axis(atoms, x, pinned[x], field)
-        rest = [v for v in varlist if v != x]
-        for i, r in roots.items():
-            if cells[i] is None:
-                continue
-            # x's own atoms read their bit at the cell of r, the rest get x := r
-            at_root = _fold(
-                matrix,
-                lambda a: (TRUE if of_atom[a] >> i & 1 else FALSE)
-                if a in of_atom
-                else subst(a, {x: FLit(r)}),
-            )
-            w = _witness(rest, at_root, {v: list(p) for v, p in pinned.items()}, field)
-            if w is not None:
-                return {x: SwissCheese.of_ball(Ball.point(r)), **w}
-        pinned[x].extend(roots.values())
-        equations = _equations(atoms, x, field)
-        matrix = _fold(matrix, lambda a: FALSE if a in equations else a)
-    # off its pinned points, each variable ranges over the cells
-    live = [v for v in varlist if pinned[v] or any(v in free_vars(a) for a in atoms)]
-    return _cell_witness(matrix, atoms, live, pinned, field)
+    atoms = _atoms(matrix)
+    live = [v for v in varlist if any(v in free_vars(a) for a in atoms)]
+    if not live:
+        return {} if matrix == TRUE else None
+    joined = {v for a in atoms if len(free_vars(a)) > 1 for v in free_vars(a)}
+    if not joined:
+        x = live[0]
+    else:
+        x = next((v for v in live if v in joined and _equations(atoms, v, field)), None)
+        if x is None:
+            raise NonEffectiveQuantifier("no quantified variable is pinned by an equation of its own")
+    rest = [v for v in varlist if v != x]
+    of_atom, unknown, cells, roots = _axis(atoms, x, pinned[x], field)
+    for i, r in roots.items():
+        if cells[i] is None:
+            continue
+        # x's own atoms read their bit at the cell of r, the rest get x := r
+        at_root = _fold(matrix, lambda a: _bit(of_atom[a], i) if a in of_atom else subst(a, {x: FLit(r)}))
+        w = _witness(rest, _fold_closed(at_root, field), pinned, field)
+        if w is not None:
+            return {x: SwissCheese.of_ball(Ball.point(r)), **w}
+    # off the roots the equations in x alone are false
+    equations = _equations(atoms, x, field)
+    matrix = _fold(matrix, lambda a: FALSE if a in equations else a)
+    pinned = {**pinned, x: pinned[x] + tuple(roots.values())}
+    if joined:
+        return _witness(varlist, matrix, pinned, field)
+    for a in _atoms(matrix):
+        if a in unknown:
+            raise unknown[a]
+    off = [i for i, c in enumerate(cells) if c is not None and i not in roots]
+    if len(live) == 1:
+        # the last variable: every atom is a bitmask over the cells
+        hit = _fold(
+            matrix,
+            lambda a: -1 if a == TRUE else 0 if a == FALSE else of_atom[a],
+            lambda ms: reduce(and_, ms, -1),
+            lambda ms: reduce(or_, ms, 0),
+            lambda m: ~m,
+        )
+        cheeses = (SwissCheese(*cells[i]) for i in off if hit >> i & 1)
+        return next(({x: c} for c in cheeses if not c.is_empty), None)
+    tried = set()
+    for i in off:
+        cheese = SwissCheese(*cells[i])
+        if cheese.is_empty:
+            continue
+        # cells that fold the matrix alike are tried once
+        at_cell = _fold(matrix, lambda a: _bit(of_atom[a], i) if a in of_atom else a)
+        if at_cell in tried:
+            continue
+        tried.add(at_cell)
+        w = _witness(rest, at_cell, pinned, field)
+        if w is not None:
+            return {x: cheese, **w}
+    return None
+
+
+def _bit(mask, i):
+    return TRUE if mask >> i & 1 else FALSE
 
 
 def _equations(atoms, v, field) -> dict:
@@ -430,22 +462,30 @@ def _equations(atoms, v, field) -> dict:
 def _axis(atoms, v, pinned, field):
     """The cells of K for v, cut along the regions of the atoms in v alone
     and at the roots of their equations: the bitmask of each such atom over
-    the cells, the cells (None at the pinned points) and the roots by cell.
-    An equation holds at none but its roots."""
+    the cells, the atoms outside the region calculus with their errors, the
+    cells (None at the pinned points) and the roots by cell.  An equation
+    holds at none but its roots; an atom outside the region calculus is
+    evaluated at the roots and not effective off them."""
     mine = [a for a in atoms if free_vars(a) == {v}]
     equations = _equations(mine, v, field)
-    others = [a for a in mine if a not in equations]
+    regions, unknown = {}, {}
+    for a in mine:
+        if a not in equations:
+            try:
+                regions[a] = literal_region(a, v, field)
+            except NonEffectiveQuantifier as e:
+                unknown[a] = e
     roots = [(r, f) for f in dict.fromkeys(equations.values()) for r in field_roots(f)]
     masks, cells, at = cell_partition(
-        [literal_region(a, v, field) for a in others], [r for r, _ in roots] + pinned, field
+        list(regions.values()), [r for r, _ in roots] + list(pinned), field
     )
-    of_atom = dict(zip(others, masks))
+    of_atom = dict(zip(regions, masks))
     for a, g in equations.items():
         hits = [1 << at[k] for k, (r, f) in enumerate(roots) if _holds_at(g, r, f, field)]
         of_atom[a] = reduce(or_, hits, 0)
     for i in at[len(roots):]:
         cells[i] = None
-    return of_atom, cells, {at[k]: r for k, (r, _) in enumerate(roots)}
+    return of_atom, unknown, cells, {at[k]: r for k, (r, _) in enumerate(roots)}
 
 
 def _holds_at(g: Poly, root, source: Poly, field) -> bool:
@@ -461,48 +501,6 @@ def _holds_at(g: Poly, root, source: Poly, field) -> bool:
     # second equation exactly when the two polynomials share the root
     h = poly_gcd(source, g)
     return h.degree is not None and h.degree >= 1 and is_root(h, root)
-
-
-def _cell_witness(matrix, atoms, varlist, pinned, field):
-    """A witness box of the variables off their pinned points, or None;
-    every atom is in one of the variables alone.
-
-    A box, one cell of each variable's axis, fixes every atom, so an atom
-    becomes a bitmask over the boxes and the matrix is evaluated with &, |
-    and ~; a box is nonempty unless a node is covered by its children."""
-    of_atom, axes, boxes = {}, [], 1
-    for v in varlist:
-        of_v, cells, _ = _axis(atoms, v, pinned[v], field)
-        # box b lies in cell (b // boxes) % len(cells) of this variable
-        copies = sum(1 << (i * boxes) for i in range(len(cells)))
-        of_atom = {a: m * copies for a, m in of_atom.items()}
-        block = (1 << boxes) - 1
-        for a, m in of_v.items():
-            of_atom[a] = sum(block << (i * boxes) for i in range(len(cells)) if m >> i & 1)
-        axes.append((v, cells, boxes))
-        boxes *= len(cells)
-    full = (1 << boxes) - 1
-    of_atom.update({TRUE: full, FALSE: 0})
-    hit = _fold(
-        matrix,
-        of_atom.__getitem__,
-        lambda ms: reduce(and_, ms, full),
-        lambda ms: reduce(or_, ms, 0),
-        lambda m: full & ~m,
-    )
-    while hit:
-        b = (hit & -hit).bit_length() - 1
-        hit &= hit - 1
-        found = {}
-        for v, cells, stride in axes:
-            cell = cells[b // stride % len(cells)]
-            cheese = None if cell is None else SwissCheese(*cell)
-            if cheese is None or cheese.is_empty:
-                break
-            found[v] = cheese
-        else:
-            return found
-    return None
 
 
 def _as_literal(v):
