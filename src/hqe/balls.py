@@ -225,6 +225,15 @@ def ball_covered(ball: Ball, holes) -> bool:
     )
 
 
+def _outside_points(x: FieldElem, points) -> bool:
+    """Whether x is proven to differ from every point; False (not proven)
+    when a membership is undecided at the available precision."""
+    try:
+        return not any(h.contains(x) for h in points)
+    except PrecisionExhausted:
+        return False
+
+
 class SwissCheese:
     """outer ball minus finitely many holes, kept normalized: holes are
     nonempty proper sub-balls of the outer ball, pairwise non-nested; the
@@ -344,13 +353,16 @@ class SwissCheese:
         for _ in range(256):
             ball_holes = [h for h in holes if h.kind == _BALL]
             if not ball_holes:
-                # dodge the finitely many removed points
-                cand = ball.center
-                bump = ball.radius_int + 1
-                while any(h.contains(cand) for h in holes):
-                    cand = ball.center + field.monomial(1, bump)
-                    bump += 1
-                return cand
+                # dodge the finitely many removed points: the center, then
+                # center + pi^b for b > r; each point rules out at most one
+                # of these candidates unless it is known too coarsely to
+                # tell them apart, and then no candidate is guessed outside
+                r = ball.radius_int
+                for b in range(r, r + len(holes) + 2):
+                    cand = ball.center + field.monomial(1, b) if b > r else ball.center
+                    if _outside_points(cand, holes):
+                        return cand
+                raise PrecisionExhausted("no sample point proven outside the removed points")
             for d in _digit_candidates(field, len(holes) + 2):
                 sub = Ball.at_least(
                     ball.center + field.monomial(d, ball.radius_int) if d != 0 else ball.center,

@@ -326,7 +326,7 @@ def _annulus_analysis(f, coeffs, center, r, m, droots, exact, depth, pieces, cou
             continue
         beta = center + pi_r * field.from_rational(c)
         cls_ball = Ball.more_than(beta, r)
-        inside = [(n, rt) for n, rt in droots if _in_ball(rt, cls_ball)]
+        inside = [(n, rt) for n, rt in droots if cls_ball.contains(rt)]
         if inside:
             inside.sort(key=lambda nr: (nr[0], elem_sort_key(nr[1])))
             lam = inside[0][1]
@@ -344,13 +344,6 @@ def _annulus_analysis(f, coeffs, center, r, m, droots, exact, depth, pieces, cou
         else:
             slack = True
     return class_balls, slack
-
-
-def _in_ball(x, ball: Ball) -> bool:
-    try:
-        return ball.contains(x)
-    except PrecisionExhausted:
-        return False
 
 
 # ---- simultaneous decomposition for leading terms ----------------------------

@@ -42,6 +42,13 @@ _ZERO = "z"     # exact zero
 _SMALL = "s"    # zero to its known precision: only v >= bound is known
 
 
+# the ring homomorphism of ``fingerprint``: rationals to Z/FINGERPRINT_PRIME,
+# and t to FINGERPRINT_T over laurent-q, a point far from small rationals so
+# that short Laurent polynomials such as t - 2 do not map to 0
+FINGERPRINT_PRIME = (1 << 61) - 1
+FINGERPRINT_T = 0x2545F4914F6CDD1D % FINGERPRINT_PRIME
+
+
 def _int_vp(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0")
@@ -630,6 +637,35 @@ def _min_rel(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+def fingerprint(x: FieldElem) -> int | None:
+    """The image of an exact element in Z/FINGERPRINT_PRIME: t^v * sum(u_i t^i)
+    / den at t = FINGERPRINT_T over laurent-q, p^v * u over padic.
+
+    On the exact elements where it is defined this is a ring homomorphism,
+    so a nonzero image of a polynomial expression proves the expression
+    nonzero.  None when x is inexact, when a denominator is 0 mod the prime,
+    and over padic when p is the prime itself.
+    """
+    P = FINGERPRINT_PRIME
+    if x.kind == _ZERO:
+        return 0
+    if x.kind == _SMALL or x.rel is not None:
+        return None
+    f = x.field
+    if f.backend == LAURENT:
+        den = x.den % P
+        if not den:
+            return None
+        acc = 0
+        for c in reversed(x.u):
+            acc = (acc * FINGERPRINT_T + c) % P
+        return acc * pow(FINGERPRINT_T, x.v, P) * pow(den, -1, P) % P
+    den = x.u.denominator % P
+    if f.p == P or not den:
+        return None
+    return x.u.numerator * pow(f.p, x.v, P) * pow(den, -1, P) % P
 
 
 def _lconv(a, b, n: int) -> list:

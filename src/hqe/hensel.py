@@ -5,10 +5,12 @@ a polynomial, and the passage from collisions to roots of derivatives."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 
 from .errors import PrecisionExhausted, PreconditionViolated
-from .field import LAURENT, Field, FieldElem
+from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, fingerprint
 from .poly import (
     Poly,
     annulus_residue_poly,
@@ -221,7 +223,16 @@ def _field_roots(field: Field, coeffs) -> tuple[FieldElem, ...]:
 
 def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
     """Replace a truncated root by an exact one when a short exact candidate
-    verifies g(candidate) = 0 in exact arithmetic."""
+    verifies g(candidate) = 0 in exact arithmetic.
+
+    Most candidates are not roots (the roots of derivatives are mostly
+    irrational), and the exact g(candidate) over long digit vectors is the
+    cost.  So each candidate is first screened by its image under the ring
+    homomorphism ``field.fingerprint`` to Z/P: if g(candidate) were 0 its
+    image would be 0, so a nonzero image proves it is not a root and the
+    candidate is skipped (the fingerprint argument of Schwartz and Zippel).
+    A zero or unknown image proves nothing, and the exact check runs as
+    before; a candidate is accepted only by that exact check."""
     if x.is_exact or not x.field or x.is_zero or x.is_small:
         return x
     field = x.field
@@ -234,7 +245,16 @@ def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
         fr = _rational_reconstruct(x.unit_digits(k), field.p**k)
         if fr is not None and fr != 0:
             candidates.append(field.from_rational(fr).shift(x.v))
+    images = [fingerprint(c) for c in g.coeffs]
+    screen = None not in images
     for cand in candidates:
+        w = fingerprint(cand) if screen else None
+        if w is not None:
+            acc = 0
+            for c in reversed(images):
+                acc = (acc * w + c) % FINGERPRINT_PRIME
+            if acc:
+                continue
         if g(cand).is_zero:
             return cand
     return x
@@ -242,9 +262,6 @@ def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
 
 def _rational_reconstruct(u: int, m: int):
     """A fraction n/d = u mod m with |n|, d <= sqrt(m/2), if one exists."""
-    from fractions import Fraction
-    from math import gcd, isqrt
-
     bound = isqrt(m // 2)
     r0, r1 = m, u % m
     s0, s1 = 0, 1

@@ -96,6 +96,23 @@ def test_sample_skips_sub_balls_covered_by_several_holes(padic2):
     assert cheese.contains(x) and x.val() == 0
 
 
+def test_sample_dodges_an_approximated_point_hole(padic7):
+    """B[>=4](r) minus {r} for r = sqrt(2), known to 64 digits: the center
+    cannot be told from the hole, and the sample is the next candidate,
+    proven outside.  Where no candidate can be told from the hole, sample
+    raises rather than guesses."""
+    from hqe.hensel import field_roots
+    from hqe.poly import Poly
+
+    for r in field_roots(Poly.from_rationals(padic7, [-2, 0, 1])):
+        assert not r.is_exact
+        cheese = SwissCheese(Ball.at_least(r, 4), [Ball.point(r)])
+        x = cheese.sample()
+        assert cheese.contains(x) and (x - r).val() == 5
+        with pytest.raises(PrecisionExhausted):
+            SwissCheese(Ball.at_least(r, 63), [Ball.point(r)]).sample()
+
+
 def test_realized_radii(laurent):
     zero = laurent.zero()
     t = laurent.uniformizer()

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqe.errors import PrecisionExhausted, PreconditionViolated
-from hqe.field import Field
+from hqe.field import FINGERPRINT_PRIME, FINGERPRINT_T, Field, fingerprint
 from hqe.hensel import (
     LiftCertificate,
+    _snap_exact,
     collision_classes,
     collision_root,
     derivative_roots,
@@ -21,6 +22,7 @@ from hqe.rv import rv
 from hqe.valq import INF
 
 import newton_reference as reference
+import snap_reference
 
 
 def val_at_least(x, bound):
@@ -370,3 +372,123 @@ def test_derivative_roots_cover_all_orders(laurent):
     for n, r in dr:
         assert is_root(derivative(f, n), r)
     assert {n for n, _ in dr} == {0, 1, 2}
+
+
+# ---- the fingerprint screen of _snap_exact -------------------------------------
+
+
+@st.composite
+def snap_cases(draw):
+    """(g, x) as _snap_exact receives them: a planted short root, which
+    snaps, also with the fingerprint prime in its denominator, so that its
+    image is unknown; a root of the derivative of a clustered product,
+    which does not; a planted root with one coefficient of g made inexact;
+    and a short candidate r with g(r) = -(offset) * Q(r) for an offset that
+    maps to 0, so the image of g(r) is 0 though g(r) is not."""
+    field = draw(st.sampled_from(_LIFT_FIELDS))
+    one = field.one()
+
+    def short(dens=(1, 3, 5)):
+        if field.backend == "laurent-q":
+            n = draw(st.integers(1, 3))
+            lo = draw(st.integers(-2, 3))
+            terms = [(lo + i, Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(dens))))
+                     for i in range(n)]
+            c = field.from_terms(terms)
+        else:
+            c = field.from_rational(Fraction(draw(st.integers(-60, 60)), draw(st.sampled_from(dens))))
+        return c if not c.is_zero else one
+
+    def cofactor():
+        return Poly(field, [short() for _ in range(draw(st.integers(0, 2)))] + [one])
+
+    kind = draw(st.sampled_from(["planted", "unknown-image", "derivative", "inexact", "zero-image"]))
+    if kind == "derivative":
+        a = short()
+        f = Poly(field, [one])
+        for _ in range(draw(st.integers(3, 5))):
+            c = a + field.monomial(draw(st.sampled_from([1, -1, 2, 3])), draw(st.integers(1, 4)))
+            f = f * Poly(field, [-c, one])
+        g = derivative(f)
+        inexact = [r for r in field_roots(g) if not r.is_exact]
+        x = draw(st.sampled_from(inexact)) if inexact else a.truncate_rel(field.prec)
+        return g, x
+    r = short((FINGERPRINT_PRIME,) if kind == "unknown-image" else (1, 3, 5))
+    if kind == "zero-image":
+        offsets = [FINGERPRINT_PRIME, -3 * FINGERPRINT_PRIME]
+        if field.backend == "laurent-q":
+            offsets.append(field.uniformizer() - FINGERPRINT_T)
+        r_g = r + draw(st.sampled_from(offsets))
+    else:
+        r_g = r
+    g = Poly(field, [-r_g, one]) * cofactor()
+    if kind == "inexact":
+        cs = list(g.coeffs)
+        j = draw(st.integers(0, len(cs) - 1))
+        if not cs[j].is_zero:
+            cs[j] = cs[j].truncate_rel(draw(st.integers(1, 8)))
+        g = Poly(field, cs)
+    k = draw(st.one_of(st.integers(1, 12), st.integers(field.prec - 8, field.prec)))
+    return g, r.truncate_rel(k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=snap_cases())
+def test_snap_exact_matches_unscreened_reference(case):
+    """The screen never changes the element returned: the same v, digits
+    and rel, exact or not, as the frozen procedure without it (or the same
+    error, for a padic x too short to reconstruct from)."""
+    g, x = case
+
+    def outcome(snap):
+        try:
+            y = snap(g, x)
+        except PrecisionExhausted as e:
+            return str(e)
+        return y, y.is_exact
+
+    assert outcome(_snap_exact) == outcome(snap_reference.snap_exact)
+
+
+def test_snap_exact_zero_image_falls_through(laurent, padic7):
+    """A candidate whose image is 0 but which is no root goes to the exact
+    check, which rejects it."""
+    for field in (laurent, padic7):
+        r = field.parse("2 + 3*t" if field.backend == "laurent-q" else "50")
+        g = Poly(field, [-(r + FINGERPRINT_PRIME), field.one()])
+        assert fingerprint(r - (r + FINGERPRINT_PRIME)) == 0 and not g(r).is_zero
+        x = r.truncate_rel(field.prec)
+        assert _snap_exact(g, x) is x
+
+
+def test_snap_exact_unknown_image_takes_the_exact_check(laurent, padic7):
+    """A root with the fingerprint prime in a denominator has no image, and
+    the exact check still accepts it."""
+    P = FINGERPRINT_PRIME
+    for r in (laurent.from_terms([(0, Fraction(1, P)), (1, 1)]), padic7.from_rational(Fraction(3, P))):
+        assert fingerprint(r) is None
+        g = Poly(r.field, [-r, r.field.one()]) * Poly.from_rationals(r.field, [2, 0, 1])
+        got = _snap_exact(g, r.truncate_rel(r.field.prec))
+        assert got == r and got.is_exact
+
+
+def test_fingerprint_is_a_ring_homomorphism_where_defined(laurent, padic7):
+    P = FINGERPRINT_PRIME
+    t = laurent.uniformizer()
+    a = laurent.from_terms([(-2, Fraction(3, 4)), (0, 5), (3, Fraction(-1, 7))])
+    b = laurent.from_terms([(1, 2), (2, Fraction(1, 9))])
+    for x, y in ((a, b), (padic7.from_rational(Fraction(98, 15)), padic7.from_rational(Fraction(-3, 49)))):
+        fx, fy = fingerprint(x), fingerprint(y)
+        assert fingerprint(x + y) == (fx + fy) % P
+        assert fingerprint(x * y) == fx * fy % P
+    assert fingerprint(t) == FINGERPRINT_T and fingerprint(t**-1) * FINGERPRINT_T % P == 1
+    assert fingerprint(laurent.zero()) == 0 and fingerprint(laurent.from_rational(P)) == 0
+    # undefined: an inexact element, a denominator divisible by P
+    assert fingerprint(a.truncate_rel(2)) is None and fingerprint(laurent.small(3)) is None
+    assert fingerprint(laurent.from_terms([(0, 1), (1, Fraction(1, 2 * P))])) is None
+    assert fingerprint(padic7.from_rational(Fraction(1, 3 * P))) is None
+    # and over Q_P itself; Field() checks primality by trial division, which
+    # takes minutes at this p, so the field is assembled directly
+    qp = Field.__new__(Field)
+    qp.backend, qp.p, qp.prec = "padic", P, 64
+    assert fingerprint(qp.from_rational(5)) is None and fingerprint(qp.from_rational(P)) is None
