@@ -5,6 +5,8 @@ import pytest
 from hqe.balls import Ball, SwissCheese, ball_covered
 from hqe.errors import PrecisionExhausted
 from hqe.field import Field
+from hqe.hensel import field_roots
+from hqe.poly import Poly
 from hqe.valq import INF, NEG_INF
 
 
@@ -101,9 +103,6 @@ def test_sample_dodges_an_approximated_point_hole(padic7):
     cannot be told from the hole, and the sample is the next candidate,
     proven outside.  Where no candidate can be told from the hole, sample
     raises rather than guesses."""
-    from hqe.hensel import field_roots
-    from hqe.poly import Poly
-
     for r in field_roots(Poly.from_rationals(padic7, [-2, 0, 1])):
         assert not r.is_exact
         cheese = SwissCheese(Ball.at_least(r, 4), [Ball.point(r)])
