@@ -96,9 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _field_of(args) -> Field:
-    if args.field == "padic":
-        return Field.padic(args.p, args.prec)
-    return Field.laurent(args.prec)
+    try:
+        if args.field == "padic":
+            return Field.padic(args.p, args.prec)
+        return Field.laurent(args.prec)
+    except ValueError as e:
+        raise PreconditionViolated(str(e)) from None
 
 
 def _parse_poly(field, text):

@@ -15,7 +15,11 @@ question it cannot answer raises PrecisionExhausted.
 A laurent-q unit is stored as one integer digit vector over one positive
 common denominator, canonical (no trailing zero digits, and
 ``gcd(den, *digits) == 1``), so the kernels run on integers and equal units
-have equal data.  ``FieldElem.unit`` reads it back as Fraction digits.
+have equal data.  An exact padic unit is an integer numerator over a
+positive integer denominator, canonical too (p divides neither, and
+``gcd(u, den) == 1``); an inexact one is an int mod p^rel over den 1.
+``FieldElem.unit`` reads a unit back as Fraction digits, resp. a Fraction
+or an int.
 """
 
 from __future__ import annotations
@@ -59,8 +63,34 @@ def _int_vp(n: int, p: int) -> int:
     return v
 
 
-def _frac_vp(x: Fraction, p: int) -> int:
-    return _int_vp(x.numerator, p) - _int_vp(x.denominator, p)
+# Miller-Rabin with the first 13 primes as bases is a proof of primality
+# below this bound (Sorenson and Webster, Math. Comp. 86, 2017)
+PRIME_BOUND = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n < PRIME_BOUND is prime, by deterministic Miller-Rabin."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class Field:
@@ -72,7 +102,9 @@ class Field:
         if backend not in (LAURENT, PADIC):
             raise ValueError(f"unknown backend {backend!r}")
         if backend == PADIC:
-            if p is None or p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+            if isinstance(p, int) and p >= PRIME_BOUND:
+                raise ValueError(f"padic prime must be below {PRIME_BOUND}, got {p}")
+            if not isinstance(p, int) or not _is_prime(p):
                 raise ValueError(f"padic backend needs a prime, got {p!r}")
         else:
             p = None
@@ -137,17 +169,16 @@ class Field:
     def uniformizer(self) -> "FieldElem":
         if self.backend == LAURENT:
             return FieldElem(self, _NUM, 1, (1,), None, 1)
-        return FieldElem(self, _NUM, 1, Fraction(1), None)
+        return FieldElem(self, _NUM, 1, 1, None)
 
     def monomial(self, coeff, k: int) -> "FieldElem":
-        """coeff * pi^k for a rational unit coeff."""
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        """coeff * pi^k for a rational coeff."""
+        num, den = _num_den(coeff)
+        if not num:
             return self.zero()
         if self.backend == LAURENT:
-            return FieldElem(self, _NUM, k, (coeff.numerator,), None, coeff.denominator)
-        v = _frac_vp(coeff, self.p)
-        return FieldElem(self, _NUM, v + k, coeff / Fraction(self.p) ** v, None)
+            return FieldElem(self, _NUM, k, (num,), None, den)
+        return _pelem(self, k, num, den)
 
     def from_terms(self, terms) -> "FieldElem":
         """Element from (exponent, rational coefficient) pairs; exact."""
@@ -168,24 +199,32 @@ class Field:
 
     def from_unit(self, v: int, unit, rel: int | None) -> "FieldElem":
         """Low-level constructor from rational unit digits (laurent-q) or a
-        unit (padic); canonicalizes the unit part."""
+        rational or int unit (padic); canonicalizes the unit part."""
         if self.backend == LAURENT:
             unit = [Fraction(c) for c in (unit if rel is None else unit[:rel])]
             if not unit or unit[0] == 0:
                 raise ValueError("laurent unit must have nonzero constant digit")
             return _lelem(self, v, *_lfrom_fractions(unit), rel)
         if rel is None:
-            unit = Fraction(unit)
-            if _frac_vp(unit, self.p) != 0:
+            num, den = _num_den(unit)
+            if not num % self.p or not den % self.p:
                 raise ValueError("padic unit must have valuation 0")
-        else:
-            unit = int(unit) % self.p ** rel
-            if unit % self.p == 0:
-                raise ValueError("padic unit must be nonzero mod p")
+            return FieldElem(self, _NUM, v, num, None, den)
+        unit = int(unit) % self.p ** rel
+        if unit % self.p == 0:
+            raise ValueError("padic unit must be nonzero mod p")
         return FieldElem(self, _NUM, v, unit, rel)
 
     def parse(self, text: str) -> "FieldElem":
         return parse_elem(self, text)
+
+
+def _num_den(x) -> tuple:
+    """(numerator, denominator) of a rational x in lowest terms."""
+    if type(x) is int:
+        return x, 1
+    x = Fraction(x)
+    return x.numerator, x.denominator
 
 
 def _lfrom_fractions(unit) -> tuple:
@@ -207,13 +246,34 @@ def _lelem(field, v, digits, den, rel) -> "FieldElem":
     return FieldElem(field, _NUM, v, digits, rel, den)
 
 
+def _pelem(field, v, num, den) -> "FieldElem":
+    """The exact padic number p^v * num/den (num, den nonzero ints), made
+    canonical: factors of p moved into v, den > 0, gcd(num, den) == 1."""
+    p = field.p
+    if den < 0:
+        num, den = -num, -den
+    if den != 1:
+        g = gcd(num, den)
+        if g != 1:
+            num //= g
+            den //= g
+        while not den % p:
+            den //= p
+            v -= 1
+    while not num % p:
+        num //= p
+        v += 1
+    return FieldElem(field, _NUM, v, num, None, den)
+
+
 class FieldElem:
     """An element of K known to finite (or exact) precision.
 
     Canonical form: ``pi^v * u`` with the leading digit of ``u`` nonzero,
     unless the element is an exact zero or an order bound.  ``u`` holds a
-    laurent-q unit's integer digits over the denominator ``den``, and a
-    padic unit as is (``den`` is then 1).
+    laurent-q unit's integer digits over the denominator ``den``; over padic
+    an exact unit's integer numerator over ``den`` (p divides neither), and
+    an inexact unit as an int mod p^rel (``den`` is then 1).
     """
 
     __slots__ = ("field", "kind", "v", "u", "rel", "den")
@@ -228,11 +288,13 @@ class FieldElem:
 
     @property
     def unit(self):
-        """The unit part: a tuple of Fraction digits over laurent-q, the
-        stored unit (a Fraction, or an int mod p^rel) over padic."""
-        if self.field.backend == LAURENT and self.kind == _NUM:
+        """The unit part: a tuple of Fraction digits over laurent-q; over
+        padic a Fraction when exact, an int mod p^rel otherwise."""
+        if self.kind != _NUM:
+            return self.u
+        if self.field.backend == LAURENT:
             return tuple(Fraction(c, self.den) for c in self.u)
-        return self.u
+        return self.u if self.rel is not None else Fraction(self.u, self.den)
 
     # ---- state predicates -------------------------------------------------
 
@@ -290,10 +352,10 @@ class FieldElem:
         if f.backend == LAURENT:
             u = self.u[:k]
             return tuple(Fraction(c, self.den) for c in u) + (Fraction(0),) * (k - len(u))
-        if self.rel is None:
-            den_inv = pow(self.u.denominator, -1, f.p ** k)
-            return self.u.numerator * den_inv % f.p ** k
-        return self.u % f.p ** k
+        m = f.p ** k
+        if self.den == 1:
+            return self.u % m
+        return self.u * pow(self.den, -1, m) % m
 
     def residue(self, delta) -> "Residue":
         """The class of the element in O / m_delta (digits 0..delta)."""
@@ -354,7 +416,7 @@ class FieldElem:
         if self.field.backend == LAURENT:
             return FieldElem(self.field, _NUM, self.v, tuple(-c for c in self.u), self.rel, self.den)
         u = -self.u if self.rel is None else (-self.u) % self.field.p ** self.rel
-        return FieldElem(self.field, _NUM, self.v, u, self.rel)
+        return FieldElem(self.field, _NUM, self.v, u, self.rel, self.den)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -423,9 +485,7 @@ class FieldElem:
         """The exact element whose unit is the known digits of this one."""
         if self.kind != _NUM or self.rel is None:
             return self
-        if self.field.backend == LAURENT:
-            return FieldElem(self.field, _NUM, self.v, self.u, None, self.den)
-        return self.field.from_unit(self.v, self.u, None)
+        return FieldElem(self.field, _NUM, self.v, self.u, None, self.den)
 
     def padded(self, k: int) -> "FieldElem":
         """as_exact() known to k relative digits: digits past k dropped,
@@ -566,11 +626,10 @@ def _add(x: FieldElem, y: FieldElem) -> FieldElem:
         return _lelem(f, x.v + lead, digits[lead:], den, rel)
     # padic
     if cap is None:
-        total = x.u + y.u * Fraction(f.p) ** s
-        if total == 0:
+        num = x.u * y.den + y.u * x.den * f.p ** s
+        if not num:
             return f.zero()
-        j = _frac_vp(total, f.p)
-        return FieldElem(f, _NUM, x.v + j, total / Fraction(f.p) ** j, None)
+        return _pelem(f, x.v, num, x.den * y.den)
     k = cap - x.v
     w = (x.unit_digits(k) + y.unit_digits(max(0, k - s)) * f.p ** s) % f.p ** k
     if w == 0:
@@ -593,7 +652,7 @@ def _mul(x: FieldElem, y: FieldElem) -> FieldElem:
         digits = _lconv(x.u, y.u, n if rel is None else min(rel, n))
         return _lelem(f, x.v + y.v, digits, x.den * y.den, rel)
     if rel is None:
-        return FieldElem(f, _NUM, x.v + y.v, x.u * y.u, None)
+        return _pelem(f, x.v + y.v, x.u * y.u, x.den * y.den)
     u = x.unit_digits(rel) * y.unit_digits(rel) % f.p ** rel
     return FieldElem(f, _NUM, x.v + y.v, u, rel)
 
@@ -611,7 +670,7 @@ def _div(x: FieldElem, y: FieldElem) -> FieldElem:
     rel = _min_rel(x.rel, y.rel)
     if f.backend == PADIC:
         if rel is None:
-            return FieldElem(f, _NUM, x.v - y.v, x.u / y.u, None)
+            return _pelem(f, x.v - y.v, x.u * y.den, x.den * y.u)
         k = rel
         u = x.unit_digits(k) * pow(y.unit_digits(k), -1, f.p ** k) % f.p ** k
         return FieldElem(f, _NUM, x.v - y.v, u, k)
@@ -662,10 +721,10 @@ def fingerprint(x: FieldElem) -> int | None:
         for c in reversed(x.u):
             acc = (acc * FINGERPRINT_T + c) % P
         return acc * pow(FINGERPRINT_T, x.v, P) * pow(den, -1, P) % P
-    den = x.u.denominator % P
+    den = x.den % P
     if f.p == P or not den:
         return None
-    return x.u.numerator * pow(f.p, x.v, P) * pow(den, -1, P) % P
+    return x.u * pow(f.p, x.v, P) * pow(den, -1, P) % P
 
 
 def _lconv(a, b, n: int) -> list:
@@ -729,12 +788,14 @@ def format_elem(x: FieldElem) -> str:
         return s
     if x.kind == _SMALL:
         return f"O({f.p}^{x.rel})"
-    if x.rel is None:
-        q = x.u * Fraction(f.p) ** x.v
-        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    q = Fraction(x.u) * Fraction(f.p) ** x.v
-    num = str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-    return f"{num} + O({f.p}^{x.v + x.rel})"
+    # p divides neither u nor den, so p^v * u/den is in lowest terms
+    num, den = x.u, x.den
+    if x.v >= 0:
+        num *= f.p ** x.v
+    else:
+        den *= f.p ** -x.v
+    s = str(num) if den == 1 else f"{num}/{den}"
+    return s if x.rel is None else f"{s} + O({f.p}^{x.v + x.rel})"
 
 
 class _Scanner:

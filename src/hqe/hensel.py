@@ -233,7 +233,7 @@ def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
     candidate is skipped (the fingerprint argument of Schwartz and Zippel).
     A zero or unknown image proves nothing, and the exact check runs as
     before; a candidate is accepted only by that exact check."""
-    if x.is_exact or not x.field or x.is_zero or x.is_small:
+    if x.is_exact or x.is_zero or x.is_small:
         return x
     field = x.field
     candidates = []

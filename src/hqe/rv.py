@@ -11,8 +11,6 @@ exact field elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import (
     NegativeValue,
     OrderMismatch,
@@ -53,7 +51,7 @@ class RVElem:
             return f.zero()
         if f.backend == LAURENT:
             return f.from_unit(self.value, _trim_nonempty(self.unit), None)
-        return f.from_unit(self.value, Fraction(self.unit), None)
+        return f.from_unit(self.value, self.unit, None)
 
     def project(self, order) -> "RVElem":
         """The image under RV_gamma -> RV_delta for delta = order <= gamma."""

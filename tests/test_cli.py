@@ -83,6 +83,20 @@ def test_exit_codes(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("eval", "1", "--field", "padic", "--p", "4"), "padic backend needs a prime, got 4"),
+        (("eval", "1", "--prec", "4"), "precision must be at least 8"),
+    ],
+)
+def test_bad_field_is_a_precondition_violation(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 4 and out == ""
+    assert err == f"precondition violated: {message}\n"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("depth", [250, 3000])
 def test_deep_nesting_is_a_syntax_error(capsys, depth):
     text = "EX x:K. " + "(" * depth + "x = 1" + ")" * depth

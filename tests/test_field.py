@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqe.errors import DivisionByZero, PrecisionExhausted
+from hqe.errors import DivisionByZero, HQEError, PrecisionExhausted
 from hqe.field import Field
 from hqe.valq import INF
 
 import fraction_kernel as oracle
+import padic_fraction_kernel as padic_oracle
 
 
 def test_val_examples(laurent):
@@ -224,3 +225,172 @@ def test_laurent_exact_product_matches_sympy(a, b):
     assert got.is_exact
     assert list(got.unit) == expected[: len(got.unit)]
     assert not any(expected[len(got.unit) :])
+
+
+# ---- differential test: the padic kernel against the Fraction oracle ---------
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_padic_stored_form(p):
+    field = Field.padic(p)
+    # p and a common factor 2 in both the numerator and the denominator
+    q = Fraction(10 * p**3, 4 * p**2 + 6 * p**5)
+    x, y = field.from_rational(q), field.from_rational(Fraction(-3, 4) - q)
+    for z, value in ((x, q), (y, Fraction(-3, 4) - q), (x + y, Fraction(-3, 4)), (x * y, q * (Fraction(-3, 4) - q)),
+                     (x / y, q / (Fraction(-3, 4) - q)), (-x, -q)):
+        _check_padic_form(z)
+        assert z.unit * Fraction(p) ** z.v == value
+    _check_padic_form(x.truncate_rel(5))
+    assert field.from_unit(0, 5, None) == field.from_unit(0, Fraction(5), None)
+    with pytest.raises(ValueError):
+        field.from_unit(0, Fraction(1, p), None)
+
+
+def _check_padic_form(x):
+    """Canonical storage: p^v * u/den with p dividing neither u nor den and
+    gcd(u, den) = 1 when exact, an int mod p^rel over den 1 when not."""
+    if x.kind != "n":
+        return
+    p = x.field.p
+    assert type(x.u) is int and type(x.den) is int
+    if x.rel is None:
+        assert x.u % p and x.den % p and x.den > 0 and gcd(x.u, x.den) == 1
+    else:
+        assert x.den == 1 and 0 < x.u < p**x.rel and x.u % p
+
+
+def _padic_oracle(x):
+    return (x.kind, x.v, x.unit if x.kind == "n" else None, x.rel)
+
+
+def _padic_same(x, expected):
+    p = x.field.p
+    got = _padic_oracle(x)
+    assert got == expected and type(got[2]) is type(expected[2])
+    assert str(x) == padic_oracle.format_elem(expected, p)
+    _check_padic_form(x)
+
+
+def _outcome(fn):
+    """fn()'s value, or "raised" when it raises (the oracle raises plain
+    ArithmeticError where the kernel raises its own error types)."""
+    try:
+        return fn()
+    except (HQEError, ArithmeticError, ValueError):
+        return "raised"
+
+
+@st.composite
+def _padic_pair(draw, p):
+    """Two padic operands as (rational value, truncation) specs: exact and
+    truncated, with p in the numerator and the denominator, exact zeros,
+    order bounds, and pairs at the same valuation whose leading digits cancel."""
+
+    def spec(value):
+        kind = draw(st.sampled_from(["exact", "exact", "trunc", "trunc"]))
+        return (value, draw(st.integers(1, 12)) if kind == "trunc" else None)
+
+    def value():
+        kind = draw(st.sampled_from(["num", "num", "num", "num", "zero", "small"]))
+        if kind == "zero":
+            return 0
+        if kind == "small":
+            return ("small", draw(st.integers(-4, 8)))
+        num = draw(st.integers(-(p**5), p**5).filter(bool)) * p ** draw(st.integers(0, 3))
+        den = draw(st.integers(1, p**4)) * p ** draw(st.integers(0, 3))
+        return Fraction(num, den)
+
+    x = value()
+    if isinstance(x, Fraction) and x and draw(st.booleans()):
+        # y = -x + e * p^(v(x) + j): x + y cancels j leading digits at s = 0
+        vx = padic_oracle._frac_vp(x, p)
+        e = Fraction(draw(st.integers(-(p**3), p**3)), draw(st.integers(1, p**2)))
+        y = -x + e * Fraction(p) ** (vx + draw(st.integers(1, 6)))
+    else:
+        y = value()
+    return spec(x), spec(y)
+
+
+def _build(field, spec):
+    """The kernel element and the oracle element of a spec."""
+    p = field.p
+    value, trunc = spec
+    if isinstance(value, tuple):
+        return field.small(value[1]), padic_oracle.small(value[1])
+    x, o = field.from_rational(value), padic_oracle.monomial(value, 0, p)
+    if trunc is not None:
+        x, o = x.truncate_rel(trunc), padic_oracle.truncate_rel(o, trunc, p)
+    return x, o
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), p=st.sampled_from([7, 2, 3]), k=st.integers(1, 10), d=st.integers(0, 6))
+def test_padic_kernel_matches_fraction_oracle(data, p, k, d):
+    field = Field.padic(p)
+    sx, sy = data.draw(_padic_pair(p))
+    (x, ox), (y, oy) = _build(field, sx), _build(field, sy)
+    results = [(x, ox), (y, oy), (-x, padic_oracle.neg(ox, p))]
+    results.append((x + y, padic_oracle.add(ox, oy, p)))
+    results.append((x - y, padic_oracle.sub(ox, oy, p)))
+    results.append((y - x, padic_oracle.sub(oy, ox, p)))
+    results.append((x * y, padic_oracle.mul(ox, oy, p)))
+    if y.kind == "n":
+        results.append((x / y, padic_oracle.div(ox, oy, p)))
+        results.append((field.one() / y, padic_oracle.div(padic_oracle.monomial(1, 0, p), oy, p)))
+    for z, oz in results:
+        _padic_same(z, oz)
+        _padic_same(z.truncate_rel(k), padic_oracle.truncate_rel(oz, k, p))
+        assert _outcome(lambda: z.unit_digits(k)) == _outcome(lambda: padic_oracle.unit_digits(oz, k, p))
+        assert _outcome(lambda: z.residue(d).data) == _outcome(lambda: padic_oracle.residue(oz, d, p))
+        # printing and parsing round-trip to equal data and hash
+        back = field.parse(str(z))
+        assert back == z and hash(back) == hash(z)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from([7, 2, 3]),
+    v=st.integers(-4, 4),
+    k=st.integers(-4, 4),
+    unit=st.fractions(min_value=-50, max_value=50, max_denominator=50).filter(bool),
+    rel=st.one_of(st.none(), st.integers(1, 8)),
+)
+def test_padic_constructors_match_fraction_oracle(p, v, k, unit, rel):
+    field = Field.padic(p)
+    _padic_same(field.monomial(unit, k), padic_oracle.monomial(unit, k, p))
+    if rel is not None:
+        unit = unit.numerator  # an inexact unit is read as an int
+    expected = _outcome(lambda: padic_oracle.from_unit(v, unit, rel, p))
+    got = _outcome(lambda: field.from_unit(v, unit, rel))
+    if expected == "raised":
+        assert got == "raised"
+    else:
+        _padic_same(got, expected)
+        if rel is None and unit.denominator == 1:
+            assert field.from_unit(v, unit.numerator, None) == got  # an int unit
+
+
+# ---- the prime check ------------------------------------------------------------
+
+
+def test_prime_check_is_fast_and_proven():
+    from hqe.field import PRIME_BOUND
+
+    assert [p for p in range(60) if _accepts(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+    assert not _accepts(561) and not _accepts(3215031751)  # Carmichael, spsp to bases 2..7
+    assert _accepts((1 << 61) - 1) and _accepts((1 << 64) + 13)
+    # a strong pseudoprime to the bases 2..37, found composite by base 41
+    assert not _accepts(318665857834031151167461)
+    assert _accepts(3317044064679887385961813)  # the largest prime below the bound
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        Field.padic(PRIME_BOUND)
+    with pytest.raises(ValueError, match=str(PRIME_BOUND)):
+        Field.padic((1 << 89) - 1)  # prime, but past what the test proves
+
+
+def _accepts(p) -> bool:
+    try:
+        Field.padic(p)
+    except ValueError:
+        return False
+    return True

@@ -487,8 +487,6 @@ def test_fingerprint_is_a_ring_homomorphism_where_defined(laurent, padic7):
     assert fingerprint(a.truncate_rel(2)) is None and fingerprint(laurent.small(3)) is None
     assert fingerprint(laurent.from_terms([(0, 1), (1, Fraction(1, 2 * P))])) is None
     assert fingerprint(padic7.from_rational(Fraction(1, 3 * P))) is None
-    # and over Q_P itself; Field() checks primality by trial division, which
-    # takes minutes at this p, so the field is assembled directly
-    qp = Field.__new__(Field)
-    qp.backend, qp.p, qp.prec = "padic", P, 64
+    # and over Q_P itself
+    qp = Field.padic(P)
     assert fingerprint(qp.from_rational(5)) is None and fingerprint(qp.from_rational(P)) is None
