@@ -14,6 +14,7 @@ from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, fingerprint
 from .poly import (
     Poly,
     annulus_residue_poly,
+    coeff_images,
     coeff_vals,
     count_roots_val_at_least,
     derivative,
@@ -245,10 +246,9 @@ def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
         fr = _rational_reconstruct(x.unit_digits(k), field.p**k)
         if fr is not None and fr != 0:
             candidates.append(field.from_rational(fr).shift(x.v))
-    images = [fingerprint(c) for c in g.coeffs]
-    screen = None not in images
+    images = coeff_images(g)
     for cand in candidates:
-        w = fingerprint(cand) if screen else None
+        w = fingerprint(cand) if images is not None else None
         if w is not None:
             acc = 0
             for c in reversed(images):

@@ -6,9 +6,13 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import PrecisionExhausted
-from .field import LAURENT, Field, FieldElem
+from .errors import PrecisionExhausted, PreconditionViolated
+from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, fingerprint
 from .valq import INF, NEG_INF
+
+# residue_roots scans all of F_p, which is hopeless for a huge prime, so root
+# search over the residue field refuses a p above this bound
+RESIDUE_SCAN_MAX_P = 1 << 16
 
 
 class Poly:
@@ -189,7 +193,24 @@ def poly_pseudo_divmod(g: Poly, f: Poly):
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd via the pseudo-remainder chain (exact on exact inputs)."""
+    """The monic gcd of f and g (the zero polynomial when both are zero).
+
+    Coprime exact inputs are usually proven coprime modulo a prime first, as
+    in Brown's modular gcd (J. ACM 18, 1971): the coefficients are mapped to
+    F_P by the ring homomorphism ``field.fingerprint``.  When every image is
+    defined, both leading images are nonzero and the gcd of the images over
+    F_P is a constant, the answer is 1.  This is sound because the resultant
+    Res(f, g) is a polynomial in the coefficients, and with both degrees kept
+    its image is Res(f mod P, g mod P), which is nonzero since those images
+    are coprime; so Res(f, g) != 0 and f, g have no common root.
+
+    Every other input (an undefined image, a vanishing leading image, a gcd
+    of positive degree modulo P, inexact coefficients) takes the exact
+    pseudo-remainder chain, the only path that returns a gcd of degree >= 1.
+    The chain is exact on exact inputs and also returns 1 on coprime ones.
+    """
+    if _coprime_mod_prime(coeff_images(f), coeff_images(g)):
+        return Poly(f.field, [f.field.one()])
     a, b = f, g
     while not b.is_zero:
         if b.degree == 0:
@@ -203,6 +224,34 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     if a.is_zero:
         return a
     return monic(a)
+
+
+def coeff_images(f: Poly) -> list[int] | None:
+    """The images of f's coefficients (constant term first) under
+    ``field.fingerprint``, or None when one of them has no image."""
+    images = [fingerprint(c) for c in f.coeffs]
+    return None if None in images else images
+
+
+def _coprime_mod_prime(a, b) -> bool:
+    """Whether the coefficient images a and b (constant term first, None when
+    undefined) are nonempty with nonzero leading entries and have a constant
+    gcd over F_P, P = FINGERPRINT_PRIME."""
+    if not a or not b or not a[-1] or not b[-1]:
+        return False
+    P = FINGERPRINT_PRIME
+    while b:
+        # a := a mod b; the leading entry of b is nonzero
+        inv = pow(b[-1], -1, P)
+        while len(a) >= len(b):
+            c = a.pop() * inv % P
+            shift = len(a) - len(b) + 1
+            for j, bj in enumerate(b[:-1]):
+                a[shift + j] = (a[shift + j] - c * bj) % P
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def monic(f: Poly) -> Poly:
@@ -235,7 +284,12 @@ def exact_divide(g: Poly, f: Poly) -> Poly:
 
 
 def squarefree_part(f: Poly) -> Poly:
-    """f / gcd(f, f'), monic up to the original leading coefficient."""
+    """f / gcd(f, f'): the same roots as f, each of multiplicity one.
+
+    The leading coefficient is f's own.  f is returned unchanged when its
+    degree is at most 1 or the gcd is a constant; ``poly_gcd`` usually proves
+    the latter modulo a prime, so a squarefree f costs no remainder chain.
+    """
     d = f.degree
     if d is None or d <= 1:
         return f
@@ -350,7 +404,8 @@ def residue_roots(field: Field, coeffs):
     """All roots, in the residue field, of the residue polynomial given by
     ``coeffs`` (Fractions over laurent-q, integers mod p over padic).
 
-    Over Q this is an exhaustive rational-root search; over F_p a scan.
+    Over Q this is an exhaustive rational-root search; over F_p a scan, so
+    p above RESIDUE_SCAN_MAX_P raises PreconditionViolated.
     """
     if field.backend == LAURENT:
         cs = [Fraction(c) for c in coeffs]
@@ -381,6 +436,10 @@ def residue_roots(field: Field, coeffs):
                             roots.add(Fraction(n, den))
         return sorted(roots)
     p = field.p
+    if p > RESIDUE_SCAN_MAX_P:
+        raise PreconditionViolated(
+            f"root search over F_p scans every residue; p = {p} exceeds {RESIDUE_SCAN_MAX_P}"
+        )
     cs = [int(c) % p for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()

@@ -97,6 +97,13 @@ def test_bad_field_is_a_precondition_violation(capsys, argv, message):
     assert "Traceback" not in err
 
 
+def test_root_search_over_a_huge_prime_is_a_precondition_violation(capsys):
+    p = (1 << 61) - 1
+    code, out, err = run_cli(capsys, "--field", "padic", "--p", str(p), "decide", "EX y:K. y = 3")
+    assert code == 4 and out == ""
+    assert err == f"precondition violated: root search over F_p scans every residue; p = {p} exceeds 65536\n"
+
+
 @pytest.mark.parametrize("depth", [250, 3000])
 def test_deep_nesting_is_a_syntax_error(capsys, depth):
     text = "EX x:K. " + "(" * depth + "x = 1" + ")" * depth

@@ -1,15 +1,21 @@
 import random
+import time
 from fractions import Fraction
 
+import gcd_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqe.errors import PrecisionExhausted
-from hqe.field import Field
+import hqe.poly
+from hqe.errors import PrecisionExhausted, PreconditionViolated
+from hqe.field import FINGERPRINT_PRIME, FINGERPRINT_T, Field
+from hqe.hensel import field_roots
 from hqe.poly import (
+    RESIDUE_SCAN_MAX_P,
     Poly,
     _divisors,
+    coeff_images,
     derivative,
     exact_divide,
     monic,
@@ -98,8 +104,8 @@ def test_pseudo_divmod_exact(laurent):
 def test_gcd_of_coprime_exact_inputs_is_one(laurent):
     t = laurent.uniformizer()
     one = laurent.one()
-    # x^3 + (1 + t^5) x + t^7 + 3 is squarefree; the chain ends in a long
-    # exact constant
+    # x^3 + (1 + t^5) x + t^7 + 3 is squarefree; the exact chain would end
+    # in a long exact constant, and the images modulo a prime prove it first
     f = Poly(laurent, [t**7 + 3, one + t**5, laurent.zero(), one])
     assert poly_gcd(f, derivative(f)) == Poly(laurent, [one])
     assert poly_gcd(Poly.from_rationals(laurent, [1, 1]), Poly.from_rationals(laurent, [2, 1])) == Poly(
@@ -209,3 +215,191 @@ def test_residue_roots_matches_fraction_search(data, roots, scale):
             cs[i] -= r * cs[i + 1]
     cs = [c * scale for c in cs]
     assert residue_roots(Field.laurent(), cs) == _residue_roots_by_fractions(cs)
+
+
+def test_residue_roots_refuses_a_huge_prime():
+    """Root search over F_p scans every residue, so a huge p is refused at
+    once instead of running for hours; the bound is named in the message."""
+    P = FINGERPRINT_PRIME
+    field = Field.padic(P)
+    start = time.perf_counter()
+    with pytest.raises(PreconditionViolated, match=str(RESIDUE_SCAN_MAX_P)):
+        residue_roots(field, [-3, 1])
+    with pytest.raises(PreconditionViolated, match=str(RESIDUE_SCAN_MAX_P)):
+        field_roots(Poly(field, [field.from_rational(-3 * P), field.one()]))
+    assert time.perf_counter() - start < 0.5
+
+
+# ---- the modular coprimality screen of poly_gcd ------------------------------------
+
+
+_GCD_FIELDS = [Field.laurent(), Field.padic(7), Field.padic(2)]
+
+
+@st.composite
+def gcd_pairs(draw):
+    """(f, g) over one of three fields: f = h*a and g = h*b with a planted
+    common factor h of degree 0-2, f = h^2*a with a square factor, or f and
+    g with random exact coefficients.  A coefficient may be short, zero,
+    have the fingerprint prime in its denominator (no image) or be a
+    multiple of an element that maps to 0 (P, and t - FINGERPRINT_T over
+    laurent-q), also in a leading position, where the image loses a degree."""
+    field = draw(st.sampled_from(_GCD_FIELDS))
+    one = field.one()
+    P = FINGERPRINT_PRIME
+
+    def short(dens=(1, 3, 5)):
+        if field.backend == "laurent-q":
+            n = draw(st.integers(1, 3))
+            lo = draw(st.integers(-2, 3))
+            terms = [(lo + i, Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from(dens))))
+                     for i in range(n)]
+            c = field.from_terms(terms)
+        else:
+            c = field.from_rational(Fraction(draw(st.integers(-60, 60)), draw(st.sampled_from(dens))))
+        return c if not c.is_zero else one
+
+    # in half the examples every coefficient has an image, so that the
+    # screen decides and its answers are tested
+    kinds = ["short", "short", "short", "zero"]
+    if draw(st.booleans()):
+        kinds += ["no-image", "zero-image"]
+
+    def coeff(kind=None):
+        kind = kind or draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return field.zero()
+        if kind == "no-image":
+            return short((P, 2 * P))
+        if kind == "zero-image":
+            vanishing = [field.from_rational(P)]
+            if field.backend == "laurent-q":
+                vanishing.append(field.uniformizer() - FINGERPRINT_T)
+            return short() * draw(st.sampled_from(vanishing))
+        return short()
+
+    def poly(lo, hi, lead_kind=None):
+        cs = [coeff() for _ in range(draw(st.integers(lo, hi)))]
+        lead = coeff(lead_kind)
+        return Poly(field, cs + [lead if not lead.is_zero else one])
+
+    shape = draw(st.sampled_from(["planted", "random", "square"]))
+    if shape == "planted":
+        # a common factor whose leading image vanishes maps to one of lower
+        # degree, which the images of f and g may then not share
+        h = poly(0, 2, draw(st.sampled_from(["short", "zero-image"])))
+        return h * poly(0, 3), h * poly(0, 3)
+    if shape == "square":
+        h = poly(1, 1)
+        return h * h * poly(0, 2), poly(0, 3)
+    return poly(0, 4), poly(0, 4)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the same error counts as the same answer
+        return type(e), str(e)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=gcd_pairs())
+def test_gcd_matches_unscreened_reference(pair):
+    """The screen never changes a gcd or a squarefree part: the same
+    polynomial, coefficient by coefficient, or the same error as the frozen
+    exact chain."""
+    f, g = pair
+    assert _outcome(poly_gcd, f, g) == _outcome(gcd_reference.poly_gcd, f, g)
+    assert _outcome(poly_gcd, g, f) == _outcome(gcd_reference.poly_gcd, g, f)
+    for h in (f, g):
+        assert _outcome(squarefree_part, h) == _outcome(gcd_reference.squarefree_part, h)
+
+
+@pytest.fixture
+def chain_calls(monkeypatch):
+    """Counts the calls of the exact chain's pseudo-division."""
+    calls = []
+    exact = hqe.poly.poly_pseudo_divmod
+
+    def counted(g, f):
+        calls.append(1)
+        return exact(g, f)
+
+    monkeypatch.setattr(hqe.poly, "poly_pseudo_divmod", counted)
+    return calls
+
+
+def _lin(field, c1, c0):
+    return Poly(field, [c0, c1])
+
+
+def test_gcd_vanishing_leading_image_takes_the_chain(laurent, chain_calls):
+    """h = (t - FINGERPRINT_T) x + 1 maps to 1, so f = h (x + 1) and
+    g = h (x + 2) map to coprime images of lower degree; the leading images
+    vanish, so the chain finds the common factor."""
+    one = laurent.one()
+    h = _lin(laurent, laurent.uniformizer() - FINGERPRINT_T, one)
+    assert coeff_images(h) == [1, 0]
+    f, g = h * _lin(laurent, one, one), h * _lin(laurent, one, one + one)
+    got = poly_gcd(f, g)
+    assert chain_calls and got.degree == 1 and got == gcd_reference.poly_gcd(f, g)
+    sq = h * h * _lin(laurent, one, one)
+    assert squarefree_part(sq) == gcd_reference.squarefree_part(sq)
+    assert squarefree_part(sq).degree == 2
+
+
+def test_gcd_coefficient_without_image_takes_the_chain(laurent, padic7, chain_calls):
+    P = FINGERPRINT_PRIME
+    for field in (laurent, padic7):
+        one = field.one()
+        h = _lin(field, one, field.from_rational(Fraction(-1, P)))
+        assert coeff_images(h) is None
+        f, g = h * _lin(field, one, one), h * _lin(field, one, one + one)
+        got = poly_gcd(f, g)
+        assert got.degree == 1 and got == gcd_reference.poly_gcd(f, g)
+    assert len(chain_calls) >= 2
+
+
+def test_gcd_inexact_coefficient_takes_the_chain(laurent, chain_calls):
+    """(x - 1)(x - 2) with its constant term known to 20 digits has no image;
+    the chain decides as it always did."""
+    one = laurent.one()
+    f = Poly(laurent, [laurent.from_rational(2).truncate_rel(20), laurent.from_rational(-3), one])
+    assert coeff_images(f) is None
+    for g in (Poly.from_rationals(laurent, [-3, 1]), Poly.from_rationals(laurent, [-1, 1])):
+        assert _outcome(poly_gcd, f, g) == _outcome(gcd_reference.poly_gcd, f, g)
+    assert chain_calls
+
+
+def test_gcd_over_q_fingerprint_prime_takes_the_chain(chain_calls):
+    """Over Q_P for the fingerprint prime P no element has an image."""
+    field = Field.padic(FINGERPRINT_PRIME)
+    x = Poly(field, [field.zero(), field.one()])
+    one = Poly.from_rationals(field, [1])
+    assert coeff_images(x + one) is None
+    got = poly_gcd((x - one) * (x + one), (x - one) * (x + one + one))
+    assert chain_calls and got == x - one
+    assert squarefree_part((x - one) * (x - one) * (x + one)).degree == 2
+
+
+def test_squarefree_input_skips_the_chain(monkeypatch):
+    """A counted guard, no timing: a squarefree prec-128 laurent-q polynomial
+    shaped like the roots benchmark's "m0 c2 m-1" template (37 times the
+    roots u, u + u' t^2 and u'' t^-1, times x^2 - 2) never reaches the
+    pseudo-division, and (x - 1)^2 (x + 1) still does."""
+    def chain(g, f):
+        raise AssertionError("the exact chain ran")
+
+    field = Field.laurent().with_prec(128)
+    r1 = field.from_rational(-3)
+    f = Poly.from_rationals(field, [-74, 0, 37])
+    for r in (r1, r1 + field.monomial(Fraction(1, 2), 2), field.monomial(2, -1)):
+        f = f * Poly(field, [-r, field.one()])
+    x1 = Poly.from_rationals(field, [-1, 1])
+    sq = x1 * x1 * Poly.from_rationals(field, [1, 1])
+    monkeypatch.setattr(hqe.poly, "poly_pseudo_divmod", chain)
+    assert squarefree_part(f) is f
+    with pytest.raises(AssertionError, match="the exact chain ran"):
+        squarefree_part(sq)
+    monkeypatch.undo()
+    assert squarefree_part(sq).degree == 2
