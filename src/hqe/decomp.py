@@ -16,14 +16,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
 
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
-from .field import LAURENT, Field, FieldElem
+from .field import LAURENT, Field, FieldElem, _lconv
 from .hensel import derivative_roots, elem_sort_key, resolution_horizon
 from .poly import Poly, annulus_residue_poly, argmin_indices, residue_roots, taylor_shift
-from .rv import RVElem, rv
+from .rv import RVElem
 from .valq import INF, NEG_INF, as_order, as_value
 
 _MAX_DEPTH = 600
@@ -56,67 +57,169 @@ class Piece:
         a_m = self.coeffs[self.m]
         if self.m == 0:
             return INF if a_m.is_zero else a_m.val()
-        r = (x - self.center).val() if not (x - self.center).is_zero else INF
-        if r == INF:
+        d = x - self.center
+        if d.is_zero:
             return INF
+        r = d.val()
         self._depth_guard(r)
         return a_m.val() + r * self.m
+
+    @cached_property
+    def _terms(self) -> dict:
+        # order -> linearization, filled on the first query at that order
+        return {}
+
+    @cached_property
+    def _exact(self) -> bool:
+        return self.center.is_exact and all(c.is_exact for c in self.coeffs)
+
+    @cached_property
+    def _vq(self) -> int:
+        return _int_val(self.center.field, self.q)
 
     def _depth_guard(self, r):
         # a piece built around truncated data does not resolve structure
         # below the working precision
-        field = self.center.field
-        if r >= resolution_horizon(field) and not (
-            self.center.is_exact and all(c.is_exact or c.is_zero for c in self.coeffs)
-        ):
+        if r >= resolution_horizon(self.center.field) and not self._exact:
             raise PrecisionExhausted("point lies deeper than the center is known")
 
+    def linearization(self, gamma: int) -> tuple:
+        """The terms of rv_gamma(f(x)) in j order, built once per order:
+        ``(j, None, (v, u, den, rel))`` for the class rv_gamma(a_j) of value
+        v whose unit is known to rel <= gamma + 1 digits, u its integer
+        digits over den (laurent-q) or an int mod p^rel (padic, den 1); and
+        ``(j, lb, None)`` for a coefficient with no class -- unresolved, or
+        an order bound -- where lb is a lower bound on v(a_j).  A zero
+        coefficient has no entry."""
+        terms = self._terms.get(gamma)
+        if terms is None:
+            field = self.center.field
+            laurent = field.backend == LAURENT
+            k = gamma + 1
+            terms = []
+            for j, a in enumerate(self.coeffs):
+                if a.is_zero:
+                    continue
+                if a.is_small or coeff_unresolved(field, a):
+                    terms.append((j, a.val_lb(), None))
+                    continue
+                rel = k if a.rel is None else min(a.rel, k)
+                cls = (a.v, a.u[:rel], a.den, rel) if laurent else (a.v, a.unit_digits(rel), 1, rel)
+                terms.append((j, None, cls))
+            terms = self._terms[gamma] = tuple(terms)
+        return terms
+
+    def rv_terms(self, order: int) -> list:
+        """(j, rv_order(a_j)) for each coefficient resolved at the horizon, in
+        j order; raises as ``rv(a_j, order)`` does on an order bound or on a
+        unit known to fewer than order + 1 digits."""
+        field = self.center.field
+        horizon = resolution_horizon(field)
+        out = []
+        for j, lb, cls in self.linearization(order):
+            if cls is None:
+                # an unresolved coefficient has lb at or past the horizon
+                if lb < horizon:
+                    raise PrecisionExhausted("class of an element with unknown leading digit")
+                continue
+            v, u, den, rel = cls
+            if rel <= order:
+                raise PrecisionExhausted(f"need {order + 1} unit digits, have {rel}")
+            if field.backend == LAURENT:
+                u = tuple(Fraction(c, den) for c in u) + (Fraction(0),) * (order + 1 - len(u))
+            out.append((j, RVElem(field, order, v, u)))
+        return out
+
     def eval_rv(self, x: FieldElem, delta) -> RVElem:
-        """rv_delta(f(x)) computed from leading-term data only: canonical
-        representatives of rv_{delta+v(q)}(a_j (x-center)^j) are summed and
-        the sum is projected to order delta."""
+        """rv_delta(f(x)) from the linearization of the piece.  With
+        gamma = delta + v(q) and d = x - center,
+
+            rv_gamma(f(x)) = (+)_j rv_gamma(a_j) * rv_gamma(d)^j,
+
+        and the sum is projected to order delta.  It runs on integers: the
+        gamma + 1 unit digits of d are read once, each power of rv_gamma(d)
+        costs one product truncated to gamma + 1 digits, and the classes
+        are summed through their canonical representatives (over a common
+        denominator on laurent-q, with aligned powers of p on padic).
+
+        A term with no class -- its coefficient unresolved or an order
+        bound, or d known only to an order bound -- is dropped with a lower
+        bound on its value.  PrecisionExhausted when a dropped term could
+        reach the leading term of the sum, when a kept term is known to
+        fewer than gamma + 1 digits, or when x lies deeper than the data of
+        the piece resolves."""
         if not self.contains(x):
             raise NotInPiece(f"{x} is not in {self.cheese}")
         delta = as_order(delta)
         field = self.center.field
-        vq = _int_val(field, self.q)
-        gamma = delta + vq
-        reps = []
-        ignored = INF  # lower bound on terms dropped as zero-at-precision
+        gamma = delta + self._vq
+        k = gamma + 1
         d = x - self.center
-        if not d.is_zero:
-            self._depth_guard(d.val_lb())
-        # only gamma + 1 unit digits of each factor survive into the class
+        dlb = None if d.is_zero else d.val_lb()  # v(d), or its order bound
+        if dlb is not None:
+            self._depth_guard(dlb)
+        laurent = field.backend == LAURENT
+        pw, mod = ((1,), None) if laurent else (1, field.p**k)
         if not (d.is_zero or d.is_small):
-            d = d.truncate_rel(gamma + 1)
-        for j, a in enumerate(self.coeffs):
-            if a.is_zero:
+            # the unit digits of rv_gamma(d), fewer when d is known to fewer
+            drel = k if d.rel is None else min(d.rel, k)
+            du = d.u[:drel] if laurent else d.unit_digits(drel)
+        pj = 0  # pw is the unit of rv_gamma(d)^pj, over d.den^pj on laurent-q
+        ignored = INF  # lower bound on the dropped terms
+        kept = []  # (value, unit, den) of each term class
+        for j, lb, cls in self.linearization(gamma):
+            if j and d.is_zero:
+                continue  # the whole term vanishes exactly
+            if cls is None:
+                ignored = min(ignored, lb + j * dlb if j else lb)
                 continue
-            if coeff_unresolved(field, a):
-                if j > 0 and d.is_zero:
-                    continue  # the whole term vanishes exactly
-                lb = a.rel if a.is_small else a.val()
-                if j > 0:
-                    lb = lb + d.val_lb() * j
-                ignored = min(ignored, lb)
-                continue
-            if not a.is_small:
-                a = a.truncate_rel(gamma + 1)
-            term = a * d**j
-            if term.is_zero:
-                continue
-            if term.is_small:
-                ignored = min(ignored, term.rel)
-                continue
-            reps.append(rv(term, gamma).rep())
-        if not reps:
+            v, u, den, rel = cls
+            if j:
+                if d.is_small:
+                    ignored = min(ignored, v + j * dlb)
+                    continue
+                rel = min(rel, drel)
+            if rel < k:
+                raise PrecisionExhausted(f"need {k} unit digits, have {rel}")
+            while pj < j:
+                pw = _lconv(pw, du, k) if laurent else pw * du % mod
+                pj += 1
+            if not j:
+                kept.append((v, u, den))
+            elif laurent:
+                kept.append((v + j * dlb, _lconv(u, pw, k), den * d.den**j))
+            else:
+                kept.append((v + j * dlb, u * pw % mod, 1))
+        if not kept:
             return RVElem.inf(field, delta)
-        total = field.zero()
-        for r in reps:
-            total = total + r
-        if ignored < INF and not total.is_zero and total.val() + gamma >= ignored:
+        low = min(v for v, _, _ in kept)
+        if laurent:
+            common = lcm(*(den for _, _, den in kept))
+            total = {}
+            for v, u, den in kept:
+                scale = common // den
+                for i, c in enumerate(u, v - low):
+                    if c:
+                        total[i] = total.get(i, 0) + c * scale
+            lead = min((i for i, c in total.items() if c), default=None)
+            if lead is None:
+                return RVElem.inf(field, delta)
+        else:
+            p = field.p
+            total = sum(u * p ** (v - low) for v, u, _ in kept)
+            if not total:
+                return RVElem.inf(field, delta)
+            lead = 0
+            while not total % p:
+                total //= p
+                lead += 1
+        if low + lead + gamma >= ignored:
             raise PrecisionExhausted("dropped term could affect the leading term")
-        return rv(total, delta)
+        if laurent:
+            unit = tuple(Fraction(total.get(lead + i, 0), common) for i in range(delta + 1))
+        else:
+            unit = total % p ** (delta + 1)
+        return RVElem(field, delta, low + lead, unit)
 
     def to_json(self):
         return {

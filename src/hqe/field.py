@@ -34,6 +34,7 @@ from .errors import (
     FormulaSyntaxError,
     NegativeValue,
     PrecisionExhausted,
+    PreconditionViolated,
 )
 from .valq import INF, as_order
 
@@ -51,6 +52,15 @@ _SMALL = "s"    # zero to its known precision: only v >= bound is known
 # that short Laurent polynomials such as t - 2 do not map to 0
 FINGERPRINT_PRIME = (1 << 61) - 1
 FINGERPRINT_T = 0x2545F4914F6CDD1D % FINGERPRINT_PRIME
+
+# a laurent-q unit is a dense digit vector, so a sparse literal such as
+# t^-50000000 + t^50000000 would fill memory across its span: the kernel
+# refuses to allocate a vector longer than this
+MAX_DIGIT_SPAN = 1 << 11
+
+
+def _span_error(n: int) -> PreconditionViolated:
+    return PreconditionViolated(f"laurent-q digit span {n} exceeds MAX_DIGIT_SPAN = {MAX_DIGIT_SPAN}")
 
 
 def _int_vp(n: int, p: int) -> int:
@@ -189,8 +199,10 @@ class Field:
             acc = {k: c for k, c in acc.items() if c != 0}
             if not acc:
                 return self.zero()
-            v = min(acc)
-            unit = [acc.get(v + i, Fraction(0)) for i in range(max(acc) - v + 1)]
+            v, top = min(acc), max(acc)
+            if top - v >= MAX_DIGIT_SPAN:
+                raise _span_error(top - v + 1)
+            unit = [acc.get(v + i, Fraction(0)) for i in range(top - v + 1)]
             return _lelem(self, v, *_lfrom_fractions(unit), None)
         total = Fraction(0)
         for k, c in terms:
@@ -449,6 +461,10 @@ class FieldElem:
             return NotImplemented
         if n < 0:
             return (self.field.one() / self) ** (-n)
+        if self.kind == _NUM and self.rel is None and self.field.backend == LAURENT:
+            span = (len(self.u) - 1) * n + 1
+            if span > MAX_DIGIT_SPAN:
+                raise _span_error(span)  # before any squaring
         result = self.field.one()
         base = self
         while n:
@@ -609,6 +625,8 @@ def _add(x: FieldElem, y: FieldElem) -> FieldElem:
             length = max(len(x.u), s + len(y.u))
         else:
             length = cap - x.v
+        if length > MAX_DIGIT_SPAN:
+            raise _span_error(length)
         # bring both units to the common denominator lcm(x.den, y.den)
         g = gcd(x.den, y.den)
         ma, mb = y.den // g, x.den // g
@@ -649,7 +667,11 @@ def _mul(x: FieldElem, y: FieldElem) -> FieldElem:
     rel = _min_rel(x.rel, y.rel)
     if f.backend == LAURENT:
         n = len(x.u) + len(y.u) - 1
-        digits = _lconv(x.u, y.u, n if rel is None else min(rel, n))
+        if rel is not None and rel < n:
+            n = rel
+        if n > MAX_DIGIT_SPAN:
+            raise _span_error(n)
+        digits = _lconv(x.u, y.u, n)
         return _lelem(f, x.v + y.v, digits, x.den * y.den, rel)
     if rel is None:
         return _pelem(f, x.v + y.v, x.u * y.u, x.den * y.den)

@@ -14,6 +14,16 @@ from .valq import INF, NEG_INF
 # search over the residue field refuses a p above this bound
 RESIDUE_SCAN_MAX_P = 1 << 16
 
+# root search costs at least quadratic time in the degree, so no polynomial
+# of higher degree is built
+MAX_DEGREE = 128
+
+
+def check_degree(n: int):
+    """PreconditionViolated when degree n exceeds MAX_DEGREE."""
+    if n > MAX_DEGREE:
+        raise PreconditionViolated(f"polynomial degree {n} exceeds MAX_DEGREE = {MAX_DEGREE}")
+
 
 class Poly:
     """Coefficient-list polynomial; leading coefficient is not an exact zero
@@ -25,6 +35,7 @@ class Poly:
         cs = list(coeffs)
         while cs and cs[-1].is_zero:
             cs.pop()
+        check_degree(len(cs) - 1)
         self.field = field
         self.coeffs = tuple(cs)
 

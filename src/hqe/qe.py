@@ -65,7 +65,7 @@ from .formula import (
     subst,
 )
 from .hensel import field_roots, is_root, resolution_horizon, same_point
-from .poly import Poly, poly_gcd
+from .poly import Poly, check_degree, poly_gcd
 from .regions import (
     Region,
     cell_partition,
@@ -180,13 +180,13 @@ def term_to_poly(term, var: str, field: Field) -> Poly:
     if isinstance(term, FNeg):
         return -term_to_poly(term.arg, var, field)
     if isinstance(term, FPow):
-        if term.exp < 0:
-            base = term_to_poly(term.base, var, field)
-            if base.degree != 0:
-                raise NonEffectiveQuantifier("negative power of a non-constant term")
-            return Poly(field, [base.coeffs[0] ** term.exp])
-        out = Poly(field, [field.one()])
         base = term_to_poly(term.base, var, field)
+        if base.degree == 0:
+            return Poly(field, [base.coeffs[0] ** term.exp])
+        if term.exp < 0:
+            raise NonEffectiveQuantifier("negative power of a non-constant term")
+        check_degree(base.degree * term.exp if base.degree else 0)  # before the products
+        out = Poly(field, [field.one()])
         for _ in range(term.exp):
             out = out * base
         return out
@@ -221,6 +221,7 @@ def rvterm_to_poly(term, var: str, field: Field):
         if inner is None or term.exp < 0:
             return None
         out = Poly(field, [field.one()])
+        check_degree(inner[1].degree * term.exp if inner[1].degree else 0)
         for _ in range(term.exp):
             out = out * inner[1]
         return inner[0], out
@@ -661,10 +662,8 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
             w = RVVarT(f"w{center_index(piece.center) + 1}", gamma)
             wp = w if need == gamma else RVProjT(need, w)
             terms = []
-            for j, a in enumerate(piece.coeffs):
-                if a.is_zero or coeff_unresolved(field, a):
-                    continue
-                lit = RVLitT(rv(a, need))
+            for j, cls in piece.rv_terms(need):
+                lit = RVLitT(cls)
                 terms.append(lit if j == 0 else RVMulT(lit, RVPowT(wp, j)))
             if not terms:
                 return RVLitT(RVElem.inf(field, delta))

@@ -1,6 +1,8 @@
 import io
 import json
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +104,45 @@ def test_root_search_over_a_huge_prime_is_a_precondition_violation(capsys):
     code, out, err = run_cli(capsys, "--field", "padic", "--p", str(p), "decide", "EX y:K. y = 3")
     assert code == 4 and out == ""
     assert err == f"precondition violated: root search over F_p scans every residue; p = {p} exceeds 65536\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eval", "t^-50000000 + t^50000000"], "laurent-q digit span 100000001 exceeds MAX_DIGIT_SPAN = 2048"),
+        (["eval", "t^-50000000 + O(t^50000000) + 1"], "laurent-q digit span 100000000 exceeds MAX_DIGIT_SPAN = 2048"),
+        (["eval", "(1 + t)^100000"], "laurent-q digit span 100001 exceeds MAX_DIGIT_SPAN = 2048"),
+        (["decide", "EX y:K. y^100000 = t"], "polynomial degree 100000 exceeds MAX_DEGREE = 128"),
+        (["decide", "EX y:K. (y + 1)^100 * y^29 = t"], "polynomial degree 129 exceeds MAX_DEGREE = 128"),
+        (["decompose", "--poly", "x^200 - t"], "polynomial degree 200 exceeds MAX_DEGREE = 128"),
+    ],
+)
+def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == f"precondition violated: {message}\n"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("decompose_x2_minus_t2.json", ["decompose", "--poly", "x^2 - t^2"]),
+        ("decompose_x2_minus_t2_rv0.json", ["decompose", "--poly", "x^2 - t^2", "--rv-order", "0"]),
+        (
+            "decompose_padic7_cluster_rv1.json",
+            ["--field", "padic", "--p", "7", "decompose", "--poly", "(x - 1)*(x - 8)*(x - 50)", "--rv-order", "1"],
+        ),
+    ],
+)
+def test_decompose_output_is_byte_identical_to_golden(capsys, name, argv):
+    code, out, _ = run_cli(capsys, "--prec", "64", *argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text()
 
 
 @pytest.mark.parametrize("depth", [250, 3000])

@@ -2,14 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import eval_rv_reference
 from hqe.balls import Ball, SwissCheese
 from hqe.decomp import Piece, decompose, m_bound, rv_decompose
-from hqe.errors import NotInPiece
-from hqe.field import Field
-from hqe.hensel import derivative_roots, is_root
+from hqe.errors import NotInPiece, PrecisionExhausted
+from hqe.field import Field, FieldElem
+from hqe.hensel import derivative_roots, is_root, resolution_horizon
 from hqe.poly import Poly, derivative
-from hqe.rv import rv
+from hqe.rv import RVElem, rv
 from hqe.valq import INF
 
 
@@ -228,3 +231,111 @@ def test_json_roundtrip_pieces(laurent):
         assert back.cheese == p.cheese
         assert back.m == p.m and back.q == p.q
         assert all((a - b).is_zero or (a - b).is_small for a, b in zip(back.coeffs, p.coeffs))
+
+
+# ---- the compiled linearization against the frozen field-product path ------
+
+_LIN_FIELDS = [Field.laurent(), Field.padic(7), Field.padic(2)]
+# x^2 - a has no root: over padic-2 its annulus leaves a slack piece, q > 1
+_NON_SQUARE = {None: 2, 7: 3, 2: 5}  # by field.p
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as e:  # the same error counts as the same answer
+        return type(e), str(e)
+
+
+def _planted(draw, field):
+    """lead * prod (x - r) * tail, degree 1-6, with clustered roots: a root
+    is fresh or an earlier one plus u pi^k."""
+    tail = draw(st.booleans())
+    roots = []
+    for _ in range(draw(st.integers(1, 4 if tail else 6))):
+        u = field.from_rational(Fraction(draw(st.sampled_from([1, -1, 3, -3, 5])), draw(st.sampled_from([1, 3]))))
+        if roots and draw(st.booleans()):
+            roots.append(draw(st.sampled_from(roots)) + field.monomial(1, draw(st.integers(1, 3))) * u)
+        else:
+            roots.append(field.monomial(1, draw(st.integers(-1, 2))) * u)
+    f = Poly(field, [field.from_rational(draw(st.sampled_from([1, 2, -1])))])
+    for r in roots:
+        f = f * Poly(field, [-r, field.one()])
+    if tail:
+        f = f * Poly.from_rationals(field, [-_NON_SQUARE[field.p], 0, 1])
+    return f
+
+
+@st.composite
+def linearization_queries(draw):
+    """(piece, points): a piece of a planted polynomial's decomposition, as
+    built, read back from JSON (inexact coefficients), or with a coefficient
+    made an order bound or cut to few digits; points on the grid, from the
+    cheese, at pi^k from the center up to and past the resolution horizon,
+    and truncated to few digits."""
+    field = draw(st.sampled_from(_LIN_FIELDS))
+    pieces = decompose(_planted(draw, field))
+    piece = draw(st.sampled_from(pieces))
+    how = draw(st.sampled_from(["built", "json", "order-bound", "short"]))
+    if how != "built":
+        piece = Piece.from_json(field, piece.to_json())
+    if how in ("order-bound", "short"):
+        cs = list(piece.coeffs)
+        i = draw(st.integers(0, len(cs) - 1))
+        if how == "order-bound":
+            cs[i] = field.small(draw(st.integers(-2, 6)))
+        elif not cs[i].is_zero and not cs[i].is_small:
+            cs[i] = cs[i].truncate_rel(draw(st.integers(1, 3)))
+        piece = Piece(piece.cheese, piece.center, tuple(cs), piece.m, piece.severity_bound, piece.q)
+    horizon = resolution_horizon(field)
+    points = [piece.center]
+    points += draw(st.lists(st.sampled_from(grid(field, ks=range(-3, 4))), min_size=1, max_size=4))
+    for k in draw(st.lists(st.sampled_from([0, 1, 2, 5, horizon - 1, horizon, horizon + 1, horizon + 4]), max_size=3)):
+        points.append(piece.center + field.monomial(draw(st.sampled_from([1, -1, 3])), k))
+    try:
+        points.append(piece.cheese.sample())
+    except PrecisionExhausted:
+        pass
+    for x in list(points):
+        if not (x.is_zero or x.is_small) and draw(st.booleans()):
+            points.append(x.truncate_rel(draw(st.integers(1, 4))))
+    return piece, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=linearization_queries())
+def test_eval_rv_matches_field_product_reference(case):
+    piece, points = case
+    for x in points:
+        assert _outcome(piece.eval_v, x) == _outcome(eval_rv_reference.eval_v, piece, x), str(x)
+        for delta in range(4):
+            got = _outcome(piece.eval_rv, x, delta)
+            assert got == _outcome(eval_rv_reference.eval_rv, piece, x, delta), (str(x), delta)
+
+
+class _Forbidden(Exception):
+    pass
+
+
+def _forbidden(*args):
+    raise _Forbidden("the field-product path ran")
+
+
+def test_eval_rv_never_forms_a_field_power_or_a_representative(monkeypatch, any_field):
+    one, pi = any_field.one(), any_field.uniformizer()
+    cluster = pi + any_field.monomial(1, 2)
+    f = (
+        Poly(any_field, [-pi, one])
+        * Poly(any_field, [-cluster, one])
+        * Poly.from_rationals(any_field, [-_NON_SQUARE[any_field.p], 0, 1])
+    )
+    pieces = decompose(f)
+    assert any_field.p != 2 or any(p.q > 1 for p in pieces)
+    pts = grid(any_field, ks=range(-3, 4)) + [cluster + any_field.monomial(1, 5)]
+    queries = [(p, x, delta) for p in pieces for x in pts if p.contains(x) for delta in range(3)]
+    want = [_outcome(eval_rv_reference.eval_rv, p, x, delta) for p, x, delta in queries]
+    monkeypatch.setattr(RVElem, "rep", _forbidden)
+    monkeypatch.setattr(FieldElem, "__pow__", _forbidden)
+    got = [_outcome(p.eval_rv, x, delta) for p, x, delta in queries]
+    assert got == want
+    assert sum(isinstance(r, RVElem) for r in got) > len(got) // 2

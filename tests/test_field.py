@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqe.errors import DivisionByZero, HQEError, PrecisionExhausted
-from hqe.field import Field
+from hqe.errors import DivisionByZero, HQEError, PrecisionExhausted, PreconditionViolated
+from hqe.field import MAX_DIGIT_SPAN, Field
 from hqe.valq import INF
 
 import fraction_kernel as oracle
@@ -394,3 +394,20 @@ def _accepts(p) -> bool:
     except ValueError:
         return False
     return True
+
+
+def test_digit_span_bound_is_checked_before_allocation(laurent):
+    t = laurent.uniformizer()
+    edge = MAX_DIGIT_SPAN - 1
+    assert laurent.from_terms([(0, 1), (edge, 1)]).u[-1] == 1
+    assert (t**-3 + t ** (edge - 3)).val() == -3
+    assert ((1 + t**89) ** 23).u[edge] == 1  # 89 * 23 == edge
+    for build in (
+        lambda: laurent.from_terms([(0, 1), (edge + 1, 1)]),
+        lambda: t**-3 + t ** (edge - 2),
+        lambda: (1 + t**89) ** 24,
+        lambda: (1 + t ** (edge // 2 + 1)) * (1 + t ** (edge // 2 + 1)),
+        lambda: laurent.parse("t^-5 + O(t^5000)") + 1,
+    ):
+        with pytest.raises(PreconditionViolated, match="MAX_DIGIT_SPAN"):
+            build()

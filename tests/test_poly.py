@@ -403,3 +403,12 @@ def test_squarefree_input_skips_the_chain(monkeypatch):
         squarefree_part(sq)
     monkeypatch.undo()
     assert squarefree_part(sq).degree == 2
+
+
+def test_degree_bound(laurent):
+    one = laurent.one()
+    top = hqe.poly.MAX_DEGREE
+    assert Poly(laurent, [one] * (top + 1)).degree == top
+    assert Poly(laurent, [one] * (top + 1) + [laurent.zero()]).degree == top
+    with pytest.raises(PreconditionViolated, match="MAX_DEGREE"):
+        Poly(laurent, [one] * (top + 2))
