@@ -12,11 +12,12 @@ import sys
 from .decomp import decompose, rv_decompose
 from .errors import (
     FormulaSyntaxError,
+    HQEError,
     NonEffectiveQuantifier,
     PrecisionExhausted,
     PreconditionViolated,
 )
-from .field import Field
+from .field import MAX_DIGIT_SPAN, Field, bounded_order
 from .formula import parse_field_term, parse_formula, print_formula, term_vars
 from .hensel import newton_lift
 from .qe import decide, normal_form, qe, term_to_poly
@@ -96,6 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _field_of(args) -> Field:
+    # Field itself takes any precision, since Newton lifting raises it
+    # internally; input stays below the bound on digit vectors
+    if args.prec > MAX_DIGIT_SPAN:
+        raise PreconditionViolated(f"precision {args.prec} exceeds MAX_DIGIT_SPAN = {MAX_DIGIT_SPAN}")
     try:
         if args.field == "padic":
             return Field.padic(args.p, args.prec)
@@ -125,8 +130,9 @@ def _run(args, out) -> int:
             out.write(f"{x} (v={v})\n")
         return 0
     if args.command == "rv":
+        order = bounded_order(args.order)
         x = eval_field_term(parse_field_term(field, args.expr), {}, field)
-        a = rv(x, args.order)
+        a = rv(x, order)
         if args.json:
             json.dump({"rv": str(a)}, out)
             out.write("\n")
@@ -156,7 +162,7 @@ def _run(args, out) -> int:
             pieces = decompose(poly)
             data = {"pieces": [p.to_json() for p in pieces]}
         else:
-            dec = rv_decompose([poly], [args.rv_order])
+            dec = rv_decompose([poly], [bounded_order(args.rv_order)])
             data = dec.to_json()
         json.dump(data, out, indent=None if args.json else 2)
         out.write("\n")
@@ -217,6 +223,39 @@ _DEFAULTS = {
 }
 
 
+# exit code and stderr label of each error; any other HQEError exits 4
+# under its class name
+_EXITS = (
+    (FormulaSyntaxError, 1, "syntax error"),
+    (PrecisionExhausted, 2, "precision exhausted"),
+    (NonEffectiveQuantifier, 3, "non-effective quantifier"),
+    (PreconditionViolated, 4, "precondition violated"),
+)
+
+
+def _env_prec() -> int:
+    text = os.environ.get("HQE_PREC", "64")
+    try:
+        return int(text)
+    except ValueError:
+        raise PreconditionViolated(f"HQE_PREC must be an integer, got {text!r}") from None
+
+
+def _run_retrying(args) -> int:
+    """_run; with --retry-precision, rerun at double the precision on
+    PrecisionExhausted, at most twice and never past MAX_DIGIT_SPAN."""
+    retries = 2 if args.retry_precision else 0
+    while True:
+        try:
+            return _run(args, sys.stdout)
+        except PrecisionExhausted:
+            if not retries or 2 * args.prec > MAX_DIGIT_SPAN:
+                raise
+            retries -= 1
+            args.prec *= 2
+            print(f"precision exhausted, retrying at {args.prec}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # global flags are suppressed-by-default so either position wins;
@@ -224,29 +263,14 @@ def main(argv=None) -> int:
     for key, value in _DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
-    if not hasattr(args, "prec"):
-        args.prec = int(os.environ.get("HQE_PREC", "64"))
-    attempts = 3 if args.retry_precision else 1
-    for attempt in range(attempts):
-        try:
-            return _run(args, sys.stdout)
-        except FormulaSyntaxError as e:
-            print(f"syntax error: {e}", file=sys.stderr)
-            return 1
-        except PrecisionExhausted as e:
-            if attempt + 1 < attempts:
-                args.prec *= 2
-                print(f"precision exhausted, retrying at {args.prec}", file=sys.stderr)
-                continue
-            print(f"precision exhausted: {e}", file=sys.stderr)
-            return 2
-        except NonEffectiveQuantifier as e:
-            print(f"non-effective quantifier: {e}", file=sys.stderr)
-            return 3
-        except PreconditionViolated as e:
-            print(f"precondition violated: {e}", file=sys.stderr)
-            return 4
-    return 2
+    try:
+        if not hasattr(args, "prec"):
+            args.prec = _env_prec()
+        return _run_retrying(args)
+    except HQEError as e:
+        code, label = next(((c, l) for cls, c, l in _EXITS if isinstance(e, cls)), (4, type(e).__name__))
+        print(f"{label}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -21,10 +21,10 @@ from math import factorial, lcm
 
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
-from .field import LAURENT, Field, FieldElem, _lconv
+from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem
 from .hensel import derivative_roots, elem_sort_key, resolution_horizon
 from .poly import Poly, annulus_residue_poly, argmin_indices, residue_roots, taylor_shift
-from .rv import RVElem
+from .rv import RVElem, rv
 from .valq import INF, NEG_INF, as_order, as_value
 
 _MAX_DEPTH = 600
@@ -85,27 +85,22 @@ class Piece:
 
     def linearization(self, gamma: int) -> tuple:
         """The terms of rv_gamma(f(x)) in j order, built once per order:
-        ``(j, None, (v, u, den, rel))`` for the class rv_gamma(a_j) of value
-        v whose unit is known to rel <= gamma + 1 digits, u its integer
-        digits over den (laurent-q) or an int mod p^rel (padic, den 1); and
-        ``(j, lb, None)`` for a coefficient with no class -- unresolved, or
-        an order bound -- where lb is a lower bound on v(a_j).  A zero
-        coefficient has no entry."""
+        ``(j, None, cls)`` with cls the coefficient a_j truncated to gamma + 1
+        unit digits (fewer when a_j is known to fewer), which fixes the class
+        rv_gamma(a_j); and ``(j, lb, None)`` for a coefficient with no class
+        -- unresolved, or an order bound -- where lb is a lower bound on
+        v(a_j).  A zero coefficient has no entry."""
         terms = self._terms.get(gamma)
         if terms is None:
             field = self.center.field
-            laurent = field.backend == LAURENT
-            k = gamma + 1
             terms = []
             for j, a in enumerate(self.coeffs):
                 if a.is_zero:
                     continue
                 if a.is_small or coeff_unresolved(field, a):
                     terms.append((j, a.val_lb(), None))
-                    continue
-                rel = k if a.rel is None else min(a.rel, k)
-                cls = (a.v, a.u[:rel], a.den, rel) if laurent else (a.v, a.unit_digits(rel), 1, rel)
-                terms.append((j, None, cls))
+                else:
+                    terms.append((j, None, a.truncate_rel(gamma + 1)))
             terms = self._terms[gamma] = tuple(terms)
         return terms
 
@@ -113,8 +108,7 @@ class Piece:
         """(j, rv_order(a_j)) for each coefficient resolved at the horizon, in
         j order; raises as ``rv(a_j, order)`` does on an order bound or on a
         unit known to fewer than order + 1 digits."""
-        field = self.center.field
-        horizon = resolution_horizon(field)
+        horizon = resolution_horizon(self.center.field)
         out = []
         for j, lb, cls in self.linearization(order):
             if cls is None:
@@ -122,12 +116,7 @@ class Piece:
                 if lb < horizon:
                     raise PrecisionExhausted("class of an element with unknown leading digit")
                 continue
-            v, u, den, rel = cls
-            if rel <= order:
-                raise PrecisionExhausted(f"need {order + 1} unit digits, have {rel}")
-            if field.backend == LAURENT:
-                u = tuple(Fraction(c, den) for c in u) + (Fraction(0),) * (order + 1 - len(u))
-            out.append((j, RVElem(field, order, v, u)))
+            out.append((j, rv(cls, order)))
         return out
 
     def eval_rv(self, x: FieldElem, delta) -> RVElem:
@@ -140,7 +129,8 @@ class Piece:
         gamma + 1 unit digits of d are read once, each power of rv_gamma(d)
         costs one product truncated to gamma + 1 digits, and the classes
         are summed through their canonical representatives (over a common
-        denominator on laurent-q, with aligned powers of p on padic).
+        denominator on laurent-q, with aligned powers of p on padic) into
+        one field element, whose class is the answer.
 
         A term with no class -- its coefficient unresolved or an order
         bound, or d known only to an order bound -- is dropped with a lower
@@ -158,12 +148,10 @@ class Piece:
         dlb = None if d.is_zero else d.val_lb()  # v(d), or its order bound
         if dlb is not None:
             self._depth_guard(dlb)
+        if not (d.is_zero or d.is_small):
+            d = d.truncate_rel(k)  # the unit digits of rv_gamma(d), fewer when d is known to fewer
         laurent = field.backend == LAURENT
         pw, mod = ((1,), None) if laurent else (1, field.p**k)
-        if not (d.is_zero or d.is_small):
-            # the unit digits of rv_gamma(d), fewer when d is known to fewer
-            drel = k if d.rel is None else min(d.rel, k)
-            du = d.u[:drel] if laurent else d.unit_digits(drel)
         pj = 0  # pw is the unit of rv_gamma(d)^pj, over d.den^pj on laurent-q
         ignored = INF  # lower bound on the dropped terms
         kept = []  # (value, unit, den) of each term class
@@ -173,23 +161,23 @@ class Piece:
             if cls is None:
                 ignored = min(ignored, lb + j * dlb if j else lb)
                 continue
-            v, u, den, rel = cls
+            rel = cls.rel
             if j:
                 if d.is_small:
-                    ignored = min(ignored, v + j * dlb)
+                    ignored = min(ignored, cls.v + j * dlb)
                     continue
-                rel = min(rel, drel)
+                rel = min(rel, d.rel)
             if rel < k:
                 raise PrecisionExhausted(f"need {k} unit digits, have {rel}")
             while pj < j:
-                pw = _lconv(pw, du, k) if laurent else pw * du % mod
+                pw = _lconv(pw, d.u, k) if laurent else pw * d.u % mod
                 pj += 1
             if not j:
-                kept.append((v, u, den))
+                kept.append((cls.v, cls.u, cls.den))
             elif laurent:
-                kept.append((v + j * dlb, _lconv(u, pw, k), den * d.den**j))
+                kept.append((cls.v + j * dlb, _lconv(cls.u, pw, k), cls.den * d.den**j))
             else:
-                kept.append((v + j * dlb, u * pw % mod, 1))
+                kept.append((cls.v + j * dlb, cls.u * pw % mod, 1))
         if not kept:
             return RVElem.inf(field, delta)
         low = min(v for v, _, _ in kept)
@@ -204,22 +192,16 @@ class Piece:
             lead = min((i for i, c in total.items() if c), default=None)
             if lead is None:
                 return RVElem.inf(field, delta)
+            # the sum's leading delta + 1 digits: all that its class reads
+            s = _lelem(field, low + lead, [total.get(lead + i, 0) for i in range(delta + 1)], common, None)
         else:
-            p = field.p
-            total = sum(u * p ** (v - low) for v, u, _ in kept)
+            total = sum(u * field.p ** (v - low) for v, u, _ in kept)
             if not total:
                 return RVElem.inf(field, delta)
-            lead = 0
-            while not total % p:
-                total //= p
-                lead += 1
-        if low + lead + gamma >= ignored:
+            s = _pelem(field, low, total, 1)
+        if s.v + gamma >= ignored:
             raise PrecisionExhausted("dropped term could affect the leading term")
-        if laurent:
-            unit = tuple(Fraction(total.get(lead + i, 0), common) for i in range(delta + 1))
-        else:
-            unit = total % p ** (delta + 1)
-        return RVElem(field, delta, low + lead, unit)
+        return rv(s, delta)
 
     def to_json(self):
         return {

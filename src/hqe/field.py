@@ -63,6 +63,14 @@ def _span_error(n: int) -> PreconditionViolated:
     return PreconditionViolated(f"laurent-q digit span {n} exceeds MAX_DIGIT_SPAN = {MAX_DIGIT_SPAN}")
 
 
+def bounded_order(d: int) -> int:
+    """An order read from input, checked: a class of order d carries d + 1
+    unit digits, so 0 <= d < MAX_DIGIT_SPAN."""
+    if not 0 <= d < MAX_DIGIT_SPAN:
+        raise PreconditionViolated(f"order {d} is outside 0 <= d < MAX_DIGIT_SPAN = {MAX_DIGIT_SPAN}")
+    return d
+
+
 def _int_vp(n: int, p: int) -> int:
     if n == 0:
         raise ValueError("valuation of 0")
@@ -854,6 +862,9 @@ class _Scanner:
         if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
             raise FormulaSyntaxError("expected integer", start)
         return int(self.text[start:self.pos])
+
+    def order(self) -> int:
+        return bounded_order(self.integer())
 
     def rational(self) -> Fraction:
         num = self.integer()

@@ -583,7 +583,7 @@ class _FormulaParser:
                 self._restore(var, old)
                 return ExistsF(var, body) if exists else ForallF(var, body)
             self.sc.expect("RV[")
-            order = self.sc.integer()
+            order = self.sc.order()
             self.sc.expect("]")
             self.sc.expect(".")
             old = self.sorts.get(var, "absent")
@@ -616,7 +616,7 @@ class _FormulaParser:
                 self.sc.pos = save  # a parenthesized field term instead
         if self.sc.text.startswith("oplus[", self.sc.pos):
             self.sc.expect("oplus[")
-            order = self.sc.integer()
+            order = self.sc.order()
             self.sc.expect("]")
             self.sc.expect("(")
             a = self.rvterm()
@@ -699,7 +699,7 @@ class _FormulaParser:
         if t.startswith("rv[", p):
             save = self.sc.pos
             self.sc.expect("rv[")
-            order = self.sc.integer()
+            order = self.sc.order()
             self.sc.expect("]")
             self.sc.skip_ws()
             if self.sc.text.startswith("{", self.sc.pos):
@@ -711,7 +711,7 @@ class _FormulaParser:
             return RVOf(order, arg)
         if t.startswith("proj[", p):
             self.sc.expect("proj[")
-            order = self.sc.integer()
+            order = self.sc.order()
             self.sc.expect("]")
             self.sc.expect("(")
             arg = self.rvterm()
@@ -719,7 +719,7 @@ class _FormulaParser:
             return RVProjT(order, arg)
         if t.startswith("sum[", p):
             self.sc.expect("sum[")
-            order = self.sc.integer()
+            order = self.sc.order()
             self.sc.expect("]")
             self.sc.expect("(")
             args = [self.rvterm()]

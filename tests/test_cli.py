@@ -199,3 +199,86 @@ def test_suite_line_states_budget_overrun():
     assert fast.line() == "PASS collision-roots (362 cases, 4.50s < 10s budget)"
     # the CLI's timing-free line does not depend on the clock
     assert slow.line(with_timing=False) == fast.line(with_timing=False) == "PASS collision-roots (362 cases)"
+
+
+def _one_line_error(code, out, err, want_code):
+    assert code == want_code and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decide", "rv[1]{v=0; unit=1} = rv[1](1)"],
+        ["decide", "rv[0]{v=0; unit=0} = rv[0](1)"],
+        ["--field", "padic", "decide", "rv[0]{v=0; unit=1/2} = rv[0](1)"],
+    ],
+)
+def test_malformed_rv_literal_is_a_syntax_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    _one_line_error(code, out, err, 1)
+    assert err.startswith("syntax error: ")
+
+
+@pytest.mark.parametrize(
+    "argv, order",
+    [
+        (["rv", "t", "--order", "-1"], -1),
+        (["rv", "t", "--order", "100000000"], 100000000),
+        (["rv", "t", "--order", "2048"], 2048),
+        (["decompose", "--poly", "x^2 - t", "--rv-order", "-1"], -1),
+        (["decide", "rv[-1](t) = rv[0](t)"], -1),
+        (["decide", "EX x:RV[-2]. true"], -2),
+        (["decide", "proj[-1](rv[0](t)) = rv[0](t)"], -1),
+        (["decide", "sum[-1](rv[0](t)) = rv[0](t)"], -1),
+        (["decide", "oplus[-1](rv[0](t), rv[0](t), rv[0](t))"], -1),
+        (["decide", "rv[100000000]{inf} = rv[0](t)"], 100000000),
+    ],
+)
+def test_order_outside_the_digit_bound_is_a_precondition_violation(capsys, argv, order):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    _one_line_error(code, out, err, 4)
+    assert err == f"precondition violated: order {order} is outside 0 <= d < MAX_DIGIT_SPAN = 2048\n"
+
+
+def test_largest_order_is_accepted(capsys):
+    code, out, _ = run_cli(capsys, "rv", "1 + t", "--order", "2047")
+    assert code == 0 and out.startswith("rv[2047]{v=0; unit=1,1,0,")
+
+
+def test_unparsable_precision_variable_is_a_precondition_violation(capsys, monkeypatch):
+    monkeypatch.setenv("HQE_PREC", "abc")
+    code, out, err = run_cli(capsys, "eval", "t")
+    _one_line_error(code, out, err, 4)
+    assert err == "precondition violated: HQE_PREC must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_precision_above_the_digit_bound_is_a_precondition_violation(capsys, monkeypatch, how):
+    if how == "env":
+        monkeypatch.setenv("HQE_PREC", "100000000")
+        argv = ["eval", "(1 + t)^-1"]
+    else:
+        argv = ["--prec", "100000000", "eval", "(1 + t)^-1"]
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    _one_line_error(code, out, err, 4)
+    assert err == "precondition violated: precision 100000000 exceeds MAX_DIGIT_SPAN = 2048\n"
+
+
+def test_retry_never_doubles_past_the_digit_bound(capsys):
+    code, out, err = run_cli(capsys, "--retry-precision", "--prec", "1024", "eval", "O(t^5)^-1")
+    assert code == 2 and out == ""
+    assert err == (
+        "precision exhausted, retrying at 2048\n"
+        "precision exhausted: divisor is zero to its known precision\n"
+    )
+
+
+def test_other_toolkit_errors_exit_4_on_one_line(capsys):
+    code, out, err = run_cli(capsys, "eval", "(t - t)^-1")
+    _one_line_error(code, out, err, 4)
+    assert err == "DivisionByZero: division by exact zero\n"

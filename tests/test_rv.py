@@ -2,11 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hqe.errors import NegativeValue, OrderMismatch, OrderViolation, PrecisionExhausted
+import rv_reference
+from hqe.errors import FormulaSyntaxError, NegativeValue, OrderMismatch, OrderViolation, PrecisionExhausted
 from hqe.field import Field
 from hqe.rv import (
     RVElem,
+    SumAnalysis,
     oplus_holds,
     parse_rv,
     residue_of,
@@ -183,3 +187,123 @@ def test_rv_requires_precision(laurent):
     assert rv(x, 2) == rv(laurent.parse("1 + t"), 2)
     with pytest.raises(PrecisionExhausted):
         rv(x, 3)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["rv[1]{v=0; unit=1}", "rv[0]{v=0; unit=0}", "rv[1]{v=0; unit=0,1}", "rv[0]{v=0; unit=1} x"],
+)
+def test_malformed_literal_is_a_syntax_error(any_field, text):
+    with pytest.raises(FormulaSyntaxError):
+        parse_rv(any_field, text)
+
+
+@pytest.mark.parametrize(
+    "field, text, x",
+    [
+        (Field.padic(7), "rv[1]{v=2; unit=8,-1}", "49"),
+        (Field.padic(7), "rv[2]{v=-1; unit=-1,0,0}", "-1/7"),
+        (Field.padic(2), "rv[1]{v=0; unit=3,5}", "1"),
+        (Field.laurent(), "rv[2]{v=1; unit=1/2,2/4,0}", "1/2*t + 1/2*t^2 + 5*t^4"),
+    ],
+)
+def test_literal_digits_are_read_as_the_reference_reads_them(field, text, x):
+    a = parse_rv(field, text)
+    assert str(a) == str(rv_reference.parse_rv(field, text))
+    assert a == rv(field.parse(x), a.order)
+
+
+# ---- the stored representative against the frozen digit-tuple classes ------
+
+_DIFF_FIELDS = [Field.laurent(), Field.padic(7), Field.padic(2)]
+
+
+def _key(r):
+    """An outcome made comparable across the two implementations."""
+    if isinstance(r, RVElem):
+        # stored canonically: equal to the class its printed form parses to
+        assert r == parse_rv(r.field, str(r)), str(r)
+        return "rv", str(r)
+    if isinstance(r, rv_reference.RVElem):
+        return "rv", str(r)
+    if isinstance(r, (SumAnalysis, rv_reference.SumAnalysis)):
+        return "sum", r.well_defined, str(r.result), r.severity, r.witness_value
+    return "value", r
+
+
+def _outcome(fn, *args):
+    try:
+        r = fn(*args)
+    except Exception as e:  # the same error counts as the same answer
+        return type(e), str(e)
+    return _key(r)
+
+
+@st.composite
+def _element(draw, field):
+    """Zero, an order bound, or an exact or truncated element with a few
+    terms; over padic the terms' sum is a rational with p in it or not."""
+    kind = draw(st.sampled_from(["exact", "exact", "truncated", "order-bound", "zero"]))
+    if kind == "zero":
+        return field.zero()
+    if kind == "order-bound":
+        return field.small(draw(st.integers(-4, 8)))
+    coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    x = field.from_terms(draw(st.lists(st.tuples(st.integers(-3, 6), coeff), min_size=1, max_size=5)))
+    if kind == "truncated" and not x.is_zero:
+        x = x.truncate_rel(draw(st.integers(1, 7)))
+    return x
+
+
+@st.composite
+def _diff_case(draw):
+    field = draw(st.sampled_from(_DIFF_FIELDS))
+    xs = [draw(_element(field)) for _ in range(3)]
+    # a near copy of the first element, so that classes often coincide
+    x = xs[0]
+    if not (x.is_zero or x.is_small):
+        k = draw(st.integers(0, 7))
+        xs.append(x + field.monomial(draw(st.sampled_from([1, -1, 2, 3])), x.v + k))
+    orders = [draw(st.integers(0, 5)) for _ in xs]
+    if draw(st.booleans()):
+        orders = [orders[0]] * len(xs)
+    return field, xs, orders, draw(st.integers(0, 5)), draw(st.integers(-3, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_diff_case())
+def test_classes_match_the_digit_tuple_reference(case):
+    field, xs, orders, e, n = case
+    new, old = [], []
+    for x, d in zip(xs, orders):
+        got = _outcome(rv, x, d)
+        assert got == _outcome(rv_reference.rv, x, d), (str(x), d)
+        if got[0] == "rv":
+            new.append(rv(x, d))
+            old.append(rv_reference.rv(x, d))
+    if not new:
+        return
+    for a, b in zip(new, old):
+        assert str(a) == str(b) and a.val() == b.val() and a.is_inf == b.is_inf
+        assert a.rep() == b.rep()
+        assert _outcome(a.project, e) == _outcome(b.project, e)
+        assert _outcome(a.inv) == _outcome(b.inv)
+        assert _outcome(a.__pow__, n) == _outcome(b.__pow__, n)
+        assert _outcome(a.__neg__) == _outcome(b.__neg__)
+        assert _outcome(rv_reference.residue_of, b) == _outcome(residue_of, a)
+        back = parse_rv(field, str(a))
+        assert back == a and hash(back) == hash(a)
+        assert str(back) == str(rv_reference.parse_rv(field, str(b)))
+    pairs = list(zip(new, old))
+    for a1, b1 in pairs:
+        for a2, b2 in pairs:
+            assert (a1 == a2) == (b1 == b2), (str(a1), str(a2))
+            if a1 == a2:
+                assert hash(a1) == hash(a2) and hash(b1) == hash(b2)
+            assert _outcome(a1.__mul__, a2) == _outcome(b1.__mul__, b2)
+            assert _outcome(rv_sum_analyze, [a1, a2]) == _outcome(rv_reference.rv_sum_analyze, [b1, b2])
+            for a3, b3 in pairs:
+                assert _outcome(oplus_holds, a1, a2, a3) == _outcome(rv_reference.oplus_holds, b1, b2, b3)
+    mixed = [new[0], *xs[1:]]
+    assert _outcome(rv_sum_analyze, mixed) == _outcome(rv_reference.rv_sum_analyze, [old[0], *xs[1:]])
+    assert _outcome(rv_sum_analyze, xs, orders[0]) == _outcome(rv_reference.rv_sum_analyze, xs, orders[0])
