@@ -263,6 +263,10 @@ def main(argv=None) -> int:
     for key, value in _DEFAULTS.items():
         if not hasattr(args, key):
             setattr(args, key, value)
+    # argparse hands over the option value "--" (as in --poly=--) as []
+    for key in ("poly", "start"):
+        if getattr(args, key, None) == []:
+            setattr(args, key, "--")
     try:
         if not hasattr(args, "prec"):
             args.prec = _env_prec()

@@ -479,7 +479,7 @@ class RVDecomposition:
         return RVDecomposition((), deltas, cells)
 
 
-def rv_decompose(fs, deltas, _exact: bool = False) -> RVDecomposition:
+def rv_decompose(fs, deltas) -> RVDecomposition:
     """A common partition of K adapted to every f in fs at its order delta:
     intersect the per-polynomial decompositions."""
     fs = list(fs)
@@ -490,7 +490,7 @@ def rv_decompose(fs, deltas, _exact: bool = False) -> RVDecomposition:
         if d < 0:
             raise PreconditionViolated("orders must be nonnegative")
     field = fs[0].field
-    per_poly = [decompose(f, None, _exact) for f in fs]
+    per_poly = [decompose(f) for f in fs]
     cells = [(SwissCheese.all(field), [])]
     for pieces in per_poly:
         new_cells = []

@@ -20,10 +20,17 @@ positive integer denominator, canonical too (p divides neither, and
 ``gcd(u, den) == 1``); an inexact one is an int mod p^rel over den 1.
 ``FieldElem.unit`` reads a unit back as Fraction digits, resp. a Fraction
 or an int.
+
+``str`` prints an element as a field term of ``hqe.formula``'s grammar,
+and ``Field.parse`` reads one back: any field term with no variables,
+evaluated, such as ``1 + -1*t^2 + O(t^8)`` or ``3/2 + O(7^10)``, where
+``O(t^k)`` is an element known only to have valuation at least k.  The
+parsers share one lexer, ``_Tokens``.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, lcm
@@ -236,7 +243,16 @@ class Field:
         return FieldElem(self, _NUM, v, unit, rel)
 
     def parse(self, text: str) -> "FieldElem":
-        return parse_elem(self, text)
+        """The value of a field term with no variables, in the term grammar
+        of ``hqe.formula``: ``1 + -1*t^2 + O(t^8)``, ``3/2 + O(7^10)``."""
+        from .formula import parse_field_term, term_vars
+        from .semantics import eval_field_term
+
+        term = parse_field_term(self, text)
+        names = term_vars(term)
+        if names:
+            raise FormulaSyntaxError(f"a field literal has no variables, got {', '.join(sorted(names))}")
+        return eval_field_term(term, {}, self)
 
 
 def _num_den(x) -> tuple:
@@ -828,40 +844,89 @@ def format_elem(x: FieldElem) -> str:
     return s if x.rel is None else f"{s} + O({f.p}^{x.v + x.rel})"
 
 
-class _Scanner:
-    def __init__(self, text):
+# one lexer for all input text: a run of decimal digits, any other run of
+# word characters, or one other character; whitespace separates tokens
+_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
+_DIGITS, _WORD = 1, 2
+
+
+class _Tokens:
+    """A cursor over the tokens of one input text, lexed in one pass.
+
+    ``pos`` is where the current token starts (``len(text)`` past the last
+    one).  ``at``, ``eat`` and ``expect`` match a string from there, so a
+    string that spans tokens (``rv[``, ``->``) needs them adjacent.  One
+    that ends inside a word (``t`` of ``O(tx``, ``inf`` of ``{infx``) leaves
+    the cursor there, where no token starts, and the string the grammar
+    expects next fails to match, as it did on the characters.  A sign
+    belongs to a number only right before its digits.
+    """
+
+    __slots__ = ("text", "pos", "_spans", "_next")
+
+    def __init__(self, text: str):
         self.text = text
-        self.pos = 0
+        self._spans = spans = {}  # token start -> (end, kind)
+        self._next = nxt = {}  # token end -> start of the next token
+        end = 0
+        for m in _TOKEN.finditer(text):
+            start = nxt[end] = m.start()
+            end = m.end()
+            spans[start] = (end, m.lastindex)
+        nxt[end] = len(text)
+        self.pos = nxt[0]
 
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def at(self, s: str) -> bool:
+        return self.text.startswith(s, self.pos)
 
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def eat(self, s: str) -> bool:
+        if not self.text.startswith(s, self.pos):
+            return False
+        end = self.pos + len(s)
+        self.pos = self._next.get(end, end)
+        return True
 
-    def eat(self, s):
-        self.skip_ws()
-        if self.text.startswith(s, self.pos):
-            self.pos += len(s)
-            return True
-        return False
-
-    def expect(self, s):
+    def expect(self, s: str):
         if not self.eat(s):
             raise FormulaSyntaxError(f"expected {s!r}", self.pos)
 
+    def peek(self) -> str:
+        """The run of word characters or digits at the cursor, else ""."""
+        end, kind = self._spans.get(self.pos, (self.pos, 0))
+        return self.text[self.pos : end] if kind in (_DIGITS, _WORD) else ""
+
+    def word(self) -> str:
+        """An identifier: a run of word characters (digits included)."""
+        start = end = self.pos
+        while self.pos == end:
+            tok_end, kind = self._spans.get(self.pos, (self.pos, 0))
+            if kind not in (_DIGITS, _WORD):
+                break
+            end = tok_end
+            self.pos = self._next[end]
+        if end == start:
+            raise FormulaSyntaxError("expected identifier", start)
+        return self.text[start:end]
+
+    def _number_end(self):
+        """Where the integer at the cursor ends, None if there is none."""
+        q = self.pos + self.text.startswith(("+", "-"), self.pos)
+        end, kind = self._spans.get(q, (q, 0))
+        return end if kind == _DIGITS else None
+
+    def number_next(self) -> bool:
+        """Whether a number literal starts here: digits, or "-" right before them."""
+        return not self.at("+") and self._number_end() is not None
+
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] in "+-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or not self.text[start:self.pos].lstrip("+-"):
+        start, end = self.pos, self._number_end()
+        if end is None:
             raise FormulaSyntaxError("expected integer", start)
-        return int(self.text[start:self.pos])
+        self.pos = self._next[end]
+        try:
+            return int(self.text[start:end])
+        except ValueError:  # more digits than the interpreter converts
+            raise PreconditionViolated(f"integer literal of {end - start} characters is too long") from None
 
     def order(self) -> int:
         return bounded_order(self.integer())
@@ -880,67 +945,5 @@ class _Scanner:
             return Fraction(num, den)
         return Fraction(num)
 
-    def done(self):
-        self.skip_ws()
+    def done(self) -> bool:
         return self.pos >= len(self.text)
-
-
-def parse_elem(field: Field, text: str) -> FieldElem:
-    """Parse a series / p-adic literal, e.g. ``1 + -1*t^2 + O(t^8)`` or ``3/2 + O(7^10)``."""
-    sc = _Scanner(text)
-    x = _parse_elem_body(field, sc)
-    if not sc.done():
-        raise FormulaSyntaxError("trailing input in literal", sc.pos)
-    return x
-
-
-def _parse_elem_body(field: Field, sc: _Scanner) -> FieldElem:
-    terms = []
-    bound = None
-    first = True
-    while True:
-        if not first and not (sc.eat("+") or sc.peek() == "-"):
-            break
-        if sc.eat("O("):
-            if field.backend == LAURENT:
-                sc.expect("t")
-                sc.expect("^")
-                bound = sc.integer()
-            else:
-                base = sc.integer()
-                if base != field.p:
-                    raise FormulaSyntaxError(f"precision base {base} != p = {field.p}", sc.pos)
-                sc.expect("^")
-                bound = sc.integer()
-            sc.expect(")")
-            break
-        terms.append(_parse_term(field, sc))
-        first = False
-    x = field.from_terms(terms)
-    if bound is None:
-        return x
-    if x.is_zero or x.val() >= bound:
-        return field.small(bound)
-    return x.truncate_rel(bound - x.v)
-
-
-def _parse_term(field: Field, sc: _Scanner):
-    # term = rat ["*t^" int] | ["-"] "t" ["^" int]     (padic: rat only)
-    sc.skip_ws()
-    if field.backend == LAURENT:
-        neg = False
-        save = sc.pos
-        if sc.eat("-") and sc.peek() == "t":
-            neg = True
-        elif sc.pos != save:
-            sc.pos = save
-        if sc.eat("t"):
-            k = sc.integer() if sc.eat("^") else 1
-            return (k, Fraction(-1 if neg else 1))
-        c = sc.rational()
-        if sc.eat("*"):
-            sc.expect("t")
-            k = sc.integer() if sc.eat("^") else 1
-            return (k, c)
-        return (0, c)
-    return (0, sc.rational())

@@ -1,29 +1,47 @@
 """The multi-sorted formula language over the field sort K and the leading
 term sorts RV[d], with its parser and canonical printer.
 
-Grammar (canonical print mirrors it):
+Grammar (canonical print mirrors it); the one specification of every text
+the toolkit reads:
 
     formula := implies
     implies := or ["->" implies]
     or      := and ("|" and)*
     and     := unary ("&" unary)*
-    unary   := "!" unary | quantifier | atom
+    unary   := "!" unary | quant | atom
     quant   := ("EX" | "ALL") ident ":" ("K" | "RV[" d "]") "." formula
     atom    := "true" | "false" | "(" formula ")"
              | "oplus[" d "](" rvterm "," rvterm "," rvterm ")"
-             | "v(" rvterm ")" ("<" | "<=" | "=" | "!=") "v(" rvterm ")"
+             | "v(" rvterm ")" ("<" | "<=" | "=" | "!=" | ">" | ">=") "v(" rvterm ")"
              | rvterm "=" rvterm
              | fterm ["=" fterm]          (an equation, moved to ... = 0)
 
     rvterm  := rvfac ("*" rvfac)*         rvfac := rvprim ["^" int]
-    rvprim  := "rv[" d "](" fterm ")" | "rv[" d "]{...}" (literal)
-             | "proj[" d "](" rvterm ")" | "sum[" d "](" rvterm, ... ")"
+    rvprim  := "rv[" d "](" fterm ")" | rvlit | "(" rvterm ")"
+             | "proj[" d "](" rvterm ")" | "sum[" d "](" rvterm ("," rvterm)* ")"
              | rv-sorted variable
+    rvlit   := "rv[" d "]{inf}" | "rv[" d "]{v=" int "; unit=" rat ("," rat)* "}"
+                                          (d + 1 digits, the first nonzero;
+                                           integers over padic)
 
     fterm   := ["-"] fprod (("+" | "-") fprod)*
     fprod   := ffac ("*" ffac)*           ffac := fprim ["^" int]
-    fprim   := "(" fterm ")" | rational | "t"[-series chunk via ^] | "O(...)"
-             | field variable
+    fprim   := "(" fterm ")" | rat | "t" | "O(t^" int ")" | "O(" p "^" int ")"
+             | field variable             ("t" and "O(t^k)" over laurent-q,
+                                           "O(p^k)" over padic)
+
+    rat     := int ["/" int]              (a positive denominator; in a
+                                           term, no "+" sign)
+    int     := ["+" | "-"] digits         d := int, 0 <= d < MAX_DIGIT_SPAN
+    ident   := a run of letters, digits and "_"
+
+Whitespace separates tokens and is otherwise ignored; the input is lexed
+once (``field._Tokens``).  A sign belongs to a number only right before its
+digits, so ``x-1`` is a subtraction and ``(-588)`` a literal.  ``O(t^k)``
+is an element known only to have valuation at least k, so ``1 + t + O(t^3)``
+is 1 + t known to three digits.  A field literal, as ``Field.parse`` reads
+it, is a field term with no variables: ``1 + -1*t^2 + O(t^8)``,
+``3/2 + O(7^10)``, ``(1 + t)^-1``.
 
 Variables bound by a quantifier carry its sort; free identifiers are field
 sorted unless declared via the parser's rv_vars argument.
@@ -34,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, OrderMismatch
-from .field import LAURENT, Field, FieldElem, _Scanner
+from .field import LAURENT, Field, FieldElem, _Tokens
 from .rv import RVElem, parse_rv_scan
 
 # ---- terms --------------------------------------------------------------
@@ -510,36 +528,11 @@ def print_formula(phi, prec=0) -> str:
 class _FormulaParser:
     def __init__(self, field: Field, text: str, rv_vars=None):
         self.field = field
-        self.sc = _Scanner(text)
+        self.sc = _Tokens(text)
         self.sorts = dict(rv_vars or {})  # name -> order for RV, None for K
 
     def fail(self, msg):
         raise FormulaSyntaxError(msg, self.sc.pos)
-
-    def ident(self):
-        self.sc.skip_ws()
-        start = self.sc.pos
-        text = self.sc.text
-        while self.sc.pos < len(text) and (text[self.sc.pos].isalnum() or text[self.sc.pos] == "_"):
-            self.sc.pos += 1
-        if self.sc.pos == start:
-            self.fail("expected identifier")
-        return text[start : self.sc.pos]
-
-    def peek_word(self, w):
-        self.sc.skip_ws()
-        t = self.sc.text
-        p = self.sc.pos
-        if not t.startswith(w, p):
-            return False
-        end = p + len(w)
-        return end >= len(t) or not (t[end].isalnum() or t[end] == "_")
-
-    def eat_word(self, w):
-        if self.peek_word(w):
-            self.sc.pos += len(w)
-            return True
-        return False
 
     # formulas ---------------------------------------------------------------
 
@@ -551,13 +544,8 @@ class _FormulaParser:
 
     def or_(self):
         args = [self.and_()]
-        while True:
-            self.sc.skip_ws()
-            if self.sc.text.startswith("|", self.sc.pos):
-                self.sc.pos += 1
-                args.append(self.and_())
-            else:
-                break
+        while self.sc.eat("|"):
+            args.append(self.and_())
         return args[0] if len(args) == 1 else Or(tuple(args))
 
     def and_(self):
@@ -567,25 +555,27 @@ class _FormulaParser:
         return args[0] if len(args) == 1 else And(tuple(args))
 
     def unary(self):
-        if self.sc.eat("!"):
+        sc = self.sc
+        if sc.eat("!"):
             return Not(self.unary())
-        if self.peek_word("EX") or self.peek_word("ALL"):
-            exists = self.eat_word("EX")
-            if not exists:
-                self.eat_word("ALL")
-            var = self.ident()
-            self.sc.expect(":")
-            if self.eat_word("K"):
-                self.sc.expect(".")
+        quant = sc.peek()
+        if quant in ("EX", "ALL"):
+            sc.eat(quant)
+            exists = quant == "EX"
+            var = sc.word()
+            sc.expect(":")
+            if sc.peek() == "K":
+                sc.eat("K")
+                sc.expect(".")
                 old = self.sorts.get(var, "absent")
                 self.sorts[var] = None
                 body = self.formula()
                 self._restore(var, old)
                 return ExistsF(var, body) if exists else ForallF(var, body)
-            self.sc.expect("RV[")
-            order = self.sc.order()
-            self.sc.expect("]")
-            self.sc.expect(".")
+            sc.expect("RV[")
+            order = sc.order()
+            sc.expect("]")
+            sc.expect(".")
             old = self.sorts.get(var, "absent")
             self.sorts[var] = order
             body = self.formula()
@@ -600,48 +590,45 @@ class _FormulaParser:
             self.sorts[var] = old
 
     def atom(self):
-        if self.eat_word("true"):
-            return TRUE
-        if self.eat_word("false"):
-            return FALSE
-        self.sc.skip_ws()
-        if self.sc.text.startswith("(", self.sc.pos):
-            save = self.sc.pos
-            self.sc.pos += 1
+        sc = self.sc
+        word = sc.peek()
+        if word in ("true", "false"):
+            sc.eat(word)
+            return TRUE if word == "true" else FALSE
+        save = sc.pos
+        if sc.eat("("):
             try:
                 inner = self.formula()
-                self.sc.expect(")")
+                sc.expect(")")
                 return inner
             except FormulaSyntaxError:
-                self.sc.pos = save  # a parenthesized field term instead
-        if self.sc.text.startswith("oplus[", self.sc.pos):
-            self.sc.expect("oplus[")
-            order = self.sc.order()
-            self.sc.expect("]")
-            self.sc.expect("(")
+                sc.pos = save  # a parenthesized field term instead
+        if sc.eat("oplus["):
+            order = sc.order()
+            sc.expect("]")
+            sc.expect("(")
             a = self.rvterm()
-            self.sc.expect(",")
+            sc.expect(",")
             b = self.rvterm()
-            self.sc.expect(",")
+            sc.expect(",")
             c = self.rvterm()
-            self.sc.expect(")")
+            sc.expect(")")
             return OplusA(order, a, b, c)
-        if self.sc.text.startswith("v(", self.sc.pos):
-            self.sc.expect("v(")
+        if sc.eat("v("):
             left = self.rvterm()
-            self.sc.expect(")")
+            sc.expect(")")
             op = self._vop()
-            self.sc.expect("v(")
+            sc.expect("v(")
             right = self.rvterm()
-            self.sc.expect(")")
+            sc.expect(")")
             return self._vcomp(op, left, right)
         if self._at_rvterm():
             left = self.rvterm()
-            self.sc.expect("=")
+            sc.expect("=")
             right = self.rvterm()
             return RVEq(left, right)
         left = self.fterm()
-        if self.sc.eat("="):
+        if sc.eat("="):
             right = self.fterm()
             if isinstance(right, FLit) and right.value.is_zero:
                 return PolyZero(left)
@@ -663,29 +650,20 @@ class _FormulaParser:
         return VComp(op, left, right)
 
     def _at_rvterm(self):
-        self.sc.skip_ws()
-        t, p = self.sc.text, self.sc.pos
-        for kw in ("rv[", "proj[", "sum["):
-            if t.startswith(kw, p):
-                return True
+        sc = self.sc
+        if sc.at("rv[") or sc.at("proj[") or sc.at("sum["):
+            return True
         # an identifier bound to an RV sort
-        q = p
-        while q < len(t) and (t[q].isalnum() or t[q] == "_"):
-            q += 1
-        name = t[p:q]
+        name = sc.peek()
         return bool(name) and self.sorts.get(name, None) is not None and not name[0].isdigit()
 
     # rv terms -----------------------------------------------------------------
 
     def rvterm(self):
         left = self.rvfactor()
-        while True:
-            self.sc.skip_ws()
-            if self.sc.text.startswith("*", self.sc.pos):
-                self.sc.pos += 1
-                left = RVMulT(left, self.rvfactor())
-            else:
-                return left
+        while self.sc.eat("*"):
+            left = RVMulT(left, self.rvfactor())
+        return left
 
     def rvfactor(self):
         base = self.rvprimary()
@@ -694,45 +672,39 @@ class _FormulaParser:
         return base
 
     def rvprimary(self):
-        self.sc.skip_ws()
-        t, p = self.sc.text, self.sc.pos
-        if t.startswith("rv[", p):
-            save = self.sc.pos
-            self.sc.expect("rv[")
-            order = self.sc.order()
-            self.sc.expect("]")
-            self.sc.skip_ws()
-            if self.sc.text.startswith("{", self.sc.pos):
-                self.sc.pos = save
-                return RVLitT(parse_rv_scan(self.field, self.sc))
-            self.sc.expect("(")
+        sc = self.sc
+        save = sc.pos
+        if sc.eat("rv["):
+            order = sc.order()
+            sc.expect("]")
+            if sc.at("{"):
+                sc.pos = save
+                return RVLitT(parse_rv_scan(self.field, sc))
+            sc.expect("(")
             arg = self.fterm()
-            self.sc.expect(")")
+            sc.expect(")")
             return RVOf(order, arg)
-        if t.startswith("proj[", p):
-            self.sc.expect("proj[")
-            order = self.sc.order()
-            self.sc.expect("]")
-            self.sc.expect("(")
+        if sc.eat("proj["):
+            order = sc.order()
+            sc.expect("]")
+            sc.expect("(")
             arg = self.rvterm()
-            self.sc.expect(")")
+            sc.expect(")")
             return RVProjT(order, arg)
-        if t.startswith("sum[", p):
-            self.sc.expect("sum[")
-            order = self.sc.order()
-            self.sc.expect("]")
-            self.sc.expect("(")
+        if sc.eat("sum["):
+            order = sc.order()
+            sc.expect("]")
+            sc.expect("(")
             args = [self.rvterm()]
-            while self.sc.eat(","):
+            while sc.eat(","):
                 args.append(self.rvterm())
-            self.sc.expect(")")
+            sc.expect(")")
             return RVSumT(order, tuple(args))
-        if t.startswith("(", p):
-            self.sc.pos += 1
+        if sc.eat("("):
             inner = self.rvterm()
-            self.sc.expect(")")
+            sc.expect(")")
             return inner
-        name = self.ident()
+        name = sc.word()
         order = self.sorts.get(name)
         if order is None:
             self.fail(f"{name} is not an RV-sorted variable")
@@ -741,41 +713,26 @@ class _FormulaParser:
     # field terms ----------------------------------------------------------------
 
     def fterm(self):
-        self.sc.skip_ws()
-        negate = False
-        if self.sc.text.startswith("-", self.sc.pos) and not self._digit_next(self.sc.pos + 1):
-            self.sc.pos += 1
-            negate = True
+        sc = self.sc
+        negate = not sc.number_next() and sc.eat("-")
         left = self.fprod()
         if negate:
             left = FNeg(left)
         while True:
-            self.sc.skip_ws()
-            t, p = self.sc.text, self.sc.pos
-            if t.startswith("+", p):
-                self.sc.pos += 1
+            if sc.eat("+"):
                 left = FAdd(left, self.fprod())
-            elif t.startswith("->", p):
+            elif sc.at("->"):
                 return left
-            elif t.startswith("-", p):
-                self.sc.pos += 1
+            elif sc.eat("-"):
                 left = FAdd(left, FNeg(self.fprod()))
             else:
                 return left
 
-    def _digit_next(self, pos):
-        t = self.sc.text
-        return pos < len(t) and t[pos].isdigit()
-
     def fprod(self):
         left = self.ffactor()
-        while True:
-            self.sc.skip_ws()
-            if self.sc.text.startswith("*", self.sc.pos):
-                self.sc.pos += 1
-                left = FMul(left, self.ffactor())
-            else:
-                return left
+        while self.sc.eat("*"):
+            left = FMul(left, self.ffactor())
+        return left
 
     def ffactor(self):
         base = self.fprimary()
@@ -784,28 +741,25 @@ class _FormulaParser:
         return base
 
     def fprimary(self):
-        self.sc.skip_ws()
-        t, p = self.sc.text, self.sc.pos
-        if t.startswith("(", p):
-            self.sc.pos += 1
+        sc = self.sc
+        if sc.eat("("):
             inner = self.fterm()
-            self.sc.expect(")")
+            sc.expect(")")
             return inner
-        if t.startswith("O(", p):
-            self.sc.expect("O(")
+        if sc.eat("O("):
             if self.field.backend == LAURENT:
-                self.sc.expect("t")
+                sc.expect("t")
             else:
-                base = self.sc.integer()
+                base = sc.integer()
                 if base != self.field.p:
                     self.fail(f"precision base {base} differs from p = {self.field.p}")
-            self.sc.expect("^")
-            k = self.sc.integer()
-            self.sc.expect(")")
+            sc.expect("^")
+            k = sc.integer()
+            sc.expect(")")
             return FLit(self.field.small(k))
-        if p < len(t) and (t[p].isdigit() or (t[p] == "-" and self._digit_next(p + 1))):
-            return FLit(self.field.from_rational(self.sc.rational()))
-        name = self.ident()
+        if sc.number_next():
+            return FLit(self.field.from_rational(sc.rational()))
+        name = sc.word()
         if name == "t" and self.field.backend == LAURENT and name not in self.sorts:
             return FLit(self.field.uniformizer())
         if self.sorts.get(name, None) is not None:
@@ -819,7 +773,6 @@ def _parse(field: Field, text: str, rv_vars, rule, what: str):
         out = rule(p)
     except RecursionError:
         raise FormulaSyntaxError(f"{what} nested too deeply") from None
-    p.sc.skip_ws()
     if not p.sc.done():
         raise FormulaSyntaxError(f"trailing input after {what}", p.sc.pos)
     return out

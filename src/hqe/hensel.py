@@ -440,7 +440,7 @@ def collision_root(f: Poly, alpha: FieldElem, beta: FieldElem, delta=0):
     return chosen, lam.with_field(field)
 
 
-def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int, threshold=None):
+def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int):
     """Leading-term classes on the annulus v(x - alpha) = delta_ann that can
     carry collisions past the severity bound, each with a derivative root
     lam inside it.

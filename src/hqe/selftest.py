@@ -650,8 +650,6 @@ def suite_qe(seed=0) -> SuiteResult:
 
 
 def _elem_text(x: FieldElem) -> str:
-    if x.field.backend == "laurent-q":
-        return f"({x})"
     return f"({x})"
 
 

@@ -26,8 +26,9 @@ from hqe.errors import (
     OrderViolation,
     PrecisionExhausted,
 )
-from hqe.field import LAURENT, Field, FieldElem, Residue, _Scanner
+from hqe.field import LAURENT, Field, FieldElem, Residue
 from hqe.valq import INF, as_order
+from parser_reference import _Scanner
 
 
 class RVElem:

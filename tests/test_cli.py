@@ -1,14 +1,20 @@
+import contextlib
 import io
 import json
 import sys
 import time
+from datetime import timedelta
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqe.cli import main
 from hqe.decomp import Piece
 from hqe.field import Field
+from hqe.formula import _print_fterm, print_formula
+from test_parser import _FIELDS, _element, _formulas, _fterms, _mutated, _rv_class
 
 
 def run_cli(capsys, *argv):
@@ -282,3 +288,81 @@ def test_other_toolkit_errors_exit_4_on_one_line(capsys):
     code, out, err = run_cli(capsys, "eval", "(t - t)^-1")
     _one_line_error(code, out, err, 4)
     assert err == "DivisionByZero: division by exact zero\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code, err",
+    [
+        (["decide", "rv[0](0)^-1 = rv[0](t)"], 4, "DivisionByZero: inf has no inverse\n"),
+        (["decide", "rv[0](0)^0 = rv[0](t)"], 4, "DivisionByZero: inf has no inverse\n"),
+        (["eval", "t^\u00b2"], 1, "syntax error: expected integer (at position 2)\n"),
+        (["eval", "1" + "0" * 5000], 4, "precondition violated: integer literal of 5001 characters is too long\n"),
+        (["decompose", "--poly=--"], 1, "syntax error: expected identifier (at position 1)\n"),
+        (["lift", "--poly=x", "--from=--"], 1, "syntax error: expected identifier (at position 1)\n"),
+    ],
+)
+def test_input_that_raised_a_builtin_error_exits_on_one_line(capsys, argv, code, err):
+    got, out, stderr = run_cli(capsys, *argv)
+    _one_line_error(got, out, stderr, code)
+    assert stderr == err
+
+
+# ---- fuzzing: argv from the grammar, with character mutations ---------------
+
+
+@st.composite
+def _text(draw, field, kinds):
+    kind = draw(st.sampled_from(kinds))
+    if kind == "formula":
+        text = print_formula(draw(_formulas(field)))
+    elif kind == "term":
+        text = _print_fterm(draw(_fterms(field)))
+    elif kind == "element":
+        text = str(draw(_element(field)))
+    else:
+        text = str(draw(_rv_class(field)))
+    return draw(_mutated(text))
+
+
+_ORDERS = st.one_of(st.integers(-2, 4), st.integers(-(10**9), 10**9))
+
+
+@st.composite
+def _argv(draw):
+    """One command line; option values as --name=value and text after --,
+    so that a text starting with "-" stays an argument."""
+    field = draw(st.sampled_from(_FIELDS))
+    argv = [] if field.backend == "laurent-q" else ["--field=padic", f"--p={field.p}"]
+    argv.append(f"--prec={draw(st.one_of(st.sampled_from([8, 16, 64]), st.integers(-4, 4096)))}")
+    command = draw(st.sampled_from(["eval", "rv", "lift", "decompose", "qe", "decide", "normal-form"]))
+    argv.append(command)
+    terms, formulas = ["term", "element"], ["formula", "formula", "term", "class"]
+    if command == "rv":
+        argv.append(f"--order={draw(_ORDERS)}")
+    elif command == "lift":
+        argv += [f"--poly={draw(_text(field, terms))}", f"--from={draw(_text(field, terms))}"]
+        argv.append(f"--sep={draw(st.integers(-2, 3))}")
+    elif command == "decompose":
+        argv.append(f"--poly={draw(_text(field, terms))}")
+        if draw(st.booleans()):
+            argv.append(f"--rv-order={draw(_ORDERS)}")
+    elif command == "normal-form":
+        argv.append("--var=x")
+    if command in ("eval", "rv"):
+        argv += ["--", draw(_text(field, terms))]
+    elif command in ("qe", "decide", "normal-form"):
+        argv += ["--", draw(_text(field, formulas))]
+    return argv
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5))
+@given(argv=_argv())
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # any exception here is a traceback at the command line
+    assert code in (0, 1, 2, 3, 4), argv
+    if code:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, (argv, err.getvalue())
+    else:
+        assert err.getvalue() == "", (argv, err.getvalue())

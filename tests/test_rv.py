@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rv_reference
-from hqe.errors import FormulaSyntaxError, NegativeValue, OrderMismatch, OrderViolation, PrecisionExhausted
+from hqe.errors import DivisionByZero, FormulaSyntaxError, NegativeValue, OrderMismatch, OrderViolation, PrecisionExhausted
 from hqe.field import Field
 from hqe.rv import (
     RVElem,
@@ -239,6 +239,14 @@ def _outcome(fn, *args):
     return _key(r)
 
 
+def _inf_inverse(outcome):
+    """The oracle raised the builtin ZeroDivisionError on inverting inf;
+    the toolkit raises DivisionByZero with the same message."""
+    if outcome[0] is ZeroDivisionError:
+        return DivisionByZero, outcome[1]
+    return outcome
+
+
 @st.composite
 def _element(draw, field):
     """Zero, an order bound, or an exact or truncated element with a few
@@ -287,8 +295,8 @@ def test_classes_match_the_digit_tuple_reference(case):
         assert str(a) == str(b) and a.val() == b.val() and a.is_inf == b.is_inf
         assert a.rep() == b.rep()
         assert _outcome(a.project, e) == _outcome(b.project, e)
-        assert _outcome(a.inv) == _outcome(b.inv)
-        assert _outcome(a.__pow__, n) == _outcome(b.__pow__, n)
+        assert _outcome(a.inv) == _inf_inverse(_outcome(b.inv))
+        assert _outcome(a.__pow__, n) == _inf_inverse(_outcome(b.__pow__, n))
         assert _outcome(a.__neg__) == _outcome(b.__neg__)
         assert _outcome(rv_reference.residue_of, b) == _outcome(residue_of, a)
         back = parse_rv(field, str(a))
