@@ -18,7 +18,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .field import MAX_DIGIT_SPAN, Field, bounded_order
-from .formula import parse_field_term, parse_formula, print_formula, term_vars
+from .formula import free_vars, parse_field_term, parse_formula, print_formula
 from .hensel import newton_lift
 from .qe import decide, normal_form, qe, term_to_poly
 from .rv import rv
@@ -26,9 +26,18 @@ from .selftest import SUITES, run_selftest
 from .semantics import eval_field_term
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a usage error raised as a syntax error: a malformed
+    command line exits 1 on one stderr line, as malformed input does."""
+
+    def error(self, message):
+        raise FormulaSyntaxError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    # the global flags are accepted before or after the subcommand
-    common = argparse.ArgumentParser(add_help=False)
+    # the global flags are accepted before or after the subcommand; the
+    # subcommand parsers are of the main parser's class
+    common = _Parser(add_help=False)
     common.add_argument(
         "--field", choices=["laurent-q", "padic"], default=argparse.SUPPRESS
     )
@@ -52,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=argparse.SUPPRESS,
         help="on precision exhaustion, double the precision and retry",
     )
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hqe",
         description="exact leading-term arithmetic and relative quantifier "
         "elimination for henselian valued fields",
@@ -111,7 +120,7 @@ def _field_of(args) -> Field:
 
 def _parse_poly(field, text):
     term = parse_field_term(field, text)
-    names = sorted(term_vars(term))
+    names = sorted(free_vars(term))
     if len(names) > 1:
         raise FormulaSyntaxError(f"polynomial in one variable expected, got {names}")
     var = names[0] if names else "x"
@@ -257,17 +266,17 @@ def _run_retrying(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    # global flags are suppressed-by-default so either position wins;
-    # settle the fallbacks here
-    for key, value in _DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
-    # argparse hands over the option value "--" (as in --poly=--) as []
-    for key in ("poly", "start"):
-        if getattr(args, key, None) == []:
-            setattr(args, key, "--")
     try:
+        args = build_parser().parse_args(argv)
+        # global flags are suppressed-by-default so either position wins;
+        # settle the fallbacks here
+        for key, value in _DEFAULTS.items():
+            if not hasattr(args, key):
+                setattr(args, key, value)
+        # argparse hands over the option value "--" (as in --poly=--) as []
+        for key in ("poly", "start"):
+            if getattr(args, key, None) == []:
+                setattr(args, key, "--")
         if not hasattr(args, "prec"):
             args.prec = _env_prec()
         return _run_retrying(args)

@@ -25,7 +25,7 @@ from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem
 from .hensel import derivative_roots, elem_sort_key, resolution_horizon
 from .poly import Poly, annulus_residue_poly, argmin_indices, residue_roots, taylor_shift
 from .rv import RVElem, rv
-from .valq import INF, NEG_INF, as_order, as_value
+from .valq import INF, NEG_INF, as_order
 
 _MAX_DEPTH = 600
 
@@ -220,17 +220,9 @@ class Piece:
             field.parse(data["center"]),
             tuple(field.parse(c) for c in data["coeffs"]),
             data["m"],
-            _parse_value(data["severity_bound"]),
+            int(data["severity_bound"]),
             data["q"],
         )
-
-
-def _parse_value(s: str):
-    """A value as str() prints it: an int, a fraction a/b, inf or -inf."""
-    if s in ("inf", "-inf"):
-        return float(s)
-    n, _, d = s.partition("/")
-    return Fraction(int(n), int(d)) if d else int(n)
 
 
 def _int_val(field: Field, q: int) -> int:
@@ -475,7 +467,7 @@ class RVDecomposition:
             )
             for c in data["cells"]
         )
-        deltas = tuple(_parse_value(d) for d in data["deltas"])
+        deltas = tuple(int(d) for d in data["deltas"])
         return RVDecomposition((), deltas, cells)
 
 
@@ -483,12 +475,9 @@ def rv_decompose(fs, deltas) -> RVDecomposition:
     """A common partition of K adapted to every f in fs at its order delta:
     intersect the per-polynomial decompositions."""
     fs = list(fs)
-    deltas = [as_value(d) for d in deltas]
+    deltas = [as_order(d) for d in deltas]
     if len(fs) != len(deltas):
         raise ValueError("one order per polynomial required")
-    for d in deltas:
-        if d < 0:
-            raise PreconditionViolated("orders must be nonnegative")
     field = fs[0].field
     per_poly = [decompose(f) for f in fs]
     cells = [(SwissCheese.all(field), [])]

@@ -245,11 +245,11 @@ class Field:
     def parse(self, text: str) -> "FieldElem":
         """The value of a field term with no variables, in the term grammar
         of ``hqe.formula``: ``1 + -1*t^2 + O(t^8)``, ``3/2 + O(7^10)``."""
-        from .formula import parse_field_term, term_vars
+        from .formula import free_vars, parse_field_term
         from .semantics import eval_field_term
 
         term = parse_field_term(self, text)
-        names = term_vars(term)
+        names = free_vars(term)
         if names:
             raise FormulaSyntaxError(f"a field literal has no variables, got {', '.join(sorted(names))}")
         return eval_field_term(term, {}, self)

@@ -45,89 +45,115 @@ it, is a field term with no variables: ``1 + -1*t^2 + O(t^8)``,
 
 Variables bound by a quantifier carry its sort; free identifiers are field
 sorted unless declared via the parser's rv_vars argument.
+
+Each node class names its subnode fields once, in its ``kids`` class
+keyword (``class FAdd(Node, kids=("left", "right"))``), and every walk over
+subterms (free variables, substitution, the search for a field quantifier,
+the elimination's pass-through) reads them through ``children`` and
+``with_children``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import is_
 
 from .errors import FormulaSyntaxError, OrderMismatch
 from .field import LAURENT, Field, FieldElem, _Tokens
 from .rv import RVElem, parse_rv_scan
 
+# ---- nodes ----------------------------------------------------------------
+
+
+class Node:
+    """A term or formula node: a frozen dataclass whose fields named by the
+    class keyword ``kids`` hold its subnodes, each a node or a tuple of
+    nodes; its other fields are data."""
+
+    _kids = ()
+
+    def __init_subclass__(cls, kids=(), **kw):
+        super().__init_subclass__(**kw)
+        cls._kids = kids
+
+
+class Formula(Node):
+    """A formula node; the other nodes are terms."""
+
+
 # ---- terms --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FVar:
+class FVar(Node):
     name: str
 
 
 @dataclass(frozen=True)
-class FLit:
+class FLit(Node):
     value: FieldElem
 
 
 @dataclass(frozen=True)
-class FAdd:
+class FAdd(Node, kids=("left", "right")):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class FMul:
+class FMul(Node, kids=("left", "right")):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class FNeg:
+class FNeg(Node, kids=("arg",)):
     arg: object
 
 
 @dataclass(frozen=True)
-class FPow:
+class FPow(Node, kids=("base",)):
     base: object
     exp: int
 
 
 @dataclass(frozen=True)
-class RVVarT:
+class RVVarT(Node):
     name: str
     order: int
 
 
 @dataclass(frozen=True)
-class RVLitT:
+class RVLitT(Node):
     value: RVElem
 
 
 @dataclass(frozen=True)
-class RVOf:
+class RVOf(Node, kids=("arg",)):
     order: int
     arg: object  # field term
 
 
 @dataclass(frozen=True)
-class RVMulT:
+class RVMulT(Node, kids=("left", "right")):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class RVPowT:
+class RVPowT(Node, kids=("base",)):
     base: object
     exp: int
 
 
 @dataclass(frozen=True)
-class RVProjT:
+class RVProjT(Node, kids=("arg",)):
     order: int
     arg: object
 
 
 @dataclass(frozen=True)
-class RVSumT:
+class RVSumT(Node, kids=("args",)):
     """Sum of leading terms, projected to ``order``: evaluates through any
     witness of the sum of the arguments (well-defined when the severity is
     at most the argument order minus ``order``)."""
@@ -140,28 +166,28 @@ class RVSumT:
 
 
 @dataclass(frozen=True)
-class TrueF:
+class TrueF(Formula):
     pass
 
 
 @dataclass(frozen=True)
-class FalseF:
+class FalseF(Formula):
     pass
 
 
 @dataclass(frozen=True)
-class PolyZero:
+class PolyZero(Formula, kids=("arg",)):
     arg: object  # field term, asserted = 0
 
 
 @dataclass(frozen=True)
-class RVEq:
+class RVEq(Formula, kids=("left", "right")):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class OplusA:
+class OplusA(Formula, kids=("a", "b", "c")):
     order: int
     a: object
     b: object
@@ -169,54 +195,54 @@ class OplusA:
 
 
 @dataclass(frozen=True)
-class VComp:
+class VComp(Formula, kids=("left", "right")):
     op: str  # "<", "<=", "=", "!=", ">", ">="
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class Not:
+class Not(Formula, kids=("arg",)):
     arg: object
 
 
 @dataclass(frozen=True)
-class And:
+class And(Formula, kids=("args",)):
     args: tuple
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(Formula, kids=("args",)):
     args: tuple
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(Formula, kids=("left", "right")):
     left: object
     right: object
 
 
 @dataclass(frozen=True)
-class ExistsF:
+class ExistsF(Formula, kids=("body",)):
     var: str
     body: object
 
 
 @dataclass(frozen=True)
-class ForallF:
+class ForallF(Formula, kids=("body",)):
     var: str
     body: object
 
 
 @dataclass(frozen=True)
-class ExistsRV:
+class ExistsRV(Formula, kids=("body",)):
     var: str
     order: int
     body: object
 
 
 @dataclass(frozen=True)
-class ForallRV:
+class ForallRV(Formula, kids=("body",)):
     var: str
     order: int
     body: object
@@ -264,70 +290,62 @@ def neg(a):
     return Not(a)
 
 
-# ---- traversal helpers -----------------------------------------------------
+# ---- traversal -------------------------------------------------------------
+
+_BINDERS = (ExistsF, ForallF, ExistsRV, ForallRV)
 
 
-def _children(node):
-    if isinstance(node, (And, Or)):
-        return node.args
-    if isinstance(node, (Not,)):
-        return (node.arg,)
-    if isinstance(node, Implies):
-        return (node.left, node.right)
-    if isinstance(node, (ExistsF, ForallF, ExistsRV, ForallRV)):
-        return (node.body,)
-    return ()
+def children(node) -> list:
+    """node's subnodes in field order, a tuple field giving its items."""
+    out = []
+    for name in node._kids:
+        sub = getattr(node, name)
+        if type(sub) is tuple:
+            out.extend(sub)
+        else:
+            out.append(sub)
+    return out
+
+
+def with_children(node, kids):
+    """node with its subnodes replaced by kids, taken in children() order;
+    node itself when each kid is the subnode it replaces."""
+    if all(map(is_, kids, children(node))):
+        return node
+    kids = iter(kids)
+    changes = {}
+    for name in node._kids:
+        old = getattr(node, name)
+        changes[name] = tuple(next(kids) for _ in old) if type(old) is tuple else next(kids)
+    return replace(node, **changes)
+
+
+# The walks below recurse through a plain loop over children(), one stack
+# frame per nesting level (a callback or a generator per level would double
+# it), so that they reach as deep as the parser does.
 
 
 def has_field_quantifier(phi) -> bool:
     if isinstance(phi, (ExistsF, ForallF)):
         return True
-    # a loop, not any() over a generator: one stack frame per nesting level
-    for ch in _children(phi):
-        if has_field_quantifier(ch):
+    for sub in children(phi):
+        if has_field_quantifier(sub):
             return True
     return False
 
 
-def term_vars(term, out=None):
+def free_vars(node, bound=frozenset(), out=None) -> set:
+    """The free variables of a term or formula outside bound, added to out
+    when it is given."""
     out = set() if out is None else out
-    if isinstance(term, FVar):
-        out.add(term.name)
-    elif isinstance(term, RVVarT):
-        out.add(term.name)
-    elif isinstance(term, (FAdd, FMul, RVMulT)):
-        term_vars(term.left, out)
-        term_vars(term.right, out)
-    elif isinstance(term, (FNeg,)):
-        term_vars(term.arg, out)
-    elif isinstance(term, (FPow, RVPowT)):
-        term_vars(term.base, out)
-    elif isinstance(term, (RVOf, RVProjT)):
-        term_vars(term.arg, out)
-    elif isinstance(term, RVSumT):
-        for a in term.args:
-            term_vars(a, out)
-    return out
-
-
-def free_vars(phi, bound=frozenset()):
-    if isinstance(phi, (TrueF, FalseF)):
-        return set()
-    if isinstance(phi, PolyZero):
-        return term_vars(phi.arg) - bound
-    if isinstance(phi, RVEq):
-        return (term_vars(phi.left) | term_vars(phi.right)) - bound
-    if isinstance(phi, OplusA):
-        return (term_vars(phi.a) | term_vars(phi.b) | term_vars(phi.c)) - bound
-    if isinstance(phi, VComp):
-        return (term_vars(phi.left) | term_vars(phi.right)) - bound
-    if isinstance(phi, (ExistsF, ForallF)):
-        return free_vars(phi.body, bound | {phi.var})
-    if isinstance(phi, (ExistsRV, ForallRV)):
-        return free_vars(phi.body, bound | {phi.var})
-    out = set()
-    for ch in _children(phi):
-        out |= free_vars(ch, bound)
+    if isinstance(node, (FVar, RVVarT)):
+        if node.name not in bound:
+            out.add(node.name)
+        return out
+    if isinstance(node, _BINDERS):
+        bound = bound | {node.var}
+    for sub in children(node):
+        free_vars(sub, bound, out)
     return out
 
 
@@ -345,72 +363,31 @@ def _rv_order(term):
     return None
 
 
-def subst_term(term, env):
-    """Substitute variables by literal terms in a field/rv term; a term of
-    the wrong sort or order raises OrderMismatch."""
-    if isinstance(term, FVar):
-        new = env.get(term.name, term)
+def subst(node, env):
+    """A term or formula with its free variables replaced by the terms env
+    gives them (literals, as a rule); a term of the wrong sort or order
+    raises OrderMismatch."""
+    if isinstance(node, FVar):
+        new = env.get(node.name, node)
         if not isinstance(new, _FIELD_TERMS):
-            raise OrderMismatch(f"{term.name} is not field-sorted")
+            raise OrderMismatch(f"{node.name} is not field-sorted")
         return new
-    if isinstance(term, RVVarT):
-        new = env.get(term.name, term)
+    if isinstance(node, RVVarT):
+        new = env.get(node.name, node)
         order = _rv_order(new)
         if order is None:
-            raise OrderMismatch(f"{term.name} is not RV-sorted")
-        if order != term.order:
-            raise OrderMismatch(f"{term.name} has order {order}, expected {term.order}")
+            raise OrderMismatch(f"{node.name} is not RV-sorted")
+        if order != node.order:
+            raise OrderMismatch(f"{node.name} has order {order}, expected {node.order}")
         return new
-    if isinstance(term, FAdd):
-        return FAdd(subst_term(term.left, env), subst_term(term.right, env))
-    if isinstance(term, FMul):
-        return FMul(subst_term(term.left, env), subst_term(term.right, env))
-    if isinstance(term, FNeg):
-        return FNeg(subst_term(term.arg, env))
-    if isinstance(term, FPow):
-        return FPow(subst_term(term.base, env), term.exp)
-    if isinstance(term, RVOf):
-        return RVOf(term.order, subst_term(term.arg, env))
-    if isinstance(term, RVMulT):
-        return RVMulT(subst_term(term.left, env), subst_term(term.right, env))
-    if isinstance(term, RVPowT):
-        return RVPowT(subst_term(term.base, env), term.exp)
-    if isinstance(term, RVProjT):
-        return RVProjT(term.order, subst_term(term.arg, env))
-    if isinstance(term, RVSumT):
-        return RVSumT(term.order, tuple(subst_term(a, env) for a in term.args))
-    return term
-
-
-def subst(phi, env):
-    """Substitute variables by FLit / RVLitT terms throughout a formula."""
-    if isinstance(phi, (TrueF, FalseF)):
-        return phi
-    if isinstance(phi, PolyZero):
-        return PolyZero(subst_term(phi.arg, env))
-    if isinstance(phi, RVEq):
-        return RVEq(subst_term(phi.left, env), subst_term(phi.right, env))
-    if isinstance(phi, OplusA):
-        return OplusA(
-            phi.order, subst_term(phi.a, env), subst_term(phi.b, env), subst_term(phi.c, env)
-        )
-    if isinstance(phi, VComp):
-        return VComp(phi.op, subst_term(phi.left, env), subst_term(phi.right, env))
-    if isinstance(phi, Not):
-        return Not(subst(phi.arg, env))
-    if isinstance(phi, And):
-        return And(tuple(subst(a, env) for a in phi.args))
-    if isinstance(phi, Or):
-        return Or(tuple(subst(a, env) for a in phi.args))
-    if isinstance(phi, Implies):
-        return Implies(subst(phi.left, env), subst(phi.right, env))
-    if isinstance(phi, (ExistsF, ForallF)):
-        inner = {k: v for k, v in env.items() if k != phi.var}
-        return type(phi)(phi.var, subst(phi.body, inner))
-    if isinstance(phi, (ExistsRV, ForallRV)):
-        inner = {k: v for k, v in env.items() if k != phi.var}
-        return type(phi)(phi.var, phi.order, subst(phi.body, inner))
-    raise TypeError(f"not a formula: {phi!r}")
+    if not isinstance(node, Node):
+        raise TypeError(f"not a term or formula: {node!r}")
+    if isinstance(node, _BINDERS):
+        env = {k: v for k, v in env.items() if k != node.var}
+    kids = []
+    for sub in children(node):
+        kids.append(subst(sub, env))
+    return with_children(node, kids)
 
 
 # ---- printing ---------------------------------------------------------------

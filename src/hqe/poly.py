@@ -271,11 +271,19 @@ def monic(f: Poly) -> Poly:
 
 
 def _strip_content(f: Poly) -> Poly:
+    """f divided by the least power of the uniformizer among its
+    coefficients: the same roots, with a unit coefficient."""
     if f.is_zero:
         return f
     try:
         vals = [c.val() for c in f.coeffs if not c.is_zero]
     except PrecisionExhausted:
+        # Conservative: f and its stripped form differ by a unit factor.
+        # poly_gcd strips only to keep coefficients small and ends in
+        # monic, so its answer does not rest on the strip; an undecided
+        # leading coefficient is monic's divisor, and _div raises there.
+        # _roots_in_O needs the strip, but reads the same valuations again
+        # through coeff_vals, which raises on the same coefficient.
         return f
     m = min(vals, default=INF)
     if m == INF or m == 0:

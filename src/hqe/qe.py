@@ -32,13 +32,12 @@ from .formula import (
     TRUE,
     And,
     ExistsF,
-    ExistsRV,
     FAdd,
     FLit,
     FMul,
     FNeg,
     ForallF,
-    ForallRV,
+    Formula,
     FPow,
     FVar,
     FalseF,
@@ -57,12 +56,14 @@ from .formula import (
     RVVarT,
     TrueF,
     VComp,
+    children,
     conj,
     disj,
     free_vars,
     has_field_quantifier,
     neg,
     subst,
+    with_children,
 )
 from .hensel import field_roots, is_root, resolution_horizon, same_point
 from .poly import Poly, check_degree, poly_gcd
@@ -535,11 +536,6 @@ def _qe_walk(phi, field):
         return conj([_qe_walk(a, field) for a in phi.args])
     if isinstance(phi, Or):
         return disj([_qe_walk(a, field) for a in phi.args])
-    if isinstance(phi, Implies):
-        return Implies(_qe_walk(phi.left, field), _qe_walk(phi.right, field))
-    if isinstance(phi, (ExistsRV, ForallRV)):
-        body = _qe_walk(phi.body, field)
-        return type(phi)(phi.var, phi.order, body)
     if isinstance(phi, (ExistsF, ForallF)):
         # flatten a block of like quantifiers, then eliminate the inner rest
         kind = type(phi)
@@ -554,7 +550,13 @@ def _qe_walk(phi, field):
         else:
             result = not decide_exists_block(chain, Not(body), field)
         return TRUE if result else FALSE
-    raise TypeError(f"not a formula: {phi!r}")
+    if not isinstance(phi, Formula):
+        raise TypeError(f"not a formula: {phi!r}")
+    # Implies and the RV quantifiers: the same node over walked subformulas
+    kids = []
+    for sub in children(phi):
+        kids.append(_qe_walk(sub, field))
+    return with_children(phi, kids)
 
 
 def decide(sigma, field: Field, params=None) -> bool:
@@ -708,11 +710,12 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
                 return conj([rebuild(a) for a in node.args])
             if isinstance(node, Or):
                 return disj([rebuild(a) for a in node.args])
-            if isinstance(node, Implies):
-                return Implies(rebuild(node.left), rebuild(node.right))
-            if isinstance(node, (ExistsRV, ForallRV)):
-                return type(node)(node.var, node.order, rebuild(node.body))
-            raise NonEffectiveQuantifier(f"unsupported node in normal form: {node!r}")
+            if isinstance(node, (ExistsF, ForallF)):
+                raise NonEffectiveQuantifier(f"unsupported node in normal form: {node!r}")
+            kids = []
+            for sub in children(node):
+                kids.append(rebuild(sub))
+            return with_children(node, kids)
 
         body = rebuild(phi)
         if isinstance(body, FalseF):

@@ -41,7 +41,6 @@ from .formula import (
     VComp,
     conj,
     free_vars,
-    term_vars,
 )
 from .rv import RVElem, oplus_holds, rv, rv_sum_analyze
 from .valq import INF, holds
@@ -279,7 +278,7 @@ def _eval_rv_quantifier(phi, env, field: Field) -> bool:
             and isinstance(guard.left, RVProjT)
             and isinstance(guard.left.arg, RVVarT)
             and guard.left.arg.name == phi.var
-            and phi.var not in term_vars(guard.right)
+            and phi.var not in free_vars(guard.right)
         ):
             matched = _match_two_witness(body)
         if matched is not None:

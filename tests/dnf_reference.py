@@ -37,7 +37,6 @@ from hqe.formula import (
     free_vars,
     neg,
     subst,
-    term_vars,
 )
 from hqe.hensel import field_roots, is_root, resolution_horizon
 from hqe.poly import Poly, poly_gcd
@@ -45,6 +44,7 @@ from hqe.qe import rvterm_to_poly, term_to_poly
 from hqe.regions import region_all, roots_region, vcomp_region
 from hqe.semantics import evaluate
 from hqe.valq import FLIP, INF, NEGATED, holds
+from walker_reference import term_vars
 
 Region = list
 

@@ -307,6 +307,32 @@ def test_input_that_raised_a_builtin_error_exits_on_one_line(capsys, argv, code,
     assert stderr == err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["eval", "-t"], "the following arguments are required: expr"),
+        (["eval", "-1*t^2"], "the following arguments are required: expr"),
+        (["rv", "t", "--order", "x"], "argument --order: invalid int value: 'x'"),
+        ([], "the following arguments are required: command"),
+        (["--field", "bogus", "eval", "1"], "argument --field: invalid choice: 'bogus' (choose from 'laurent-q', 'padic')"),
+        (["eval", "1", "2"], "unrecognized arguments: 2"),
+        (["decompose", "--poly"], "argument --poly: expected one argument"),
+    ],
+)
+def test_malformed_command_line_is_a_syntax_error(capsys, argv, err):
+    code, out, stderr = run_cli(capsys, *argv)
+    _one_line_error(code, out, stderr, 1)
+    assert stderr == f"syntax error: {err}\n"
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: hqe ") and "decide a sentence" in out
+
+
 # ---- fuzzing: argv from the grammar, with character mutations ---------------
 
 
@@ -329,29 +355,33 @@ _ORDERS = st.one_of(st.integers(-2, 4), st.integers(-(10**9), 10**9))
 
 @st.composite
 def _argv(draw):
-    """One command line; option values as --name=value and text after --,
-    so that a text starting with "-" stays an argument."""
+    """One command line.  An option value is drawn as --name=value or as a
+    separate item, a text argument after -- or not, so that a text starting
+    with "-" is a usage error or an argument."""
+
+    def option(name, value):
+        return [f"--{name}={value}"] if draw(st.booleans()) else [f"--{name}", str(value)]
+
     field = draw(st.sampled_from(_FIELDS))
-    argv = [] if field.backend == "laurent-q" else ["--field=padic", f"--p={field.p}"]
-    argv.append(f"--prec={draw(st.one_of(st.sampled_from([8, 16, 64]), st.integers(-4, 4096)))}")
+    argv = [] if field.backend == "laurent-q" else option("field", "padic") + option("p", field.p)
+    argv += option("prec", draw(st.one_of(st.sampled_from([8, 16, 64]), st.integers(-4, 4096))))
     command = draw(st.sampled_from(["eval", "rv", "lift", "decompose", "qe", "decide", "normal-form"]))
     argv.append(command)
     terms, formulas = ["term", "element"], ["formula", "formula", "term", "class"]
     if command == "rv":
-        argv.append(f"--order={draw(_ORDERS)}")
+        argv += option("order", draw(_ORDERS))
     elif command == "lift":
-        argv += [f"--poly={draw(_text(field, terms))}", f"--from={draw(_text(field, terms))}"]
-        argv.append(f"--sep={draw(st.integers(-2, 3))}")
+        argv += option("poly", draw(_text(field, terms))) + option("from", draw(_text(field, terms)))
+        argv += option("sep", draw(st.integers(-2, 3)))
     elif command == "decompose":
-        argv.append(f"--poly={draw(_text(field, terms))}")
+        argv += option("poly", draw(_text(field, terms)))
         if draw(st.booleans()):
-            argv.append(f"--rv-order={draw(_ORDERS)}")
+            argv += option("rv-order", draw(_ORDERS))
     elif command == "normal-form":
-        argv.append("--var=x")
-    if command in ("eval", "rv"):
-        argv += ["--", draw(_text(field, terms))]
-    elif command in ("qe", "decide", "normal-form"):
-        argv += ["--", draw(_text(field, formulas))]
+        argv += option("var", "x")
+    if command in ("eval", "rv", "qe", "decide", "normal-form"):
+        text = draw(_text(field, terms if command in ("eval", "rv") else formulas))
+        argv += ["--", text] if draw(st.booleans()) else [text]
     return argv
 
 

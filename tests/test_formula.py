@@ -1,12 +1,23 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hqe.errors import FormulaSyntaxError
+import walker_reference as ref
+from hqe.errors import FormulaSyntaxError, OrderMismatch
 from hqe.field import Field
 from hqe.formula import (
     ExistsF,
     ExistsRV,
+    FAdd,
+    Formula,
+    FVar,
     PolyZero,
     RVEq,
+    RVLitT,
+    RVMulT,
+    RVOf,
+    RVPowT,
+    RVVarT,
     free_vars,
     has_field_quantifier,
     normalize,
@@ -16,6 +27,8 @@ from hqe.formula import (
     subst,
     FLit,
 )
+from hqe.rv import rv
+from test_parser import _FIELD_NAMES, _FIELDS, _RV_NAMES, _element, _formulas, _fterms, _outcome, _rv_class, _rvterms
 
 GOLDEN_LAURENT = [
     "EX x:K. rv[0](x^2 - t^2) = rv[0](0)",
@@ -95,3 +108,62 @@ def test_syntax_error_position(laurent):
         parse_formula(laurent, "EX x:K. rv[0](x = 0")
     with pytest.raises(FormulaSyntaxError):
         parse_formula(laurent, "x + = 0")
+
+
+# ---- the generic walks against the frozen isinstance chains ------------------
+
+
+def _substitute(field):
+    """A term to put for a variable: of either sort and of any order, so
+    that wrong-sort and wrong-order substitutions occur."""
+    orders = st.integers(0, 3)
+    rv_leaf = st.one_of(_rv_class(field).map(RVLitT), st.builds(RVVarT, st.sampled_from(_RV_NAMES), orders))
+    return st.one_of(
+        _element(field).map(FLit),
+        st.sampled_from(_FIELD_NAMES).map(FVar),
+        st.builds(FAdd, st.sampled_from(_FIELD_NAMES).map(FVar), _element(field).map(FLit)),
+        rv_leaf,
+        st.builds(RVMulT, rv_leaf, rv_leaf),
+        st.builds(RVPowT, rv_leaf, st.integers(-2, 3)),
+        st.builds(RVOf, orders, st.sampled_from(_FIELD_NAMES).map(FVar)),
+    )
+
+
+def _walk_cases(field):
+    nodes = st.one_of(_formulas(field), _fterms(field), _rvterms(field))
+    names = st.sampled_from(_FIELD_NAMES + _RV_NAMES)
+    return st.tuples(nodes, st.dictionaries(names, _substitute(field), max_size=3), st.frozensets(names, max_size=2))
+
+
+# built once: a strategy built per example is validated per example
+_WALK_CASES = st.one_of([_walk_cases(field) for field in _FIELDS])
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=_WALK_CASES)
+def test_walks_match_the_isinstance_reference(case):
+    node, env, bound = case
+    if isinstance(node, Formula):
+        assert free_vars(node) == ref.free_vars(node)
+        assert free_vars(node, bound) == ref.free_vars(node, bound)
+        assert has_field_quantifier(node) == ref.has_field_quantifier(node)
+        assert _outcome(subst, node, env) == _outcome(ref.subst, node, env)
+    else:
+        assert free_vars(node) == ref.term_vars(node)
+        assert _outcome(subst, node, env) == _outcome(ref.subst_term, node, env)
+
+
+def test_subst_checks_sorts_and_keeps_bound_variables(laurent):
+    one, t = FLit(laurent.one()), laurent.uniformizer()
+    phi = parse_formula(laurent, "EX x:K. x = c & rv[0](x) = w", rv_vars={"w": 0})
+    out = subst(phi, {"x": one, "c": one, "w": RVLitT(rv(t, 0))})
+    assert print_formula(out) == "EX x:K. x - 1 = 0 & rv[0](x) = rv[0]{v=1; unit=1}"
+    assert out == ref.subst(phi, {"x": one, "c": one, "w": RVLitT(rv(t, 0))})
+    with pytest.raises(OrderMismatch, match="^c is not field-sorted$"):
+        subst(phi, {"c": RVLitT(rv(t, 0))})
+    with pytest.raises(OrderMismatch, match="^w is not RV-sorted$"):
+        subst(phi, {"w": one})
+    with pytest.raises(OrderMismatch, match="^w has order 1, expected 0$"):
+        subst(phi, {"w": RVLitT(rv(t, 1))})
+    # a quantifier shadows its variable: no check, no substitution inside
+    assert subst(phi, {"x": RVLitT(rv(t, 1))}) == phi

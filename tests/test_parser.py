@@ -43,7 +43,7 @@ from hqe.formula import (
     parse_field_term,
     parse_formula,
     print_formula,
-    term_vars,
+    free_vars,
 )
 from hqe.rv import RVElem, parse_rv, rv
 from hqe.semantics import eval_field_term
@@ -211,7 +211,7 @@ def test_parsers_match_the_character_scanner_reference(case):
     new, term = _outcome(field.parse, text), _outcome(parse_field_term, field, text)
     if term[0] != "ok":
         assert new == term
-    elif term_vars(term[1]):
+    elif free_vars(term[1]):
         assert new[0] is FormulaSyntaxError
     else:
         assert new == _outcome(eval_field_term, term[1], {}, field)

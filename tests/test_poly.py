@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 import hqe.poly
 from hqe.errors import PrecisionExhausted, PreconditionViolated
 from hqe.field import FINGERPRINT_PRIME, FINGERPRINT_T, Field
-from hqe.hensel import field_roots
+from hqe.hensel import _roots_in_O, field_roots
 from hqe.poly import (
     RESIDUE_SCAN_MAX_P,
     Poly,
     _divisors,
+    _strip_content,
     coeff_images,
     derivative,
     exact_divide,
@@ -412,3 +413,23 @@ def test_degree_bound(laurent):
     assert Poly(laurent, [one] * (top + 1) + [laurent.zero()]).degree == top
     with pytest.raises(PreconditionViolated, match="MAX_DEGREE"):
         Poly(laurent, [one] * (top + 2))
+
+
+def test_undecided_content_is_left_and_its_callers_raise(laurent):
+    """_strip_content leaves f as it is when a valuation is undecided; each
+    caller then meets that coefficient and raises instead of answering."""
+    F = laurent
+    f = Poly(F, [F.parse("O(t^5)"), F.parse("t^2")])
+    assert _strip_content(f) is f
+    with pytest.raises(PrecisionExhausted):
+        _roots_in_O(f, 0)
+    # the remainder of x^2 by x + O(t^5) is O(t^10): taken for zero, the gcd
+    # would be x + O(t^5), taken for a unit, 1
+    x2 = Poly(F, [F.zero(), F.zero(), F.one()])
+    near_x = Poly(F, [F.parse("O(t^5)"), F.one()])
+    for a, b in ((x2, near_x), (near_x, x2)):
+        with pytest.raises(PrecisionExhausted):
+            poly_gcd(a, b)
+    g = Poly(F, [F.parse("O(t^5)"), F.parse("t"), F.one()])  # x^2 + t*x + O(t^5)
+    with pytest.raises(PrecisionExhausted):
+        field_roots(g)

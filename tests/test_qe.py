@@ -13,6 +13,8 @@ from hqe.formula import (
     FALSE,
     TRUE,
     FLit,
+    FVar,
+    RVOf,
     parse_formula,
     print_formula,
     has_field_quantifier,
@@ -27,6 +29,14 @@ from hqe.semantics import evaluate
 def test_discriminating_pair(laurent):
     assert decide(parse_formula(laurent, "EX y:K. y^2 = t^2"), laurent)
     assert not decide(parse_formula(laurent, "EX y:K. y^2 = 2*t^2"), laurent)
+
+
+def test_qe_passes_through_implications_and_rv_quantifiers(laurent):
+    phi = parse_formula(laurent, "ALL w:RV[0]. (EX x:K. x^2 = t^2) -> (EX u:RV[1]. proj[0](u) = w & ALL y:K. y = 1)")
+    assert print_formula(qe(phi, laurent)) == "ALL w:RV[0]. true -> EX u:RV[1]. false"
+    for term in (FVar("x"), RVOf(0, FLit(laurent.one())), "x = 1"):
+        with pytest.raises(TypeError, match="^not a formula"):
+            qe(term, laurent)
 
 
 def test_padic_squares(padic2):

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 import rv_reference
 from hqe.errors import DivisionByZero, FormulaSyntaxError, NegativeValue, OrderMismatch, OrderViolation, PrecisionExhausted
+from hqe.decomp import rv_decompose
 from hqe.field import Field
+from hqe.poly import Poly
 from hqe.rv import (
     RVElem,
     SumAnalysis,
@@ -44,7 +46,7 @@ def test_projection(laurent):
         rv(x, 2).project(3)
 
 
-@pytest.mark.parametrize("order", [-1, Fraction(1, 2)])
+@pytest.mark.parametrize("order", [-1, Fraction(1, 2), INF])
 def test_orders_are_nonnegative_integers(any_field, order):
     x = any_field.one()
     with pytest.raises(NegativeValue):
@@ -53,6 +55,8 @@ def test_orders_are_nonnegative_integers(any_field, order):
         rv(x, 2).project(order)
     with pytest.raises(NegativeValue):
         x.residue(order)
+    with pytest.raises(NegativeValue):
+        rv_decompose([Poly(any_field, [x, x])], [order])
 
 
 def test_projection_commutes(any_field):
