@@ -313,6 +313,14 @@ def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> li
 
 
 def _count_inside(droots, ball: Ball) -> int:
+    """An upper bound on the distinct derivative roots in ball.
+
+    Conservative: a root whose membership is undecided counts as inside.
+    The count feeds only _region's measure assertion, directly and as the
+    previous count that _annulus_analysis hands to the class recursion; no
+    piece reads it, and termination rests on _MAX_DEPTH.  So an undecided
+    membership can at most let that defensive check pass, never change an
+    answer."""
     n = 0
     seen = []
     for _, r in droots:

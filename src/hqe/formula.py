@@ -55,6 +55,7 @@ the elimination's pass-through) reads them through ``children`` and
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from operator import is_
 
@@ -502,11 +503,37 @@ def print_formula(phi, prec=0) -> str:
 # ---- parsing ----------------------------------------------------------------
 
 
+# A chain a + b + ... (or a * b * ..., or an RV product) is read in a loop
+# but builds a left-nested tree, which every later walk recurses through,
+# at most two frames a level.  So each link on a term's deepest path counts
+# as _LINK_FRAMES frames toward the recursion bound that limits nesting,
+# and a chain past that bound is nested too deeply, as deep parentheses are.
+_LINK_FRAMES = 3
+
+
+def _stack_depth() -> int:
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
 class _FormulaParser:
     def __init__(self, field: Field, text: str, rv_vars=None):
         self.field = field
         self.sc = _Tokens(text)
         self.sorts = dict(rv_vars or {})  # name -> order for RV, None for K
+        self.links = 0  # chain links on the deepest path of the last term read
+
+    def _chain(self, links: int, frames: int | None) -> tuple:
+        """(links + 1, frames): one more link on a chain whose deepest path
+        had ``links`` links, read at stack depth ``frames`` (None: not yet
+        measured); RecursionError once the links pass the bound."""
+        if frames is None:
+            frames = _stack_depth()
+        if frames + _LINK_FRAMES * (links + 1) > sys.getrecursionlimit():
+            raise RecursionError("chain nested too deeply")
+        return links + 1, frames
 
     def fail(self, msg):
         raise FormulaSyntaxError(msg, self.sc.pos)
@@ -638,8 +665,11 @@ class _FormulaParser:
 
     def rvterm(self):
         left = self.rvfactor()
+        links, frames = self.links, None
         while self.sc.eat("*"):
             left = RVMulT(left, self.rvfactor())
+            links, frames = self._chain(max(links, self.links), frames)
+        self.links = links
         return left
 
     def rvfactor(self):
@@ -656,6 +686,7 @@ class _FormulaParser:
             sc.expect("]")
             if sc.at("{"):
                 sc.pos = save
+                self.links = 0
                 return RVLitT(parse_rv_scan(self.field, sc))
             sc.expect("(")
             arg = self.fterm()
@@ -673,9 +704,12 @@ class _FormulaParser:
             sc.expect("]")
             sc.expect("(")
             args = [self.rvterm()]
+            links = self.links
             while sc.eat(","):
                 args.append(self.rvterm())
+                links = max(links, self.links)
             sc.expect(")")
+            self.links = links
             return RVSumT(order, tuple(args))
         if sc.eat("("):
             inner = self.rvterm()
@@ -685,6 +719,7 @@ class _FormulaParser:
         order = self.sorts.get(name)
         if order is None:
             self.fail(f"{name} is not an RV-sorted variable")
+        self.links = 0
         return RVVarT(name, order)
 
     # field terms ----------------------------------------------------------------
@@ -695,20 +730,27 @@ class _FormulaParser:
         left = self.fprod()
         if negate:
             left = FNeg(left)
+        links, frames = self.links, None
         while True:
             if sc.eat("+"):
                 left = FAdd(left, self.fprod())
             elif sc.at("->"):
-                return left
+                break
             elif sc.eat("-"):
                 left = FAdd(left, FNeg(self.fprod()))
             else:
-                return left
+                break
+            links, frames = self._chain(max(links, self.links), frames)
+        self.links = links
+        return left
 
     def fprod(self):
         left = self.ffactor()
+        links, frames = self.links, None
         while self.sc.eat("*"):
             left = FMul(left, self.ffactor())
+            links, frames = self._chain(max(links, self.links), frames)
+        self.links = links
         return left
 
     def ffactor(self):
@@ -733,7 +775,9 @@ class _FormulaParser:
             sc.expect("^")
             k = sc.integer()
             sc.expect(")")
+            self.links = 0
             return FLit(self.field.small(k))
+        self.links = 0
         if sc.number_next():
             return FLit(self.field.from_rational(sc.rational()))
         name = sc.word()

@@ -213,8 +213,9 @@ def _field_roots(field: Field, coeffs) -> tuple[FieldElem, ...]:
         roots.append(field.zero())
         g = Poly(field, g.coeffs[low:])
     if g.degree >= 1:
-        for s in _integer_slopes(g):
-            G = _scale_to_radius(g, s)
+        pairs = coeff_vals(g)
+        for s in _integer_slopes(pairs):
+            G = _scale_to_radius(g, pairs, s)
             pi_s = field.monomial(1, s)
             for u in _roots_in_O(G, 0, only_units=True):
                 roots.append(_snap_exact(g, pi_s * u))
@@ -274,15 +275,16 @@ def _rational_reconstruct(u: int, m: int):
     return Fraction(r1, s1)
 
 
-def _integer_slopes(g: Poly):
-    """Integer candidate valuations for nonzero roots of g."""
-    return sorted({int(s) for s, _ in slope_root_counts(g) if s.denominator == 1})
+def _integer_slopes(pairs):
+    """Integer candidate valuations for nonzero roots of a polynomial with
+    the coefficient valuations ``pairs``."""
+    return sorted({int(s) for s, _ in slope_root_counts(pairs) if s.denominator == 1})
 
 
-def _scale_to_radius(g: Poly, s: int) -> Poly:
-    """g(pi^s * x) normalized to O-coefficients with unit content."""
+def _scale_to_radius(g: Poly, pairs, s: int) -> Poly:
+    """g(pi^s * x) normalized to O-coefficients with unit content; ``pairs``
+    are g's coeff_vals."""
     field = g.field
-    pairs = coeff_vals(g)
     mu = min((v + i * s for i, v in pairs), default=INF)
     coeffs = []
     for i, c in enumerate(g.coeffs):
@@ -302,10 +304,11 @@ def _roots_in_O(H: Poly, depth: int, only_units: bool = False) -> list[FieldElem
     if H.degree is None or H.degree == 0:
         return []
     out: list[FieldElem] = []
-    if count_roots_val_at_least(H, 0) == 0:
+    pairs = coeff_vals(H)
+    if count_roots_val_at_least(pairs, 0) == 0:
         return out
     # the content is stripped, so the unit coefficients are the minimal ones
-    respoly = annulus_residue_poly(H.coeffs, coeff_vals(H), 0)
+    respoly = annulus_residue_poly(H.coeffs, pairs, 0)
     for c in residue_roots(field, respoly):
         if only_units and c == 0:
             continue
@@ -316,7 +319,7 @@ def _roots_in_O(H: Poly, depth: int, only_units: bool = False) -> list[FieldElem
             rest = Poly(field, Hc.coeffs[1:])  # simple root: deflation is exact
             out.extend(chat + w for w in _descend(rest, depth))
             continue
-        inner = count_roots_val_at_least(Hc, 1)
+        inner = count_roots_val_at_least(coeff_vals(Hc), 1)
         if inner == 0:
             continue
         if inner == 1:

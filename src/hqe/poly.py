@@ -4,10 +4,26 @@ Newton-polygon bookkeeping, and root search over the residue field."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 
 from .errors import PrecisionExhausted, PreconditionViolated
-from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, fingerprint
+from .field import (
+    _NUM,
+    _SMALL,
+    _ZERO,
+    FINGERPRINT_PRIME,
+    LAURENT,
+    MAX_DIGIT_SPAN,
+    PADIC,
+    Field,
+    FieldElem,
+    _lconv,
+    _lelem,
+    _pelem,
+    _span_error,
+    fingerprint,
+)
 from .valq import INF, NEG_INF
 
 # residue_roots scans all of F_p, which is hopeless for a huge prime, so root
@@ -27,9 +43,12 @@ def check_degree(n: int):
 
 class Poly:
     """Coefficient-list polynomial; leading coefficient is not an exact zero
-    (the zero polynomial has an empty coefficient tuple)."""
+    (the zero polynomial has an empty coefficient tuple).
 
-    __slots__ = ("field", "coeffs")
+    Immutable: the integer forms of the coefficients, which evaluation and
+    ``taylor_shift`` run on, are built on first use and kept."""
+
+    __slots__ = ("field", "coeffs", "_forms")
 
     def __init__(self, field: Field, coeffs):
         cs = list(coeffs)
@@ -38,6 +57,7 @@ class Poly:
         check_degree(len(cs) - 1)
         self.field = field
         self.coeffs = tuple(cs)
+        self._forms = None
 
     @staticmethod
     def from_rationals(field: Field, rationals) -> "Poly":
@@ -58,10 +78,25 @@ class Poly:
         return self.coeffs[-1]
 
     def __call__(self, x: FieldElem) -> FieldElem:
-        acc = self.field.zero()
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """f(x) by Horner's rule on integer forms; the digits and precision
+        of the field's own ``acc * x + c`` steps."""
+        if not self.coeffs:
+            return self.field.zero()
+        field = self.field
+        fma = _FMA[field.backend]
+        forms = self._int_forms()
+        xf = _point_form(field, x)
+        p = field.p
+        acc = forms[-1]
+        for c in forms[-2::-1]:
+            acc = fma(acc, xf, c, p)
+        return _from_form(field, acc)
+
+    def _int_forms(self) -> tuple:
+        forms = self._forms
+        if forms is None:
+            forms = self._forms = _coeff_forms(self.field, self.coeffs)
+        return forms
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.coeffs == other.coeffs and self.field == other.field
@@ -130,23 +165,248 @@ def derivative(f: Poly, n: int = 1) -> Poly:
 
 
 def taylor_shift(f: Poly, alpha: FieldElem):
-    """Coefficients of f recentered at alpha: f(x) = sum a_i (x - alpha)^i."""
-    b = list(f.coeffs)
+    """Coefficients of f recentered at alpha: f(x) = sum a_i (x - alpha)^i.
+
+    Repeated synthetic division on integer forms, with the digits and
+    precision of the field's own ``b[j] + alpha * b[j + 1]`` steps."""
+    field = f.field
+    if len(f.coeffs) <= 1:
+        return f.coeffs or (field.zero(),)
+    fma = _FMA[field.backend]
+    b = list(f._int_forms())
+    a = _point_form(field, alpha)
+    p = field.p
     d = len(b) - 1
     for i in range(d):
         for j in range(d - 1, i - 1, -1):
-            b[j] = b[j] + alpha * b[j + 1]
-    return tuple(b) if b else (f.field.zero(),)
+            b[j] = fma(a, b[j + 1], b[j], p)
+    return tuple(_from_form(field, e) for e in b)
 
 
 def recompose(field: Field, coeffs, alpha: FieldElem) -> Poly:
-    """Inverse of taylor_shift: the polynomial sum a_i (x - alpha)^i."""
-    b = list(coeffs)
-    d = len(b) - 1
-    for i in range(d - 1, -1, -1):
-        for j in range(i, d):
-            b[j] = b[j] - alpha * b[j + 1]
-    return Poly(field, b)
+    """Inverse of taylor_shift: the polynomial sum a_i (x - alpha)^i, which
+    is sum a_i y^i recentered at -alpha."""
+    return Poly(field, taylor_shift(Poly(field, coeffs), -alpha))
+
+
+# ---- the integer kernel -------------------------------------------------------
+#
+# Evaluation and recentering run on plain integers.  The integer form of an
+# element is None for the exact zero, (None, 0, 1, A) for an order bound
+# (v >= A), and (v, u, den, cap) for the number pi^v * u/den known below
+# valuation cap (None: exact).  Over padic an exact u is an integer that p
+# does not divide, over a den that p does not divide, and an inexact one an
+# int mod p^(cap - v) over den 1; over laurent-q u is a list of integer
+# digits over den, the first nonzero and the last nonzero.
+#
+# Each backend's kernel is one a * b + c, in the steps of field._mul and
+# then field._add: a product is known below min(A_a + v_b, v_a + A_b), a
+# sum below the smaller cap, leading digits that cancel are stripped from a
+# sum, and a sum whose known digits all cancel is the order bound at its
+# cap.  No fraction is reduced on the way: an exact number has many forms,
+# and the one FieldElem made at the end is canonical, so every result is
+# the field kernel's, digit for digit.
+
+
+def _form(x: FieldElem):
+    if x.kind == _ZERO:
+        return None
+    if x.kind == _SMALL:
+        return (None, 0, 1, x.rel)
+    return (x.v, x.u, x.den, None if x.rel is None else x.v + x.rel)
+
+
+def _point_form(field: Field, x):
+    """The form of a point, read as the field's arithmetic reads an operand."""
+    if not isinstance(x, FieldElem):
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot evaluate a polynomial at {type(x).__name__}")
+        x = field.from_rational(x)
+    elif x.field.backend != field.backend or x.field.p != field.p:
+        raise ValueError("mixed-backend arithmetic")
+    return _form(x)
+
+
+def _coeff_forms(field: Field, coeffs) -> tuple:
+    """The forms of the coefficients; laurent-q digits over one common
+    denominator, so that Horner's sums need no rescaling of coefficients."""
+    forms = [_form(c) for c in coeffs]
+    if field.backend != LAURENT:
+        return tuple(forms)
+    nums = [i for i, e in enumerate(forms) if e is not None and e[0] is not None]
+    den = lcm(*(forms[i][2] for i in nums))
+    for i in nums:
+        v, u, d, cap = forms[i]
+        if d != den:
+            forms[i] = (v, [c * (den // d) for c in u], den, cap)
+    return tuple(forms)
+
+
+def _from_form(field: Field, e) -> FieldElem:
+    """The canonical element of a form."""
+    if e is None:
+        return field.zero()
+    v, u, den, cap = e
+    if v is None:
+        return field.small(cap)
+    if field.backend == LAURENT:
+        return _lelem(field, v, u, den, None if cap is None else cap - v)
+    if cap is None:
+        return _pelem(field, v, u, den)
+    return FieldElem(field, _NUM, v, u, cap - v)
+
+
+def _punit(u: int, den: int, m: int) -> int:
+    """A padic unit u/den mod m (field.FieldElem.unit_digits)."""
+    return u % m if den == 1 else u * pow(den, -1, m) % m
+
+
+def _pfma(a, b, c, p):
+    """a * b + c on padic forms."""
+    if a is None or b is None:
+        return c
+    va, ua, da, ca = a
+    vb, ub, db, cb = b
+    if va is None or vb is None:
+        return _pbound_plus((ca if va is None else va) + (cb if vb is None else vb), c, p)
+    v = va + vb
+    if ca is None and cb is None:
+        u, den, cap = ua * ub, da * db, None
+    else:
+        rel = cb - vb if ca is None else ca - va if cb is None else min(ca - va, cb - vb)
+        m = p**rel
+        u, den, cap = _punit(ua, da, m) * _punit(ub, db, m) % m, 1, v + rel
+    if c is None:
+        return (v, u, den, cap)
+    vc, uc, dc, cc = c
+    if vc is None:
+        return _pbound_plus(cc, (v, u, den, cap), p)
+    return _psum(v, u, den, cap, vc, uc, dc, cc, p)
+
+
+def _pbound_plus(bound, c, p):
+    """The order bound v >= bound plus the form c (field.FieldElem.truncate_rel)."""
+    if c is None:
+        return (None, 0, 1, bound)
+    v, u, den, cap = c
+    if v is None:
+        return (None, 0, 1, min(bound, cap))
+    if cap is not None and cap <= bound:
+        return c
+    if v >= bound:
+        return (None, 0, 1, bound)
+    return (v, _punit(u, den, p ** (bound - v)), 1, bound)
+
+
+def _psum(va, ua, da, ca, vb, ub, db, cb, p):
+    """The sum of two padic numbers, given by the parts of their forms."""
+    cap = ca if cb is None or (ca is not None and ca < cb) else cb
+    if va > vb:
+        va, ua, da, vb, ub, db = vb, ub, db, va, ua, da
+    s = vb - va
+    if cap is None:
+        if da == db:
+            u, den = ua + ub * p**s, da
+        else:
+            u, den = ua * db + ub * da * p**s, da * db
+        if not u:
+            return None
+    else:
+        # p^s is 0 mod p^k when the second number starts at or past the cap
+        den, m = 1, p ** (cap - va)
+        u = (_punit(ua, da, m) + _punit(ub, db, m) * p**s) % m
+        if not u:
+            return (None, 0, 1, cap)
+    while not u % p:
+        u //= p
+        va += 1
+    return (va, u, den, cap)
+
+
+def _lfma(a, b, c, p=None):
+    """a * b + c on laurent-q forms."""
+    return _ladd(_lmul(a, b), c)
+
+
+def _lmul(a, b):
+    if a is None or b is None:
+        return None
+    va, ua, da, ca = a
+    vb, ub, db, cb = b
+    if va is None or vb is None:
+        return (None, 0, 1, (ca if va is None else va) + (cb if vb is None else vb))
+    v = va + vb
+    n = len(ua) + len(ub) - 1
+    if ca is None and cb is None:
+        cap = None
+    else:
+        rel = cb - vb if ca is None else ca - va if cb is None else min(ca - va, cb - vb)
+        cap = v + rel
+        if rel < n:
+            n = rel
+    if n > MAX_DIGIT_SPAN:
+        raise _span_error(n)
+    digits = _lconv(ua, ub, n)
+    while not digits[-1]:
+        digits.pop()
+    return (v, digits, da * db, cap)
+
+
+def _ladd(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    va, ua, da, ca = a
+    vb, ub, db, cb = b
+    cap = ca if cb is None or (ca is not None and ca < cb) else cb
+    if va is None:
+        return (None, 0, 1, cap) if vb is None else _ltrunc(b, cap)
+    if vb is None:
+        return _ltrunc(a, cap)
+    if va > vb:
+        va, ua, da, vb, ub, db = vb, ub, db, va, ua, da
+    s = vb - va
+    length = max(len(ua), s + len(ub)) if cap is None else cap - va
+    if length > MAX_DIGIT_SPAN:
+        raise _span_error(length)
+    # one denominator for both units: the larger when one divides the other
+    if da == db or not da % db:
+        den, ma, mb = da, 1, da // db
+    elif not db % da:
+        den, ma, mb = db, db // da, 1
+    else:
+        den, ma, mb = da * db, db, da
+    digits = list(ua[:length]) if ma == 1 else [c * ma for c in ua[:length]]
+    digits += repeat(0, length - len(digits))
+    for j, c in enumerate(ub[: max(0, length - s)], s):
+        digits[j] += c * mb
+    lead = 0
+    while not digits[lead]:
+        lead += 1
+        if lead == length:
+            return None if cap is None else (None, 0, 1, cap)
+    while not digits[-1]:
+        digits.pop()
+    return (va + lead, digits[lead:] if lead else digits, den, cap)
+
+
+def _ltrunc(a, cap):
+    """A number plus an order bound at cap (field.FieldElem.truncate_rel)."""
+    v, u, den, c = a
+    if v >= cap:
+        return (None, 0, 1, cap)
+    if c is not None and c <= cap:
+        return a
+    k = cap - v
+    if len(u) > k:
+        u = list(u[:k])
+        while not u[-1]:
+            u.pop()
+    return (v, u, den, cap)
+
+
+_FMA = {LAURENT: _lfma, PADIC: _pfma}
 
 
 def poly_divmod(g: Poly, f: Poly):
@@ -372,10 +632,10 @@ def lower_hull(pairs):
     return hull
 
 
-def slope_root_counts(f: Poly):
-    """[(s, n)]: f has exactly n roots of valuation s in the algebraic
+def slope_root_counts(pairs):
+    """[(s, n)]: a polynomial with the coefficient valuations ``pairs`` (its
+    coeff_vals) has exactly n roots of valuation s in the algebraic
     closure, for each finite slope s (s as a Fraction)."""
-    pairs = coeff_vals(f)
     hull = lower_hull(pairs)
     out = []
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
@@ -384,14 +644,15 @@ def slope_root_counts(f: Poly):
     return out
 
 
-def count_roots_val_at_least(f: Poly, bound) -> int:
+def count_roots_val_at_least(pairs, bound) -> int:
     """Number of algebraic-closure roots (with multiplicity) of valuation
-    >= bound, excluding roots at exactly 0."""
+    >= bound, roots at exactly 0 included, of a polynomial with the
+    coefficient valuations ``pairs`` (its coeff_vals)."""
     n = 0
-    for s, k in slope_root_counts(f):
+    for s, k in slope_root_counts(pairs):
         if s >= bound:
             n += k
-    low = min(i for i, _ in coeff_vals(f)) if not f.is_zero else 0
+    low = min((i for i, _ in pairs), default=0)
     return n + low  # x = 0 counts (valuation +inf)
 
 

@@ -389,18 +389,19 @@ def witness_box(varlist, matrix, field: Field):
 def _witness(varlist, matrix, pinned, field):
     """witness_box, each variable v kept off the points pinned[v]."""
     atoms = _atoms(matrix)
-    live = [v for v in varlist if any(v in free_vars(a) for a in atoms)]
+    names = [(a, free_vars(a)) for a in atoms]  # each atom's variables, read once
+    live = [v for v in varlist if any(v in vs for _, vs in names)]
     if not live:
         return {} if matrix == TRUE else None
-    joined = {v for a in atoms if len(free_vars(a)) > 1 for v in free_vars(a)}
+    joined = {v for _, vs in names if len(vs) > 1 for v in vs}
     if not joined:
         x = live[0]
     else:
-        x = next((v for v in live if v in joined and _equations(atoms, v, field)), None)
+        x = next((v for v in live if v in joined and _equations(names, v, field)), None)
         if x is None:
             raise NonEffectiveQuantifier("no quantified variable is pinned by an equation of its own")
     rest = [v for v in varlist if v != x]
-    of_atom, unknown, cells, roots = _axis(atoms, x, pinned[x], field)
+    of_atom, unknown, cells, roots = _axis(names, x, pinned[x], field)
     for i, r in roots.items():
         if cells[i] is None:
             continue
@@ -410,7 +411,7 @@ def _witness(varlist, matrix, pinned, field):
         if w is not None:
             return {x: SwissCheese.of_ball(Ball.point(r)), **w}
     # off the roots the equations in x alone are false
-    equations = _equations(atoms, x, field)
+    equations = _equations(names, x, field)
     matrix = _fold(matrix, lambda a: FALSE if a in equations else a)
     pinned = {**pinned, x: pinned[x] + tuple(roots.values())}
     if joined:
@@ -450,28 +451,30 @@ def _bit(mask, i):
     return TRUE if mask >> i & 1 else FALSE
 
 
-def _equations(atoms, v, field) -> dict:
-    """The nonconstant equations in v alone among the atoms, as polynomials."""
+def _equations(names, v, field) -> dict:
+    """The nonconstant equations in v alone among the atoms, as polynomials;
+    ``names`` pairs each atom with its free variables."""
     out = {}
-    for a in atoms:
-        if isinstance(a, PolyZero) and free_vars(a) == {v}:
+    for a, vs in names:
+        if isinstance(a, PolyZero) and vs == {v}:
             f = term_to_poly(a.arg, v, field)
             if f.degree:
                 out[a] = f
     return out
 
 
-def _axis(atoms, v, pinned, field):
+def _axis(names, v, pinned, field):
     """The cells of K for v, cut along the regions of the atoms in v alone
     and at the roots of their equations: the bitmask of each such atom over
     the cells, the atoms outside the region calculus with their errors, the
     cells (None at the pinned points) and the roots by cell.  An equation
     holds at none but its roots; an atom outside the region calculus is
-    evaluated at the roots and not effective off them."""
-    mine = [a for a in atoms if free_vars(a) == {v}]
+    evaluated at the roots and not effective off them.  ``names`` pairs each
+    atom with its free variables."""
+    mine = [(a, vs) for a, vs in names if vs == {v}]
     equations = _equations(mine, v, field)
     regions, unknown = {}, {}
-    for a in mine:
+    for a, _ in mine:
         if a not in equations:
             try:
                 regions[a] = literal_region(a, v, field)

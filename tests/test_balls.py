@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hqe.balls import Ball, SwissCheese, ball_covered
+from hqe.balls import Ball, SwissCheese, _outside_points, ball_covered
 from hqe.errors import PrecisionExhausted
 from hqe.field import Field
 from hqe.hensel import field_roots
@@ -138,3 +138,14 @@ def test_json_roundtrip(any_field):
     ch = SwissCheese(Ball.at_least(zero, -2), [Ball.at_least(pi, 4), Ball.point(pi + pi)])
     back = SwissCheese.from_json(any_field, ch.to_json())
     assert back == ch
+
+
+def test_outside_points_is_false_on_an_undecided_membership(padic7):
+    """A point known only to 5 digits may be 3 or not: 3 is not proven to
+    lie outside it, while 4 is."""
+    hole = Ball.point(padic7.from_rational(3).truncate_rel(5))
+    three = padic7.from_rational(3)
+    with pytest.raises(PrecisionExhausted):
+        hole.contains(three)
+    assert not _outside_points(three, [hole])
+    assert _outside_points(padic7.from_rational(4), [hole])

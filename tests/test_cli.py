@@ -159,6 +159,25 @@ def test_deep_nesting_is_a_syntax_error(capsys, depth):
     assert err == "syntax error: formula nested too deeply\n"
 
 
+@pytest.mark.parametrize("op", ["+", "*"])
+@pytest.mark.parametrize("terms", [300, 3000])
+@pytest.mark.parametrize("command", ["eval", "decide"])
+def test_flat_chain_counts_toward_the_nesting_bound(capsys, command, terms, op):
+    """A flat sum or product builds a left-nested tree, so its links count
+    toward the nesting bound: 300 terms are answered, 3000 are the syntax
+    error of deep parentheses, not a RecursionError."""
+    if command == "eval":
+        text, answer, what = op.join(["1"] * terms), "300 (v=0)" if op == "+" else "1 (v=0)", "term"
+    else:
+        text, answer, what = f"EX x:K. x{op}" + op.join(["1"] * (terms - 1)) + " = 2", "TRUE", "formula"
+    code, out, err = run_cli(capsys, command, text)
+    if terms == 300:
+        assert code == 0 and out.strip() == answer and err == ""
+    else:
+        assert code == 1 and out == ""
+        assert err == f"syntax error: {what} nested too deeply\n"
+
+
 def test_deterministic_output(capsys):
     a = run_cli(capsys, "--json", "decompose", "--poly", "x^3 - t*x")
     b = run_cli(capsys, "--json", "decompose", "--poly", "x^3 - t*x")

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 import eval_rv_reference
 from hqe.balls import Ball, SwissCheese
-from hqe.decomp import Piece, decompose, m_bound, rv_decompose
+import hqe.decomp
+from hqe.decomp import Piece, _count_inside, decompose, m_bound, rv_decompose
 from hqe.errors import NotInPiece, PrecisionExhausted
 from hqe.field import Field, FieldElem
 from hqe.hensel import derivative_roots, is_root, resolution_horizon
@@ -339,3 +340,35 @@ def test_eval_rv_never_forms_a_field_power_or_a_representative(monkeypatch, any_
     got = [_outcome(p.eval_rv, x, delta) for p, x, delta in queries]
     assert got == want
     assert sum(isinstance(r, RVElem) for r in got) > len(got) // 2
+
+
+def test_count_inside_counts_an_undecided_root_in(padic7):
+    """The count is an upper bound: a root known only modulo 7^3 may lie in
+    the ball 7^5 O, and counts as inside."""
+    ball = Ball.at_least(padic7.zero(), 5)
+    droots = [(0, padic7.monomial(1, 6)), (0, padic7.one()), (1, padic7.small(3))]
+    with pytest.raises(PrecisionExhausted):
+        ball.contains(padic7.small(3))
+    assert _count_inside(droots, ball) == 2
+
+
+def test_count_inside_reaches_no_piece(monkeypatch):
+    """_region reads the count only in its measure assertion, directly and as
+    the previous count of the class recursion that _annulus_analysis starts:
+    with every count replaced by a larger, strictly decreasing one, so that
+    each assertion passes, the pieces are the same."""
+    field = Field.padic(7)
+    f = Poly.from_rationals(field, [-25137, 3747, -115, 1])  # (x - 9)(x - 49)(x - 57)
+    expected = decompose(f)
+    counts = iter(range(10**6, 0, -1))
+    seen = []
+
+    def inflated(droots, ball):
+        seen.append(ball)
+        return next(counts) + 10**6
+
+    monkeypatch.setattr(hqe.decomp, "_count_inside", inflated)
+    assert decompose(f) == expected
+    # both uses ran: the count of K handed down through the annulus, and
+    # the class recursion's assertion, where m does not drop
+    assert len(seen) == 3 and len({p.center for p in expected}) >= 2

@@ -3,6 +3,7 @@ import time
 from fractions import Fraction
 
 import gcd_reference
+import horner_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +50,91 @@ def test_taylor_shift_identity_cases(laurent):
     assert taylor_shift(f, laurent.zero()) == f.coeffs
     g = x_poly(laurent)
     assert taylor_shift(g, laurent.one()) == (laurent.one(), laurent.one())
+
+
+# ---- evaluation and recentering on integer forms -----------------------------------
+
+
+_HORNER_FIELDS = [Field.laurent(), Field.padic(7), Field.padic(2)]
+
+
+@st.composite
+def horner_cases(draw):
+    """(f, x) over one of three fields.  A coefficient or point is exact
+    (denominators other than 1, negative valuations), truncated, an order
+    bound or the exact zero.  In the planted shape f = (X - r) g, and x is
+    r truncated or moved by a high power of the uniformizer, so that the
+    value cancels down to an order bound."""
+    field = draw(st.sampled_from(_HORNER_FIELDS))
+    p = field.p or 2
+
+    def exact():
+        if field.backend == "laurent-q":
+            lo = draw(st.integers(-3, 3))
+            terms = [(lo + i, Fraction(draw(st.integers(-9, 9)), draw(st.sampled_from((1, 2, 3, 5)))))
+                     for i in range(draw(st.integers(1, 3)))]
+            x = field.from_terms(terms)
+        else:
+            num = draw(st.integers(-99, 99)) * p ** draw(st.integers(0, 3))
+            x = field.from_rational(Fraction(num, draw(st.sampled_from((1, 2, 3, p, 5 * p * p)))))
+        return x if not x.is_zero else field.one()
+
+    def elem(kinds=("exact", "exact", "truncated", "small", "zero")):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "zero":
+            return field.zero()
+        if kind == "small":
+            return field.small(draw(st.integers(-2, 12)))
+        x = exact()
+        return x.truncate_rel(draw(st.integers(1, 8))) if kind == "truncated" else x
+
+    def poly(lo, hi):
+        return Poly(field, [elem() for _ in range(draw(st.integers(lo, hi)))])
+
+    if draw(st.booleans()):
+        return poly(0, 6), elem()
+    r = elem(("exact", "truncated"))
+    f = Poly(field, [-r, field.one()]) * poly(1, 4)
+    if draw(st.booleans()):
+        f = Poly(field, [c.truncate_rel(draw(st.integers(4, 12))) for c in f.coeffs])
+    if draw(st.booleans()):
+        x = r.truncate_rel(draw(st.integers(1, 10)))
+    else:
+        x = r + field.monomial(draw(st.integers(1, 9)), draw(st.integers(3, 12)))
+    return f, x
+
+
+def _results(fn, *args):
+    """Each resulting element with its field, or the error."""
+    try:
+        r = fn(*args)
+    except Exception as e:
+        return type(e), str(e)
+    return [(x, x.field) for x in (r if isinstance(r, tuple) else (r,))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=horner_cases())
+def test_integer_kernel_matches_field_steps(case):
+    """Evaluation and recentering on integer forms give the elements the
+    field's own products and sums give: the same kind, digits, ``rel`` and
+    field, or the same error."""
+    f, x = case
+    assert _results(f, x) == _results(horner_reference.evaluate, f, x)
+    assert _results(taylor_shift, f, x) == _results(horner_reference.taylor_shift, f, x)
+
+
+def test_integer_kernel_cancels_to_an_order_bound(any_field):
+    """A value whose known digits all cancel is an order bound at the
+    smallest cap, over every backend, as in the field kernel."""
+    one = any_field.one()
+    r = any_field.from_rational(Fraction(3, 2)) + any_field.uniformizer()
+    f = Poly(any_field, [-r, one]) * Poly(any_field, [one, one])  # (X - r)(X + 1)
+    x = r.truncate_rel(6)
+    value = f(x)
+    assert value.is_small and value == horner_reference.evaluate(f, x)
+    assert value.abs_prec == x.abs_prec + (r + one).val()
+    assert f(r).is_zero
 
 
 def test_derivative(laurent):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hqe.decomp import decompose
 from hqe.errors import NegativeValue, PrecisionExhausted
 from hqe.field import Field
-from hqe.poly import Poly, slope_root_counts
+from hqe.poly import Poly, coeff_vals, slope_root_counts
 from hqe.regions import _solve
 from hqe.valq import INF, NEG_INF, as_order, as_value
 
@@ -72,7 +72,7 @@ def polys(draw):
 @given(f=polys())
 def test_values_of_every_layer_are_exact(f):
     assert all(is_value(c.val()) for c in f.coeffs)
-    for s, n in slope_root_counts(f):
+    for s, n in slope_root_counts(coeff_vals(f)):
         assert type(s) is Fraction and type(n) is int
     for piece in decompose(f):
         assert is_value(piece.severity_bound)
