@@ -316,11 +316,11 @@ def _count_inside(droots, ball: Ball) -> int:
     """An upper bound on the distinct derivative roots in ball.
 
     Conservative: a root whose membership is undecided counts as inside.
-    The count feeds only _region's measure assertion, directly and as the
-    previous count that _annulus_analysis hands to the class recursion; no
-    piece reads it, and termination rests on _MAX_DEPTH.  So an undecided
-    membership can at most let that defensive check pass, never change an
-    answer."""
+    The count feeds only _region's measure assertion, which counts a ball
+    and the ball it was entered from (_annulus_analysis hands that one to
+    the class recursion) when m does not drop; no piece reads it, and
+    termination rests on _MAX_DEPTH.  So an undecided membership can at
+    most let that defensive check pass, never change an answer."""
     n = 0
     seen = []
     for _, r in droots:
@@ -348,10 +348,10 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
     gamma = ball.radius_int if ball.kind == "ball" else NEG_INF
     m = max(argmin_indices(pairs, gamma))
     # measure of the double induction: m drops, or the number of derivative
-    # roots strictly inside drops
+    # roots strictly inside drops (counted only where m does not drop)
     if prev is not None:
-        prev_m, prev_count = prev
-        assert m < prev_m or _count_inside(droots, ball) < prev_count, (
+        prev_m, prev_ball = prev
+        assert m < prev_m or _count_inside(droots, prev_ball) > _count_inside(droots, ball), (
             "decomposition measure failed to decrease"
         )
     if m == 0:
@@ -369,13 +369,12 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
     if not outer.is_empty:
         pieces.append(Piece(outer, center, tuple(coeffs), m, 0, 1))
     # the tie annulus at rho, when it is realized in the value group
-    count = _count_inside(droots, ball)
     if rho.denominator == 1:
         r = int(rho)
         annulus = SwissCheese(Ball.at_least(center, r), [inner_ball])
         if not annulus.is_empty:
             class_balls, slack = _annulus_analysis(
-                f, coeffs, center, r, m, droots, exact, depth, pieces, count
+                f, coeffs, center, r, droots, exact, depth, pieces, (m, ball)
             )
             remainder = annulus.minus_balls(class_balls)
             if not remainder.is_empty:
@@ -386,17 +385,19 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
                     bound, q = 0, 1
                 pieces.append(Piece(remainder, center, tuple(coeffs), m, bound, q))
     # inside: the maximal index drops strictly
-    pieces.extend(_region(f, center, inner_ball, droots, exact, depth + 1, (m, count)))
+    pieces.extend(_region(f, center, inner_ball, droots, exact, depth + 1, (m, ball)))
     return pieces
 
 
-def _annulus_analysis(f, coeffs, center, r, m, droots, exact, depth, pieces, count):
+def _annulus_analysis(f, coeffs, center, r, droots, exact, depth, pieces, prev):
     """Handle the residue-root classes on the annulus v(x-center) = r.
 
     Classes containing a root of a derivative are re-centered there and
     recursed into (this covers every class whose collision severity can
     exceed 2^m v(m!)); in exact mode the remaining residue-root classes are
     subdivided as well, so every produced piece carries zero slack.
+    ``prev`` is _region's (m, ball), for the measure assertion of the
+    recursion into a class with a derivative root.
     Returns (class balls removed from the annulus, slack flag).
     """
     field = f.field
@@ -417,7 +418,7 @@ def _annulus_analysis(f, coeffs, center, r, m, droots, exact, depth, pieces, cou
             lam = inside[0][1]
             class_balls.append(cls_ball)
             pieces.extend(
-                _region(f, lam, Ball.more_than(lam, r), droots, exact, depth + 1, (m, count))
+                _region(f, lam, Ball.more_than(lam, r), droots, exact, depth + 1, prev)
             )
         elif exact:
             # no derivative root: the collision severity in this class is

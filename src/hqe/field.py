@@ -21,6 +21,20 @@ positive integer denominator, canonical too (p divides neither, and
 ``FieldElem.unit`` reads a unit back as Fraction digits, resp. a Fraction
 or an int.
 
+``+`` and ``*`` run on one integer kernel per backend, which polynomial
+evaluation and ``poly.taylor_shift`` share as ``a * b + c``.  It works on
+the integer form of an element: None for the exact zero, (None, 0, 1, A)
+for an order bound (v >= A), and (v, u, den, cap) for the number
+pi^v * u/den known below valuation cap (None: exact).  Over padic an exact
+u is an integer over a den, p dividing neither, and an inexact one an int
+mod p^(cap - v) over den 1; over laurent-q u is a sequence of integer
+digits over den, the first and the last nonzero.  The precision rules live
+there: a product is known below min(A_a + v_b, v_a + A_b), a sum below the
+smaller cap; leading digits that cancel are stripped from a sum, and a sum
+whose known digits all cancel is the order bound at its cap.  No fraction
+is reduced on the way: an exact number has many forms, and the one element
+made from the result is canonical.
+
 ``str`` prints an element as a field term of ``hqe.formula``'s grammar,
 and ``Field.parse`` reads one back: any field term with no variables,
 evaluated, such as ``1 + -1*t^2 + O(t^8)`` or ``3/2 + O(7^10)``, where
@@ -76,16 +90,6 @@ def bounded_order(d: int) -> int:
     if not 0 <= d < MAX_DIGIT_SPAN:
         raise PreconditionViolated(f"order {d} is outside 0 <= d < MAX_DIGIT_SPAN = {MAX_DIGIT_SPAN}")
     return d
-
-
-def _int_vp(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # Miller-Rabin with the first 13 primes as bases is a proof of primality
@@ -388,10 +392,7 @@ class FieldElem:
         if f.backend == LAURENT:
             u = self.u[:k]
             return tuple(Fraction(c, self.den) for c in u) + (Fraction(0),) * (k - len(u))
-        m = f.p ** k
-        if self.den == 1:
-            return self.u % m
-        return self.u * pow(self.den, -1, m) % m
+        return _punit(self.u, self.den, f.p**k)
 
     def residue(self, delta) -> "Residue":
         """The class of the element in O / m_delta (digits 0..delta)."""
@@ -619,88 +620,17 @@ def _one_res(field, d):
 # ---- arithmetic kernels -------------------------------------------------
 
 
-def _abs_cap(x: FieldElem):
-    """x.abs_prec as an int, None for an exact number."""
-    return x.rel if x.kind == _SMALL or x.rel is None else x.v + x.rel
-
-
 def _add(x: FieldElem, y: FieldElem) -> FieldElem:
     f = x.field
-    if x.kind == _ZERO:
-        return y
-    if y.kind == _ZERO:
-        return x
-    # digits below cap are known (cap None: all of them)
-    cx, cy = _abs_cap(x), _abs_cap(y)
-    cap = cx if cy is None or (cx is not None and cx < cy) else cy
-    if x.kind == _SMALL and y.kind == _SMALL:
-        return f.small(cap)
-    if x.kind == _SMALL or y.kind == _SMALL:
-        num = x if x.kind == _NUM else y
-        if num.v < cap:
-            return num.truncate_rel(cap - num.v)
-        return f.small(cap)
-    # both numbers
-    if x.v > y.v:
-        x, y = y, x
-    s = y.v - x.v
-    if f.backend == LAURENT:
-        if cap is None:
-            length = max(len(x.u), s + len(y.u))
-        else:
-            length = cap - x.v
-        if length > MAX_DIGIT_SPAN:
-            raise _span_error(length)
-        # bring both units to the common denominator lcm(x.den, y.den)
-        g = gcd(x.den, y.den)
-        ma, mb = y.den // g, x.den // g
-        digits = [c * ma for c in x.u[:length]]
-        digits += repeat(0, length - len(digits))
-        for j, c in enumerate(y.u[: max(0, length - s)], s):
-            digits[j] += c * mb
-        den = x.den * ma
-        lead = 0
-        while not digits[lead]:
-            lead += 1
-            if lead == length:
-                return f.zero() if cap is None else f.small(cap)
-        rel = None if cap is None else length - lead
-        return _lelem(f, x.v + lead, digits[lead:], den, rel)
-    # padic
-    if cap is None:
-        num = x.u * y.den + y.u * x.den * f.p ** s
-        if not num:
-            return f.zero()
-        return _pelem(f, x.v, num, x.den * y.den)
-    k = cap - x.v
-    w = (x.unit_digits(k) + y.unit_digits(max(0, k - s)) * f.p ** s) % f.p ** k
-    if w == 0:
-        return f.small(cap)
-    j = _int_vp(w, f.p)
-    return FieldElem(f, _NUM, x.v + j, (w // f.p ** j) % f.p ** (k - j), k - j)
+    a, b = _form(x), _form(y)
+    e = _ADD[f.backend](a, b, f.p)
+    # the kernel hands an operand's own form back when the sum is that operand
+    return x if e is a else y if e is b else _from_form(f, e)
 
 
 def _mul(x: FieldElem, y: FieldElem) -> FieldElem:
     f = x.field
-    if x.kind == _ZERO or y.kind == _ZERO:
-        return f.zero()
-    if x.kind == _SMALL or y.kind == _SMALL:
-        bx = x.rel if x.kind == _SMALL else x.v
-        by = y.rel if y.kind == _SMALL else y.v
-        return f.small(bx + by)
-    rel = _min_rel(x.rel, y.rel)
-    if f.backend == LAURENT:
-        n = len(x.u) + len(y.u) - 1
-        if rel is not None and rel < n:
-            n = rel
-        if n > MAX_DIGIT_SPAN:
-            raise _span_error(n)
-        digits = _lconv(x.u, y.u, n)
-        return _lelem(f, x.v + y.v, digits, x.den * y.den, rel)
-    if rel is None:
-        return _pelem(f, x.v + y.v, x.u * y.u, x.den * y.den)
-    u = x.unit_digits(rel) * y.unit_digits(rel) % f.p ** rel
-    return FieldElem(f, _NUM, x.v + y.v, u, rel)
+    return _from_form(f, _MUL[f.backend](_form(x), _form(y), f.p))
 
 
 def _div(x: FieldElem, y: FieldElem) -> FieldElem:
@@ -789,6 +719,192 @@ def _lconv(a, b, n: int) -> list:
     return out
 
 
+# ---- the integer-form kernel: + and x, and a * b + c --------------------
+
+
+def _form(x: FieldElem):
+    if x.kind == _NUM:
+        return (x.v, x.u, x.den, None if x.rel is None else x.v + x.rel)
+    return None if x.kind == _ZERO else (None, 0, 1, x.rel)
+
+
+def _from_form(field: Field, e) -> FieldElem:
+    """The canonical element of a form."""
+    if e is None:
+        return field.zero()
+    v, u, den, cap = e
+    if v is None:
+        return field.small(cap)
+    if field.backend == LAURENT:
+        return _lelem(field, v, u, den, None if cap is None else cap - v)
+    if cap is None:
+        return _pelem(field, v, u, den)
+    return FieldElem(field, _NUM, v, u, cap - v)
+
+
+def _mul_cap(va, ca, vb, cb):
+    """The cap of a product of two numbers: min(A_a + v_b, v_a + A_b)."""
+    if ca is None:
+        return None if cb is None else cb + va
+    return ca + vb if cb is None else min(ca + vb, cb + va)
+
+
+def _punit(u: int, den: int, m: int) -> int:
+    """A padic unit u/den mod m."""
+    return u % m if den == 1 else u * pow(den, -1, m) % m
+
+
+def _pmul(a, b, p):
+    """a * b on padic forms."""
+    if a is None or b is None:
+        return None
+    va, ua, da, ca = a
+    vb, ub, db, cb = b
+    if va is None or vb is None:
+        return (None, 0, 1, (ca if va is None else va) + (cb if vb is None else vb))
+    cap = _mul_cap(va, ca, vb, cb)
+    if cap is None:
+        return (va + vb, ua * ub, da * db, None)
+    m = p ** (cap - va - vb)
+    return (va + vb, _punit(ua, da, m) * _punit(ub, db, m) % m, 1, cap)
+
+
+def _padd(a, b, p):
+    """a + b on padic forms."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    va, ua, da, ca = a
+    vb, ub, db, cb = b
+    cap = ca if cb is None or (ca is not None and ca < cb) else cb
+    if va is None:
+        return (None, 0, 1, cap) if vb is None else _ptrunc(b, cap, p)
+    if vb is None:
+        return _ptrunc(a, cap, p)
+    if va > vb:
+        va, ua, da, vb, ub, db = vb, ub, db, va, ua, da
+    s = vb - va
+    if cap is None:
+        if da == db:
+            u, den = ua + ub * p**s, da
+        else:
+            u, den = ua * db + ub * da * p**s, da * db
+        if not u:
+            return None
+    else:
+        den, m = 1, p ** (cap - va)
+        u = _punit(ua, da, m)
+        if s < cap - va:  # else the second number is 0 mod p^(cap - va)
+            u = (u + _punit(ub, db, m) * p**s) % m
+        if not u:
+            return (None, 0, 1, cap)
+    while not u % p:
+        u //= p
+        va += 1
+    return (va, u, den, cap)
+
+
+def _ptrunc(a, cap, p):
+    """A padic number plus an order bound at cap."""
+    v, u, den, c = a
+    if v >= cap:
+        return (None, 0, 1, cap)
+    if c is not None and c <= cap:
+        return a
+    return (v, _punit(u, den, p ** (cap - v)), 1, cap)
+
+
+def _pfma(a, b, c, p):
+    """a * b + c on padic forms."""
+    return _padd(_pmul(a, b, p), c, p)
+
+
+def _lmul(a, b, p=None):
+    """a * b on laurent-q forms."""
+    if a is None or b is None:
+        return None
+    va, ua, da, ca = a
+    vb, ub, db, cb = b
+    if va is None or vb is None:
+        return (None, 0, 1, (ca if va is None else va) + (cb if vb is None else vb))
+    cap = _mul_cap(va, ca, vb, cb)
+    n = len(ua) + len(ub) - 1
+    if cap is not None:
+        n = min(n, cap - va - vb)
+    if n > MAX_DIGIT_SPAN:
+        raise _span_error(n)
+    digits = _lconv(ua, ub, n)
+    while not digits[-1]:
+        digits.pop()
+    return (va + vb, digits, da * db, cap)
+
+
+def _ladd(a, b, p=None):
+    """a + b on laurent-q forms."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    va, ua, da, ca = a
+    vb, ub, db, cb = b
+    cap = ca if cb is None or (ca is not None and ca < cb) else cb
+    if va is None:
+        return (None, 0, 1, cap) if vb is None else _ltrunc(b, cap)
+    if vb is None:
+        return _ltrunc(a, cap)
+    if va > vb:
+        va, ua, da, vb, ub, db = vb, ub, db, va, ua, da
+    s = vb - va
+    length = max(len(ua), s + len(ub)) if cap is None else cap - va
+    if length > MAX_DIGIT_SPAN:
+        raise _span_error(length)
+    # one denominator for both units: the larger when one divides the other
+    if da == db or not da % db:
+        den, ma, mb = da, 1, da // db
+    elif not db % da:
+        den, ma, mb = db, db // da, 1
+    else:
+        den, ma, mb = da * db, db, da
+    digits = list(ua[:length]) if ma == 1 else [c * ma for c in ua[:length]]
+    digits += repeat(0, length - len(digits))
+    for j, c in enumerate(ub[: max(0, length - s)], s):
+        digits[j] += c * mb
+    lead = 0
+    while not digits[lead]:
+        lead += 1
+        if lead == length:
+            return None if cap is None else (None, 0, 1, cap)
+    while not digits[-1]:
+        digits.pop()
+    return (va + lead, digits[lead:] if lead else digits, den, cap)
+
+
+def _ltrunc(a, cap):
+    """A laurent-q number plus an order bound at cap."""
+    v, u, den, c = a
+    if v >= cap:
+        return (None, 0, 1, cap)
+    if c is not None and c <= cap:
+        return a
+    k = cap - v
+    if len(u) > k:
+        u = list(u[:k])
+        while not u[-1]:
+            u.pop()
+    return (v, u, den, cap)
+
+
+def _lfma(a, b, c, p=None):
+    """a * b + c on laurent-q forms."""
+    return _ladd(_lmul(a, b), c)
+
+
+_ADD = {LAURENT: _ladd, PADIC: _padd}
+_MUL = {LAURENT: _lmul, PADIC: _pmul}
+_FMA = {LAURENT: _lfma, PADIC: _pfma}
+
+
 def _lseries_div(a, b, n: int) -> tuple:
     """(Q, D) with a/b = Q / D modulo t^n, for integer digit vectors a, b
     (b[0] != 0) and an integer D > 0.  D grows only when a digit's exact
@@ -812,6 +928,16 @@ def _lseries_div(a, b, n: int) -> tuple:
 # ---- literals: parsing and canonical printing -----------------------------
 
 
+def decimal(c) -> str:
+    """str(c) of an int or a Fraction; PreconditionViolated for one with more
+    digits than the interpreter converts."""
+    try:
+        return str(c)
+    except ValueError:
+        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+        raise PreconditionViolated(f"a number of {bits} bits is too long to print") from None
+
+
 def format_elem(x: FieldElem) -> str:
     f = x.field
     if x.kind == _ZERO:
@@ -825,7 +951,8 @@ def format_elem(x: FieldElem) -> str:
                 continue
             k = x.v + i
             c = Fraction(c, x.den)
-            parts.append(str(c) if k == 0 else f"{c}*t^{k}")
+            c = decimal(c)
+            parts.append(c if k == 0 else f"{c}*t^{k}")
         if not parts:
             parts.append("0")
         s = " + ".join(parts)
@@ -840,7 +967,7 @@ def format_elem(x: FieldElem) -> str:
         num *= f.p ** x.v
     else:
         den *= f.p ** -x.v
-    s = str(num) if den == 1 else f"{num}/{den}"
+    s = decimal(Fraction(num, den))
     return s if x.rel is None else f"{s} + O({f.p}^{x.v + x.rel})"
 
 

@@ -4,24 +4,19 @@ Newton-polygon bookkeeping, and root search over the residue field."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
 from math import gcd, lcm
 
 from .errors import PrecisionExhausted, PreconditionViolated
 from .field import (
-    _NUM,
-    _SMALL,
-    _ZERO,
+    _FMA,
     FINGERPRINT_PRIME,
     LAURENT,
-    MAX_DIGIT_SPAN,
-    PADIC,
+    PRIME_BOUND,
     Field,
     FieldElem,
-    _lconv,
-    _lelem,
-    _pelem,
-    _span_error,
+    _form,
+    _from_form,
+    _is_prime,
     fingerprint,
 )
 from .valq import INF, NEG_INF
@@ -29,6 +24,10 @@ from .valq import INF, NEG_INF
 # residue_roots scans all of F_p, which is hopeless for a huge prime, so root
 # search over the residue field refuses a p above this bound
 RESIDUE_SCAN_MAX_P = 1 << 16
+
+# the rational root search factors a coefficient by trial division up to this
+# bound, and accepts a larger cofactor only when it is a proven prime
+TRIAL_DIVISION_BOUND = 1 << 20
 
 # root search costs at least quadratic time in the degree, so no polynomial
 # of higher degree is built
@@ -78,8 +77,8 @@ class Poly:
         return self.coeffs[-1]
 
     def __call__(self, x: FieldElem) -> FieldElem:
-        """f(x) by Horner's rule on integer forms; the digits and precision
-        of the field's own ``acc * x + c`` steps."""
+        """f(x) by Horner's rule on integer forms, each step the field
+        kernel's ``acc * x + c``."""
         if not self.coeffs:
             return self.field.zero()
         field = self.field
@@ -167,8 +166,8 @@ def derivative(f: Poly, n: int = 1) -> Poly:
 def taylor_shift(f: Poly, alpha: FieldElem):
     """Coefficients of f recentered at alpha: f(x) = sum a_i (x - alpha)^i.
 
-    Repeated synthetic division on integer forms, with the digits and
-    precision of the field's own ``b[j] + alpha * b[j + 1]`` steps."""
+    Repeated synthetic division on integer forms, each step the field
+    kernel's ``alpha * b[j + 1] + b[j]``."""
     field = f.field
     if len(f.coeffs) <= 1:
         return f.coeffs or (field.zero(),)
@@ -189,31 +188,7 @@ def recompose(field: Field, coeffs, alpha: FieldElem) -> Poly:
     return Poly(field, taylor_shift(Poly(field, coeffs), -alpha))
 
 
-# ---- the integer kernel -------------------------------------------------------
-#
-# Evaluation and recentering run on plain integers.  The integer form of an
-# element is None for the exact zero, (None, 0, 1, A) for an order bound
-# (v >= A), and (v, u, den, cap) for the number pi^v * u/den known below
-# valuation cap (None: exact).  Over padic an exact u is an integer that p
-# does not divide, over a den that p does not divide, and an inexact one an
-# int mod p^(cap - v) over den 1; over laurent-q u is a list of integer
-# digits over den, the first nonzero and the last nonzero.
-#
-# Each backend's kernel is one a * b + c, in the steps of field._mul and
-# then field._add: a product is known below min(A_a + v_b, v_a + A_b), a
-# sum below the smaller cap, leading digits that cancel are stripped from a
-# sum, and a sum whose known digits all cancel is the order bound at its
-# cap.  No fraction is reduced on the way: an exact number has many forms,
-# and the one FieldElem made at the end is canonical, so every result is
-# the field kernel's, digit for digit.
-
-
-def _form(x: FieldElem):
-    if x.kind == _ZERO:
-        return None
-    if x.kind == _SMALL:
-        return (None, 0, 1, x.rel)
-    return (x.v, x.u, x.den, None if x.rel is None else x.v + x.rel)
+# ---- integer forms of points and coefficients (field._FMA runs on them) ---
 
 
 def _point_form(field: Field, x):
@@ -240,173 +215,6 @@ def _coeff_forms(field: Field, coeffs) -> tuple:
         if d != den:
             forms[i] = (v, [c * (den // d) for c in u], den, cap)
     return tuple(forms)
-
-
-def _from_form(field: Field, e) -> FieldElem:
-    """The canonical element of a form."""
-    if e is None:
-        return field.zero()
-    v, u, den, cap = e
-    if v is None:
-        return field.small(cap)
-    if field.backend == LAURENT:
-        return _lelem(field, v, u, den, None if cap is None else cap - v)
-    if cap is None:
-        return _pelem(field, v, u, den)
-    return FieldElem(field, _NUM, v, u, cap - v)
-
-
-def _punit(u: int, den: int, m: int) -> int:
-    """A padic unit u/den mod m (field.FieldElem.unit_digits)."""
-    return u % m if den == 1 else u * pow(den, -1, m) % m
-
-
-def _pfma(a, b, c, p):
-    """a * b + c on padic forms."""
-    if a is None or b is None:
-        return c
-    va, ua, da, ca = a
-    vb, ub, db, cb = b
-    if va is None or vb is None:
-        return _pbound_plus((ca if va is None else va) + (cb if vb is None else vb), c, p)
-    v = va + vb
-    if ca is None and cb is None:
-        u, den, cap = ua * ub, da * db, None
-    else:
-        rel = cb - vb if ca is None else ca - va if cb is None else min(ca - va, cb - vb)
-        m = p**rel
-        u, den, cap = _punit(ua, da, m) * _punit(ub, db, m) % m, 1, v + rel
-    if c is None:
-        return (v, u, den, cap)
-    vc, uc, dc, cc = c
-    if vc is None:
-        return _pbound_plus(cc, (v, u, den, cap), p)
-    return _psum(v, u, den, cap, vc, uc, dc, cc, p)
-
-
-def _pbound_plus(bound, c, p):
-    """The order bound v >= bound plus the form c (field.FieldElem.truncate_rel)."""
-    if c is None:
-        return (None, 0, 1, bound)
-    v, u, den, cap = c
-    if v is None:
-        return (None, 0, 1, min(bound, cap))
-    if cap is not None and cap <= bound:
-        return c
-    if v >= bound:
-        return (None, 0, 1, bound)
-    return (v, _punit(u, den, p ** (bound - v)), 1, bound)
-
-
-def _psum(va, ua, da, ca, vb, ub, db, cb, p):
-    """The sum of two padic numbers, given by the parts of their forms."""
-    cap = ca if cb is None or (ca is not None and ca < cb) else cb
-    if va > vb:
-        va, ua, da, vb, ub, db = vb, ub, db, va, ua, da
-    s = vb - va
-    if cap is None:
-        if da == db:
-            u, den = ua + ub * p**s, da
-        else:
-            u, den = ua * db + ub * da * p**s, da * db
-        if not u:
-            return None
-    else:
-        # p^s is 0 mod p^k when the second number starts at or past the cap
-        den, m = 1, p ** (cap - va)
-        u = (_punit(ua, da, m) + _punit(ub, db, m) * p**s) % m
-        if not u:
-            return (None, 0, 1, cap)
-    while not u % p:
-        u //= p
-        va += 1
-    return (va, u, den, cap)
-
-
-def _lfma(a, b, c, p=None):
-    """a * b + c on laurent-q forms."""
-    return _ladd(_lmul(a, b), c)
-
-
-def _lmul(a, b):
-    if a is None or b is None:
-        return None
-    va, ua, da, ca = a
-    vb, ub, db, cb = b
-    if va is None or vb is None:
-        return (None, 0, 1, (ca if va is None else va) + (cb if vb is None else vb))
-    v = va + vb
-    n = len(ua) + len(ub) - 1
-    if ca is None and cb is None:
-        cap = None
-    else:
-        rel = cb - vb if ca is None else ca - va if cb is None else min(ca - va, cb - vb)
-        cap = v + rel
-        if rel < n:
-            n = rel
-    if n > MAX_DIGIT_SPAN:
-        raise _span_error(n)
-    digits = _lconv(ua, ub, n)
-    while not digits[-1]:
-        digits.pop()
-    return (v, digits, da * db, cap)
-
-
-def _ladd(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    va, ua, da, ca = a
-    vb, ub, db, cb = b
-    cap = ca if cb is None or (ca is not None and ca < cb) else cb
-    if va is None:
-        return (None, 0, 1, cap) if vb is None else _ltrunc(b, cap)
-    if vb is None:
-        return _ltrunc(a, cap)
-    if va > vb:
-        va, ua, da, vb, ub, db = vb, ub, db, va, ua, da
-    s = vb - va
-    length = max(len(ua), s + len(ub)) if cap is None else cap - va
-    if length > MAX_DIGIT_SPAN:
-        raise _span_error(length)
-    # one denominator for both units: the larger when one divides the other
-    if da == db or not da % db:
-        den, ma, mb = da, 1, da // db
-    elif not db % da:
-        den, ma, mb = db, db // da, 1
-    else:
-        den, ma, mb = da * db, db, da
-    digits = list(ua[:length]) if ma == 1 else [c * ma for c in ua[:length]]
-    digits += repeat(0, length - len(digits))
-    for j, c in enumerate(ub[: max(0, length - s)], s):
-        digits[j] += c * mb
-    lead = 0
-    while not digits[lead]:
-        lead += 1
-        if lead == length:
-            return None if cap is None else (None, 0, 1, cap)
-    while not digits[-1]:
-        digits.pop()
-    return (va + lead, digits[lead:] if lead else digits, den, cap)
-
-
-def _ltrunc(a, cap):
-    """A number plus an order bound at cap (field.FieldElem.truncate_rel)."""
-    v, u, den, c = a
-    if v >= cap:
-        return (None, 0, 1, cap)
-    if c is not None and c <= cap:
-        return a
-    k = cap - v
-    if len(u) > k:
-        u = list(u[:k])
-        while not u[-1]:
-            u.pop()
-    return (v, u, den, cap)
-
-
-_FMA = {LAURENT: _lfma, PADIC: _pfma}
 
 
 def poly_divmod(g: Poly, f: Poly):
@@ -702,8 +510,9 @@ def residue_roots(field: Field, coeffs):
             ics = [c.numerator * (mult // c.denominator) for c in cs]
             g = gcd(*ics)
             ics = [c // g for c in ics]
+            dens = _divisors(abs(ics[-1]))
             for num in _divisors(abs(ics[0])):
-                for den in _divisors(abs(ics[-1])):
+                for den in dens:
                     if gcd(num, den) != 1:
                         continue  # the same candidate in lower terms
                     for n in (num, -num):
@@ -736,14 +545,31 @@ def residue_roots(field: Field, coeffs):
 
 
 def _divisors(n: int):
+    """The positive divisors of n, sorted (none for 0), from n's factors.
+
+    Trial division of the shrinking cofactor stops at TRIAL_DIVISION_BOUND,
+    so every n below TRIAL_DIVISION_BOUND^2 = 2^40 factors; a larger
+    cofactor is accepted only when ``field._is_prime`` proves it prime, else
+    PreconditionViolated."""
     if n == 0:
         return []
-    out = []
-    d = 1
+    out = [1]
+    d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
+        if d > TRIAL_DIVISION_BOUND:
+            if n >= PRIME_BOUND or not _is_prime(n):
+                raise PreconditionViolated(
+                    f"rational root search cannot factor a {n.bit_length()}-bit cofactor: "
+                    f"no factor up to {TRIAL_DIVISION_BOUND} and not a proven prime"
+                )
+            break
+        e = 0
+        while not n % d:
+            n //= d
+            e += 1
+        if e:
+            out = [a * d**i for a in out for i in range(e + 1)]
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out += [a * n for a in out]
     return sorted(out)

@@ -21,7 +21,7 @@ from .errors import (
     OrderViolation,
     PrecisionExhausted,
 )
-from .field import LAURENT, Field, FieldElem, Residue, _Tokens
+from .field import LAURENT, Field, FieldElem, Residue, _Tokens, decimal
 from .valq import INF, as_order
 
 
@@ -97,7 +97,7 @@ class RVElem:
         unit = x.unit_digits(k)
         if x.field.backend != LAURENT:
             unit = [unit // x.field.p**i % x.field.p for i in range(k)]
-        return f"rv[{self.order}]{{v={x.v}; unit={','.join(map(str, unit))}}}"
+        return f"rv[{self.order}]{{v={x.v}; unit={','.join(map(decimal, unit))}}}"
 
     def __repr__(self):
         return str(self)

@@ -121,6 +121,12 @@ def test_root_search_over_a_huge_prime_is_a_precondition_violation(capsys):
         (["decide", "EX y:K. y^100000 = t"], "polynomial degree 100000 exceeds MAX_DEGREE = 128"),
         (["decide", "EX y:K. (y + 1)^100 * y^29 = t"], "polynomial degree 129 exceeds MAX_DEGREE = 128"),
         (["decompose", "--poly", "x^200 - t"], "polynomial degree 200 exceeds MAX_DEGREE = 128"),
+        (
+            # 1048583 and 1048589 are primes above 2^20: trial division up to
+            # 2^20 leaves their product, which is not prime
+            ["decide", f"EX x:K. x = {1048583 * 1048589}"],
+            "rational root search cannot factor a 41-bit cofactor: no factor up to 1048576 and not a proven prime",
+        ),
     ],
 )
 def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
@@ -129,6 +135,24 @@ def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
     assert time.perf_counter() - start < 1
     assert code == 4 and out == ""
     assert err == f"precondition violated: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        # 7^30000000 starts past the sum's cap, so its power of 7 is not computed
+        (["--field", "padic", "--p", "7", "eval", "1 + O(7^5) + 7^30000000"], "1 + O(7^5) (v=0)"),
+        # the rational root search factors 10^20 = 2^20 * 5^20
+        (["decide", "EX x:K. x = 100000000000000000000"], "TRUE"),
+        (["decide", "EX x:K. x^2 = 100000000000000000000"], "TRUE"),
+        (["decide", "EX x:K. 3*x = 100000000000000000000"], "TRUE"),
+    ],
+)
+def test_hostile_input_is_answered_in_bounded_time(capsys, argv, answer):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out, err) == (0, answer + "\n", "")
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -318,6 +342,14 @@ def test_other_toolkit_errors_exit_4_on_one_line(capsys):
         (["eval", "1" + "0" * 5000], 4, "precondition violated: integer literal of 5001 characters is too long\n"),
         (["decompose", "--poly=--"], 1, "syntax error: expected identifier (at position 1)\n"),
         (["lift", "--poly=x", "--from=--"], 1, "syntax error: expected identifier (at position 1)\n"),
+        (["eval", "2^20000"], 4, "precondition violated: a number of 20001 bits is too long to print\n"),
+        (["--field", "padic", "eval", "2^20000"], 4, "precondition violated: a number of 20001 bits is too long to print\n"),
+        (
+            ["--field", "padic", "--p", "7", "eval", "1 + 7^1000000"],
+            4,
+            "precondition violated: a number of 2807355 bits is too long to print\n",
+        ),
+        (["rv", "2^20000 + t"], 4, "precondition violated: a number of 20001 bits is too long to print\n"),
     ],
 )
 def test_input_that_raised_a_builtin_error_exits_on_one_line(capsys, argv, code, err):

@@ -353,10 +353,10 @@ def test_count_inside_counts_an_undecided_root_in(padic7):
 
 
 def test_count_inside_reaches_no_piece(monkeypatch):
-    """_region reads the count only in its measure assertion, directly and as
-    the previous count of the class recursion that _annulus_analysis starts:
-    with every count replaced by a larger, strictly decreasing one, so that
-    each assertion passes, the pieces are the same."""
+    """_region reads the count only in its measure assertion, which counts the
+    ball it was entered from first and then its own ball, and only where m
+    does not drop: with every count replaced by a larger, strictly
+    decreasing one, so that each assertion passes, the pieces are the same."""
     field = Field.padic(7)
     f = Poly.from_rationals(field, [-25137, 3747, -115, 1])  # (x - 9)(x - 49)(x - 57)
     expected = decompose(f)
@@ -369,6 +369,7 @@ def test_count_inside_reaches_no_piece(monkeypatch):
 
     monkeypatch.setattr(hqe.decomp, "_count_inside", inflated)
     assert decompose(f) == expected
-    # both uses ran: the count of K handed down through the annulus, and
-    # the class recursion's assertion, where m does not drop
-    assert len(seen) == 3 and len({p.center for p in expected}) >= 2
+    # the assertion ran once, in the class recursion that _annulus_analysis
+    # starts, where m does not drop: the outer ball, then the class ball
+    assert len(seen) == 2 and seen[0].contains_ball(seen[1])
+    assert len({p.center for p in expected}) >= 2

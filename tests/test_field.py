@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -9,6 +10,7 @@ from hqe.errors import DivisionByZero, HQEError, PrecisionExhausted, Preconditio
 from hqe.field import MAX_DIGIT_SPAN, Field
 from hqe.valq import INF
 
+import field_arith_reference as frozen
 import fraction_kernel as oracle
 import padic_fraction_kernel as padic_oracle
 
@@ -169,6 +171,22 @@ def _as_oracle(x):
     return (x.kind, x.v, x.unit if x.kind == "n" else None, x.rel)
 
 
+def _stored(fn, x, y):
+    """fn(x, y) as stored data, or the type and message of what it raised."""
+    try:
+        z = fn(x, y)
+    except (HQEError, ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return z.kind, z.v, z.u, z.den, z.rel
+
+
+def _matches_frozen(x, y):
+    """x + y, x - y and x * y give the frozen pre-kernel arithmetic's data
+    and errors (tests/field_arith_reference.py)."""
+    for op, ref in ((operator.add, frozen.add), (operator.sub, frozen.sub), (operator.mul, frozen.mul)):
+        assert _stored(op, x, y) == _stored(ref, x, y)
+
+
 def _same(x, expected):
     assert _as_oracle(x) == expected
     if x.kind == "n":
@@ -193,6 +211,11 @@ def test_laurent_kernel_matches_fraction_oracle(data, prec):
     if y.kind == "n":
         _same(x / y, oracle.div(ox, oy, prec))
         _same(field.one() / y, oracle.div(_as_oracle(field.one()), oy, prec))
+    # a unit of MAX_DIGIT_SPAN - 2 digits: a sum or product with a longer
+    # span raises, with the frozen code's error
+    long = field.from_unit(0, [Fraction(1, 3)] * (MAX_DIGIT_SPAN - 2), None)
+    for a, b in ((x, y), (x, long), (long, x)):
+        _matches_frozen(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -208,6 +231,8 @@ def test_laurent_cancellation_matches_fraction_oracle(data, k):
     _same(x - y, oracle.sub(ox, oy))
     _same(y - x, oracle.sub(oy, ox))
     _same(x + (-y), oracle.add(ox, oracle.neg(oy)))
+    _matches_frozen(x, y)
+    _matches_frozen(y, x)
 
 
 @settings(max_examples=100, deadline=None)
@@ -334,6 +359,8 @@ def test_padic_kernel_matches_fraction_oracle(data, p, k, d):
     results.append((x - y, padic_oracle.sub(ox, oy, p)))
     results.append((y - x, padic_oracle.sub(oy, ox, p)))
     results.append((x * y, padic_oracle.mul(ox, oy, p)))
+    _matches_frozen(x, y)
+    _matches_frozen(y, x)
     if y.kind == "n":
         results.append((x / y, padic_oracle.div(ox, oy, p)))
         results.append((field.one() / y, padic_oracle.div(padic_oracle.monomial(1, 0, p), oy, p)))
