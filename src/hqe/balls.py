@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .errors import PrecisionExhausted
-from .field import LAURENT, Field, FieldElem
+from .field import LAURENT, Field, FieldElem, val_diff
 from .valq import INF, NEG_INF, as_value
 
 _ALL = "all"
@@ -21,27 +21,18 @@ _POINT = "point"
 _BALL = "ball"
 
 
-def _v_at_least(x: FieldElem, bound) -> bool:
-    """Decide v(x) >= bound, honestly."""
-    if x.is_zero:
-        return True
-    if x.is_small:
-        if x.rel >= bound:
-            return True
-        raise PrecisionExhausted(f"cannot decide v >= {bound} at precision {x.rel}")
-    return x.val() >= bound
-
-
 class Ball:
     """A ball in K, canonically closed: {x : v(x - center) >= radius}."""
 
-    __slots__ = ("field", "kind", "center", "radius_int")
+    __slots__ = ("field", "kind", "center", "radius_int", "radius")
 
     def __init__(self, field, kind, center=None, radius_int=None):
         self.field = field
         self.kind = kind
         self.center = center
         self.radius_int = radius_int
+        # the radius as a value: -inf for K, +inf for a point and the empty set
+        self.radius = radius_int if kind == _BALL else NEG_INF if kind == _ALL else INF
 
     @staticmethod
     def all(field: Field) -> "Ball":
@@ -80,49 +71,28 @@ class Ball:
     def is_empty(self) -> bool:
         return self.kind == _EMPTY
 
-    @property
-    def radius(self):
-        if self.kind == _ALL:
-            return NEG_INF
-        if self.kind == _POINT:
-            return INF
-        if self.kind == _EMPTY:
-            return INF
-        return self.radius_int
+    def depth(self, x: FieldElem):
+        """min(v(x - center), radius) of a point or a ball; PrecisionExhausted
+        when the digits of x and the center below the radius do not decide it."""
+        r = self.radius
+        w = val_diff(x, self.center, r)
+        if w is None:
+            raise PrecisionExhausted(f"cannot decide v(x - center) >= {r} at precision")
+        return w
 
     def contains(self, x: FieldElem) -> bool:
         if self.kind == _ALL:
             return True
         if self.kind == _EMPTY:
             return False
-        if self.kind == _POINT:
-            d = x - self.center
-            if d.is_zero:
-                return True
-            if d.is_small:
-                raise PrecisionExhausted("singleton membership undecided at precision")
-            return False
-        # digits at the radius and beyond cannot affect the answer
-        r = self.radius_int
-        d = x.truncate_abs(r) - self.center.truncate_abs(r)
-        if d.is_zero or (d.is_small and d.rel >= r):
-            return True
-        return _v_at_least(d, r)
+        return self.depth(x) == self.radius
 
     def contains_ball(self, other: "Ball") -> bool:
         if other.kind == _EMPTY or self.kind == _ALL:
             return True
-        if self.kind == _EMPTY:
+        if self.kind == _EMPTY or other.kind == _ALL or other.radius < self.radius:
             return False
-        if self.kind == _POINT:
-            return other.kind == _POINT and self.contains(other.center)
-        if other.kind == _ALL:
-            return False
-        if other.kind == _POINT:
-            return self.contains(other.center)
-        return other.radius_int >= self.radius_int and _v_at_least(
-            other.center - self.center, self.radius_int
-        )
+        return self.contains(other.center)
 
     def intersect(self, other: "Ball") -> "Ball":
         """Intersection, using: two balls that meet are nested."""
@@ -143,10 +113,8 @@ class Ball:
         if self.kind in (_ALL, _EMPTY):
             return True
         if self.kind == _POINT:
-            return (self.center - other.center).is_zero
-        return self.radius_int == other.radius_int and _v_at_least(
-            self.center - other.center, self.radius_int
-        )
+            return val_diff(self.center, other.center, INF) == INF
+        return self.radius_int == other.radius_int and self.contains(other.center)
 
     def __hash__(self):
         return hash((self.kind, self.radius_int))
@@ -342,9 +310,8 @@ class SwissCheese:
             for h in self.holes:
                 if h.kind == _BALL:
                     k = min(k, h.radius_int - 1)
-                d = h.center - field.zero()
-                if not d.is_zero:
-                    k = min(k, d.val() - 1)
+                if not h.center.is_zero:
+                    k = min(k, h.center.val() - 1)
             probe = field.monomial(1, k)
             if all(not h.contains(probe) for h in self.holes):
                 return probe
@@ -389,33 +356,26 @@ class SwissCheese:
         if out.kind == _ALL:
             intervals = [(NEG_INF, INF)]
             point = True
-        elif out.kind == _POINT:
-            d = out.center - alpha
-            if d.is_zero:
-                return [], True
-            intervals, point = [(d.val(), d.val())], False
         else:
-            d = out.center - alpha
-            if _v_at_least(d, out.radius_int):
-                intervals, point = [(out.radius_int, INF)], True
+            s = out.depth(alpha)
+            if s == INF:  # alpha is the outer point
+                return [], True
+            if s == out.radius:
+                intervals, point = [(s, INF)], True
             else:
-                s = d.val()
                 intervals, point = [(s, s)], False
         removed = set()
         for h in self.holes:
             if h.kind == _POINT:
-                d = h.center - alpha
-                if d.is_zero:
+                if val_diff(h.center, alpha, INF) == INF:
                     point = False
                 continue
-            d = h.center - alpha
-            if _v_at_least(d, h.radius_int):
+            s = h.depth(alpha)
+            if s == h.radius_int:
                 # alpha inside the hole: radii >= hole radius disappear
-                cap = h.radius_int - 1
-                intervals = _cap_intervals(intervals, cap)
+                intervals = _cap_intervals(intervals, s - 1)
                 point = False
             else:
-                s = d.val()
                 if self.field.backend != LAURENT and _sphere_covered(self, alpha, s):
                     removed.add(s)
         for s in sorted(removed):

@@ -21,7 +21,7 @@ from math import factorial, lcm
 
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
-from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem
+from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem, val_diff
 from .hensel import derivative_roots, elem_sort_key, resolution_horizon
 from .poly import Poly, annulus_residue_poly, argmin_indices, residue_roots, taylor_shift
 from .rv import RVElem, rv
@@ -161,14 +161,14 @@ class Piece:
             if cls is None:
                 ignored = min(ignored, lb + j * dlb if j else lb)
                 continue
-            rel = cls.rel
+            known = cls.cap - cls.v  # unit digits of the term's class
             if j:
                 if d.is_small:
                     ignored = min(ignored, cls.v + j * dlb)
                     continue
-                rel = min(rel, d.rel)
-            if rel < k:
-                raise PrecisionExhausted(f"need {k} unit digits, have {rel}")
+                known = min(known, d.cap - d.v)
+            if known < k:
+                raise PrecisionExhausted(f"need {k} unit digits, have {known}")
             while pj < j:
                 pw = _lconv(pw, d.u, k) if laurent else pw * d.u % mod
                 pj += 1
@@ -242,7 +242,7 @@ def coeff_unresolved(field: Field, c) -> bool:
     root, typically -- whose depth is noise, not structure)."""
     horizon = resolution_horizon(field)
     if c.is_small:
-        return c.rel >= horizon
+        return c.cap >= horizon
     return not c.is_exact and c.val() >= horizon
 
 
@@ -256,7 +256,7 @@ def _support_vals(field: Field, coeffs):
         if coeff_unresolved(field, c):
             continue
         if c.is_small:
-            raise PrecisionExhausted(f"coefficient {i} known only modulo pi^{c.rel}")
+            raise PrecisionExhausted(f"coefficient {i} known only modulo pi^{c.cap}")
         pairs.append((i, c.val()))
     return pairs
 
@@ -325,7 +325,7 @@ def _count_inside(droots, ball: Ball) -> int:
     seen = []
     for _, r in droots:
         try:
-            if ball.contains(r) and not any((r - s).val_lb() >= r.field.prec for s in seen):
+            if ball.contains(r) and not any(val_diff(r, s, r.field.prec) == r.field.prec for s in seen):
                 seen.append(r)
                 n += 1
         except PrecisionExhausted:

@@ -5,35 +5,36 @@ Two backends share one element type:
 * ``laurent-q`` -- formal Laurent series over Q in the uniformizer t,
 * ``padic`` -- p-adic numbers for a chosen prime p.
 
-Both have value group Z.  An element is stored as ``pi^v * u`` with a unit
-part ``u`` known to ``rel`` digits (``rel = None`` means the unit is known
-exactly: a polynomial in t over Q, resp. a rational with no p in it).  Ring
-operations compute the provable output precision; a result whose known
-digits all cancel degrades to an order bound ("zero modulo pi^A"), and any
+Both have value group Z.  An element is stored in one encoding, the one
+the integer kernel behind ``+`` and ``*`` works on: ``(v, u, den, cap)``
+for the number pi^v * u/den known below valuation ``cap`` (None: exact).
+An order bound ("zero modulo pi^A") is ``v = None`` with ``cap = A``, and
+the exact zero is ``v = None`` with ``cap = None``, an order bound at
+infinity.  Ring operations compute the provable ``cap`` of their result; a
+result whose known digits all cancel degrades to an order bound, and any
 question it cannot answer raises PrecisionExhausted.
 
-A laurent-q unit is stored as one integer digit vector over one positive
-common denominator, canonical (no trailing zero digits, and
+A laurent-q unit ``u`` is one integer digit vector over one positive
+common denominator ``den``, canonical (no trailing zero digits, and
 ``gcd(den, *digits) == 1``), so the kernels run on integers and equal units
 have equal data.  An exact padic unit is an integer numerator over a
 positive integer denominator, canonical too (p divides neither, and
-``gcd(u, den) == 1``); an inexact one is an int mod p^rel over den 1.
+``gcd(u, den) == 1``); an inexact one is an int mod p^(cap - v) over den 1.
 ``FieldElem.unit`` reads a unit back as Fraction digits, resp. a Fraction
-or an int.
+or an int, and ``kind`` and ``rel`` (relative digits) are derived from the
+stored fields.
 
-``+`` and ``*`` run on one integer kernel per backend, which polynomial
-evaluation and ``poly.taylor_shift`` share as ``a * b + c``.  It works on
-the integer form of an element: None for the exact zero, (None, 0, 1, A)
-for an order bound (v >= A), and (v, u, den, cap) for the number
-pi^v * u/den known below valuation cap (None: exact).  Over padic an exact
-u is an integer over a den, p dividing neither, and an inexact one an int
-mod p^(cap - v) over den 1; over laurent-q u is a sequence of integer
-digits over den, the first and the last nonzero.  The precision rules live
-there: a product is known below min(A_a + v_b, v_a + A_b), a sum below the
-smaller cap; leading digits that cancel are stripped from a sum, and a sum
-whose known digits all cancel is the order bound at its cap.  No fraction
-is reduced on the way: an exact number has many forms, and the one element
-made from the result is canonical.
+The kernel functions ``_padd``/``_ladd``, ``_pmul``/``_lmul`` and
+``_pneg``/``_lneg`` take and return these fields as a tuple; polynomial
+evaluation and ``poly.taylor_shift`` chain them as ``a * b + c`` without
+building an element per step.  The precision rules live there: a product
+is known below min(A_a + v_b, v_a + A_b), a sum below the smaller cap;
+leading digits that cancel are stripped from a sum, and a sum whose known
+digits all cancel is the order bound at its cap.  No fraction is reduced
+on the way: an exact number has many forms, and ``_from_form`` makes the
+one element built from a result canonical.  ``val_diff`` decides
+v(x - c) >= r on the same tuples, from the digits below r; balls, cells,
+roots and decisions all ask it.
 
 ``str`` prints an element as a field term of ``hqe.formula``'s grammar,
 and ``Field.parse`` reads one back: any field term with no variables,
@@ -47,7 +48,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm
+from math import gcd, lcm, log2
 from operator import mul
 
 from .errors import (
@@ -78,6 +79,12 @@ FINGERPRINT_T = 0x2545F4914F6CDD1D % FINGERPRINT_PRIME
 # t^-50000000 + t^50000000 would fill memory across its span: the kernel
 # refuses to allocate a vector longer than this
 MAX_DIGIT_SPAN = 1 << 11
+
+
+# an exact padic sum builds p^s for the valuation gap s of its terms, so a
+# sparse literal such as 1 + 7^30000000 would run for minutes: the kernel
+# refuses a power of p longer than this many bits
+MAX_EXACT_BITS = 1 << 24
 
 
 def _span_error(n: int) -> PreconditionViolated:
@@ -183,22 +190,20 @@ class Field:
     # ---- element constructors -------------------------------------------
 
     def zero(self) -> "FieldElem":
-        return FieldElem(self, _ZERO, None, None, None)
+        return FieldElem(self, None, None, 1, None)
 
     def one(self) -> "FieldElem":
         return self.from_rational(1)
 
     def small(self, abs_bound: int) -> "FieldElem":
         """An element only known to satisfy v >= abs_bound."""
-        return FieldElem(self, _SMALL, None, None, abs_bound)
+        return FieldElem(self, None, None, 1, abs_bound)
 
     def from_rational(self, x) -> "FieldElem":
         return self.monomial(x, 0)
 
     def uniformizer(self) -> "FieldElem":
-        if self.backend == LAURENT:
-            return FieldElem(self, _NUM, 1, (1,), None, 1)
-        return FieldElem(self, _NUM, 1, 1, None)
+        return FieldElem(self, 1, (1,) if self.backend == LAURENT else 1, 1, None)
 
     def monomial(self, coeff, k: int) -> "FieldElem":
         """coeff * pi^k for a rational coeff."""
@@ -206,7 +211,7 @@ class Field:
         if not num:
             return self.zero()
         if self.backend == LAURENT:
-            return FieldElem(self, _NUM, k, (num,), None, den)
+            return FieldElem(self, k, (num,), den, None)
         return _pelem(self, k, num, den)
 
     def from_terms(self, terms) -> "FieldElem":
@@ -222,7 +227,7 @@ class Field:
             if top - v >= MAX_DIGIT_SPAN:
                 raise _span_error(top - v + 1)
             unit = [acc.get(v + i, Fraction(0)) for i in range(top - v + 1)]
-            return _lelem(self, v, *_lfrom_fractions(unit), None)
+            return _lelem(self, v, *_lfrom_fractions(unit))
         total = Fraction(0)
         for k, c in terms:
             total += Fraction(c) * Fraction(self.p) ** k
@@ -240,11 +245,11 @@ class Field:
             num, den = _num_den(unit)
             if not num % self.p or not den % self.p:
                 raise ValueError("padic unit must have valuation 0")
-            return FieldElem(self, _NUM, v, num, None, den)
+            return FieldElem(self, v, num, den, None)
         unit = int(unit) % self.p ** rel
         if unit % self.p == 0:
             raise ValueError("padic unit must be nonzero mod p")
-        return FieldElem(self, _NUM, v, unit, rel)
+        return FieldElem(self, v, unit, 1, v + rel)
 
     def parse(self, text: str) -> "FieldElem":
         """The value of a field term with no variables, in the term grammar
@@ -273,9 +278,10 @@ def _lfrom_fractions(unit) -> tuple:
     return [c.numerator * (den // c.denominator) for c in unit], den
 
 
-def _lelem(field, v, digits, den, rel) -> "FieldElem":
-    """A laurent-q number from a unit's integer digits over den > 0, made
-    canonical: trailing zeros trimmed, common factor of den and digits removed."""
+def _lelem(field, v, digits, den, rel=None) -> "FieldElem":
+    """A laurent-q number from a unit's integer digits over den > 0, known to
+    rel relative digits (None: exact), made canonical: trailing zeros
+    trimmed, common factor of den and digits removed."""
     n = len(digits)
     while n and not digits[n - 1]:
         n -= 1
@@ -283,7 +289,7 @@ def _lelem(field, v, digits, den, rel) -> "FieldElem":
     g = gcd(den, *digits)
     if g != 1:
         digits, den = tuple(c // g for c in digits), den // g
-    return FieldElem(field, _NUM, v, digits, rel, den)
+    return FieldElem(field, v, digits, den, None if rel is None else v + rel)
 
 
 def _pelem(field, v, num, den) -> "FieldElem":
@@ -303,91 +309,99 @@ def _pelem(field, v, num, den) -> "FieldElem":
     while not num % p:
         num //= p
         v += 1
-    return FieldElem(field, _NUM, v, num, None, den)
+    return FieldElem(field, v, num, den, None)
 
 
 class FieldElem:
-    """An element of K known to finite (or exact) precision.
+    """An element of K known to finite (or exact) precision, stored as the
+    kernel's ``(v, u, den, cap)``.
 
-    Canonical form: ``pi^v * u`` with the leading digit of ``u`` nonzero,
-    unless the element is an exact zero or an order bound.  ``u`` holds a
-    laurent-q unit's integer digits over the denominator ``den``; over padic
-    an exact unit's integer numerator over ``den`` (p divides neither), and
-    an inexact unit as an int mod p^rel (``den`` is then 1).
+    A number is ``pi^v * u/den`` known below valuation ``cap`` (None when
+    exact), with the leading digit of ``u`` nonzero: ``u`` holds a laurent-q
+    unit's integer digits over ``den``; over padic an exact unit's integer
+    numerator over ``den`` (p divides neither), and an inexact unit as an
+    int mod p^(cap - v) (``den`` is then 1).  ``v = None`` marks an order
+    bound v >= ``cap``, or the exact zero when ``cap`` is None too.
     """
 
-    __slots__ = ("field", "kind", "v", "u", "rel", "den")
+    __slots__ = ("field", "v", "u", "den", "cap")
 
-    def __init__(self, field, kind, v, u, rel, den=1):
+    def __init__(self, field, v, u, den, cap):
         self.field = field
-        self.kind = kind
         self.v = v
         self.u = u
-        self.rel = rel
         self.den = den
+        self.cap = cap
+
+    @property
+    def kind(self) -> str:
+        """``n`` for a number, ``s`` for an order bound, ``z`` for the exact zero."""
+        if self.v is not None:
+            return _NUM
+        return _ZERO if self.cap is None else _SMALL
+
+    @property
+    def rel(self):
+        """Relative precision of a number (None: exact); the bound of an
+        order bound; None for the exact zero."""
+        if self.v is None or self.cap is None:
+            return self.cap
+        return self.cap - self.v
 
     @property
     def unit(self):
         """The unit part: a tuple of Fraction digits over laurent-q; over
         padic a Fraction when exact, an int mod p^rel otherwise."""
-        if self.kind != _NUM:
-            return self.u
+        if self.v is None:
+            return None
         if self.field.backend == LAURENT:
             return tuple(Fraction(c, self.den) for c in self.u)
-        return self.u if self.rel is not None else Fraction(self.u, self.den)
+        return self.u if self.cap is not None else Fraction(self.u, self.den)
 
     # ---- state predicates -------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
         """True for the exact zero only."""
-        return self.kind == _ZERO
+        return self.v is None and self.cap is None
 
     @property
     def is_small(self) -> bool:
         """True when only an order bound v >= abs_prec is known."""
-        return self.kind == _SMALL
+        return self.v is None and self.cap is not None
 
     @property
     def is_exact(self) -> bool:
-        return self.kind == _ZERO or (self.kind == _NUM and self.rel is None)
+        return self.cap is None
 
     @property
     def abs_prec(self):
         """Digits below this valuation are known (an int, or INF)."""
-        if self.kind == _ZERO:
-            return INF
-        if self.kind == _SMALL:
-            return self.rel
-        if self.rel is None:
-            return INF
-        return self.v + self.rel
+        return INF if self.cap is None else self.cap
 
     def val(self):
         """The valuation: an int, or INF for an exact zero."""
-        if self.kind == _NUM:
+        if self.v is not None:
             return self.v
-        if self.kind == _ZERO:
+        if self.cap is None:
             return INF
         raise PrecisionExhausted(
-            f"element is zero modulo pi^{self.rel} but not known to be an exact zero"
+            f"element is zero modulo pi^{self.cap} but not known to be an exact zero"
         )
 
     def val_lb(self):
         """A usable lower bound on v(x): exact when known, the order bound
         for an element that is zero to its precision."""
-        if self.kind == _SMALL:
-            return self.rel
-        return self.val()
+        return self.abs_prec if self.v is None else self.v
 
     # ---- digit access -------------------------------------------------------
 
     def unit_digits(self, k: int):
         """First k digits of the unit part (tuple over Q, or an int mod p^k)."""
-        if self.kind != _NUM:
+        if self.v is None:
             raise ValueError("no unit part")
-        if self.rel is not None and self.rel < k:
-            raise PrecisionExhausted(f"need {k} unit digits, have {self.rel}")
+        if self.cap is not None and self.cap - self.v < k:
+            raise PrecisionExhausted(f"need {k} unit digits, have {self.cap - self.v}")
         f = self.field
         if f.backend == LAURENT:
             u = self.u[:k]
@@ -398,32 +412,23 @@ class FieldElem:
         """The class of the element in O / m_delta (digits 0..delta)."""
         d = as_order(delta)
         f = self.field
-        if self.kind == _ZERO:
-            return Residue(f, d, _zero_res(f, d))
-        if self.kind == _SMALL:
-            if self.rel > d:
-                return Residue(f, d, _zero_res(f, d))
-            raise PrecisionExhausted("residue not determined at available precision")
-        if self.v < 0:
+        if self.v is not None and self.v < 0:
             raise NegativeValue("residue of an element of negative valuation")
         if self.abs_prec <= d:
             raise PrecisionExhausted(f"residue mod m_{d} needs {d + 1} known digits")
+        if self.v is None or self.v > d:
+            return Residue(f, d, _zero_res(f, d))
         if f.backend == LAURENT:
-            if self.v > d:
-                return Residue(f, d, _zero_res(f, d))
             return Residue(f, d, (Fraction(0),) * self.v + self.unit_digits(d + 1 - self.v))
-        u = self.unit_digits(d + 1 - self.v) if self.v <= d else 0
-        return Residue(f, d, u * f.p ** self.v % f.p ** (d + 1))
+        return Residue(f, d, self.unit_digits(d + 1 - self.v) * f.p ** self.v % f.p ** (d + 1))
 
     def coeff(self, k: int) -> Fraction:
         """Laurent backend: the coefficient of t^k (must be within precision)."""
         if self.field.backend != LAURENT:
             raise ValueError("coeff() is a laurent-q operation")
-        if self.kind == _ZERO:
-            return Fraction(0)
         if self.abs_prec <= k:
             raise PrecisionExhausted(f"coefficient of t^{k} beyond precision")
-        if self.kind == _SMALL or k < self.v:
+        if self.v is None or k < self.v:
             return Fraction(0)
         i = k - self.v
         return Fraction(self.u[i], self.den) if i < len(self.u) else Fraction(0)
@@ -443,23 +448,26 @@ class FieldElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _add(self, other)
+        f = self.field
+        a, b = (self.v, self.u, self.den, self.cap), (other.v, other.u, other.den, other.cap)
+        e = _ADD[f.backend](a, b, f.p)
+        # the kernel hands an operand's own tuple back when the sum is that operand
+        return self if e is a else other if e is b else _from_form(f, e)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.kind != _NUM:
-            return self
-        if self.field.backend == LAURENT:
-            return FieldElem(self.field, _NUM, self.v, tuple(-c for c in self.u), self.rel, self.den)
-        u = -self.u if self.rel is None else (-self.u) % self.field.p ** self.rel
-        return FieldElem(self.field, _NUM, self.v, u, self.rel, self.den)
+        f = self.field
+        return FieldElem(f, *_NEG[f.backend]((self.v, self.u, self.den, self.cap), f.p))
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _add(self, -other)
+        f = self.field
+        a = (self.v, self.u, self.den, self.cap)
+        e = _ADD[f.backend](a, _NEG[f.backend]((other.v, other.u, other.den, other.cap), f.p), f.p)
+        return self if e is a else _from_form(f, e)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -468,7 +476,9 @@ class FieldElem:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return _mul(self, other)
+        f = self.field
+        a, b = (self.v, self.u, self.den, self.cap), (other.v, other.u, other.den, other.cap)
+        return _from_form(f, _MUL[f.backend](a, b, f.p))
 
     __rmul__ = __mul__
 
@@ -486,7 +496,7 @@ class FieldElem:
             return NotImplemented
         if n < 0:
             return (self.field.one() / self) ** (-n)
-        if self.kind == _NUM and self.rel is None and self.field.backend == LAURENT:
+        if self.v is not None and self.cap is None and self.field.backend == LAURENT:
             span = (len(self.u) - 1) * n + 1
             if span > MAX_DIGIT_SPAN:
                 raise _span_error(span)  # before any squaring
@@ -501,49 +511,49 @@ class FieldElem:
 
     def shift(self, k: int) -> "FieldElem":
         """Multiply by pi^k (exact)."""
-        if self.kind == _NUM:
-            return FieldElem(self.field, _NUM, self.v + k, self.u, self.rel, self.den)
-        if self.kind == _SMALL:
-            return FieldElem(self.field, _SMALL, None, None, self.rel + k)
-        return self
+        v, cap = self.v, self.cap
+        return FieldElem(
+            self.field, None if v is None else v + k, self.u, self.den, None if cap is None else cap + k
+        )
 
     def truncate_rel(self, k: int) -> "FieldElem":
         """Forget digits beyond k relative digits."""
-        if self.kind != _NUM or (self.rel is not None and self.rel <= k):
+        v = self.v
+        if v is None or (self.cap is not None and self.cap - v <= k):
             return self
         f = self.field
         if f.backend == LAURENT:
             if len(self.u) <= k:  # no digit dropped: still canonical
-                return FieldElem(f, _NUM, self.v, self.u, k, self.den)
-            return _lelem(f, self.v, self.u[:k], self.den, k)
-        return FieldElem(f, _NUM, self.v, self.unit_digits(k), k)
+                return FieldElem(f, v, self.u, self.den, v + k)
+            return _lelem(f, v, self.u[:k], self.den, k)
+        return FieldElem(f, v, self.unit_digits(k), 1, v + k)
 
     def with_field(self, field: Field) -> "FieldElem":
         """The same element viewed in a field clone of different working precision."""
-        return FieldElem(field, self.kind, self.v, self.u, self.rel, self.den)
+        return FieldElem(field, self.v, self.u, self.den, self.cap)
 
     def as_exact(self) -> "FieldElem":
         """The exact element whose unit is the known digits of this one."""
-        if self.kind != _NUM or self.rel is None:
+        if self.v is None or self.cap is None:
             return self
-        return FieldElem(self.field, _NUM, self.v, self.u, None, self.den)
+        return FieldElem(self.field, self.v, self.u, self.den, None)
 
     def padded(self, k: int) -> "FieldElem":
         """as_exact() known to k relative digits: digits past k dropped,
         zero digits added up to k."""
-        if self.kind != _NUM or self.rel is None or self.rel >= k:
+        v = self.v
+        if v is None or self.cap is None or self.cap - v >= k:
             return self.truncate_rel(k)
-        return FieldElem(self.field, _NUM, self.v, self.u, k, self.den)
+        return FieldElem(self.field, v, self.u, self.den, v + k)
 
     def truncate_abs(self, k: int) -> "FieldElem":
         """Forget digits at valuation k and beyond (the class mod m_{>=k})."""
-        if self.kind == _ZERO:
-            return self
-        if self.kind == _SMALL:
-            return self if self.rel <= k else self.field.small(k)
-        if self.v >= k:
+        v, cap = self.v, self.cap
+        if v is None and (cap is None or cap <= k):
+            return self  # the exact zero, or an order bound no finer than k
+        if v is None or v >= k:
             return self.field.small(k)
-        return self.truncate_rel(k - self.v)
+        return self.truncate_rel(k - v)
 
     # ---- comparison and printing --------------------------------------------
 
@@ -555,15 +565,14 @@ class FieldElem:
         return (
             self.field.backend == other.field.backend
             and self.field.p == other.field.p
-            and self.kind == other.kind
             and self.v == other.v
             and self.u == other.u
             and self.den == other.den
-            and self.rel == other.rel
+            and self.cap == other.cap
         )
 
     def __hash__(self):
-        return hash((self.field.backend, self.field.p, self.kind, self.v, self.u, self.den, self.rel))
+        return hash((self.field.backend, self.field.p, self.v, self.u, self.den, self.cap))
 
     def __str__(self):
         return format_elem(self)
@@ -620,36 +629,22 @@ def _one_res(field, d):
 # ---- arithmetic kernels -------------------------------------------------
 
 
-def _add(x: FieldElem, y: FieldElem) -> FieldElem:
-    f = x.field
-    a, b = _form(x), _form(y)
-    e = _ADD[f.backend](a, b, f.p)
-    # the kernel hands an operand's own form back when the sum is that operand
-    return x if e is a else y if e is b else _from_form(f, e)
-
-
-def _mul(x: FieldElem, y: FieldElem) -> FieldElem:
-    f = x.field
-    return _from_form(f, _MUL[f.backend](_form(x), _form(y), f.p))
-
-
 def _div(x: FieldElem, y: FieldElem) -> FieldElem:
     f = x.field
-    if y.kind == _ZERO:
-        raise DivisionByZero("division by exact zero")
-    if y.kind == _SMALL:
+    if y.v is None:
+        if y.cap is None:
+            raise DivisionByZero("division by exact zero")
         raise PrecisionExhausted("divisor is zero to its known precision")
-    if x.kind == _ZERO:
-        return f.zero()
-    if x.kind == _SMALL:
-        return f.small(x.rel - y.v)
-    rel = _min_rel(x.rel, y.rel)
+    if x.v is None:
+        return x if x.cap is None else f.small(x.cap - y.v)
+    v = x.v - y.v
+    # relative digits of the quotient: the fewer of the operands' (None: exact)
+    rel = min((e.cap - e.v for e in (x, y) if e.cap is not None), default=None)
     if f.backend == PADIC:
         if rel is None:
-            return _pelem(f, x.v - y.v, x.u * y.den, x.den * y.u)
-        k = rel
-        u = x.unit_digits(k) * pow(y.unit_digits(k), -1, f.p ** k) % f.p ** k
-        return FieldElem(f, _NUM, x.v - y.v, u, k)
+            return _pelem(f, v, x.u * y.den, x.den * y.u)
+        m = f.p**rel
+        return FieldElem(f, v, x.unit_digits(rel) * pow(y.unit_digits(rel), -1, m) % m, 1, v + rel)
     # laurent: exact when the unit division terminates, else truncate;
     # x/y = (a/da) / (b/db) = (a/b) * db/da
     a, b = x.u, y.u
@@ -663,15 +658,7 @@ def _div(x: FieldElem, y: FieldElem) -> FieldElem:
             Q, D = _lseries_div(a, b, rel)
     else:
         Q, D = _lseries_div(a, b, rel)
-    return _lelem(f, x.v - y.v, [c * y.den for c in Q], x.den * D, rel)
-
-
-def _min_rel(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
+    return _lelem(f, v, [c * y.den for c in Q], x.den * D, rel)
 
 
 def fingerprint(x: FieldElem) -> int | None:
@@ -684,10 +671,10 @@ def fingerprint(x: FieldElem) -> int | None:
     and over padic when p is the prime itself.
     """
     P = FINGERPRINT_PRIME
-    if x.kind == _ZERO:
-        return 0
-    if x.kind == _SMALL or x.rel is not None:
+    if x.cap is not None:
         return None
+    if x.v is None:
+        return 0
     f = x.field
     if f.backend == LAURENT:
         den = x.den % P
@@ -719,27 +706,51 @@ def _lconv(a, b, n: int) -> list:
     return out
 
 
-# ---- the integer-form kernel: + and x, and a * b + c --------------------
-
-
-def _form(x: FieldElem):
-    if x.kind == _NUM:
-        return (x.v, x.u, x.den, None if x.rel is None else x.v + x.rel)
-    return None if x.kind == _ZERO else (None, 0, 1, x.rel)
+# ---- the integer kernel: + and x, negation, a * b + c, and v(x - c) ------
+#
+# It runs on the stored fields of elements as tuples (v, u, den, cap); a
+# number's tuple may hold an exact fraction that is not reduced.
 
 
 def _from_form(field: Field, e) -> FieldElem:
-    """The canonical element of a form."""
-    if e is None:
-        return field.zero()
+    """The canonical element of a kernel result."""
     v, u, den, cap = e
     if v is None:
-        return field.small(cap)
+        return FieldElem(field, None, None, 1, cap)
     if field.backend == LAURENT:
         return _lelem(field, v, u, den, None if cap is None else cap - v)
     if cap is None:
         return _pelem(field, v, u, den)
-    return FieldElem(field, _NUM, v, u, cap - v)
+    return FieldElem(field, v, u, 1, cap)
+
+
+def val_diff(x: FieldElem, c: FieldElem, r):
+    """min(v(x - c), r) for an int r or INF, read from the digits of x and c
+    below r; None when those digits do not decide it, because one of x and
+    c is known only to fewer.  The order bound O(pi^r) is added to both
+    before they are subtracted, so no digit at r or beyond is computed."""
+    vx, vc = x.v, c.v
+    if vx is not None and vc is not None and vx != vc:
+        # two numbers: the one of lower valuation is known there, and leads
+        w = vx if vx < vc else vc
+        return w if w < r else r
+    f = x.field
+    add, p = _ADD[f.backend], f.p
+    bound = (None, None, 1, None if r == INF else r)
+    a = add((x.v, x.u, x.den, x.cap), bound, p)
+    b = add((c.v, c.u, c.den, c.cap), bound, p)
+    v, _, _, cap = add(a, _NEG[f.backend](b, p), p)
+    if v is not None:
+        return v
+    return r if cap is None or cap >= r else None
+
+
+def _bound_mul(va, ca, vb, cb):
+    """The product of two factors one of which is zero or an order bound:
+    v >= the sum of their lower bounds, exact zero when either is zero."""
+    la = ca if va is None else va
+    lb = cb if vb is None else vb
+    return (None, None, 1, None if la is None or lb is None else la + lb)
 
 
 def _mul_cap(va, ca, vb, cb):
@@ -754,14 +765,20 @@ def _punit(u: int, den: int, m: int) -> int:
     return u % m if den == 1 else u * pow(den, -1, m) % m
 
 
+def _pneg(a, p):
+    """-a on padic tuples."""
+    v, u, den, cap = a
+    if v is None:
+        return a
+    return (v, -u if cap is None else p ** (cap - v) - u, den, cap)
+
+
 def _pmul(a, b, p):
-    """a * b on padic forms."""
-    if a is None or b is None:
-        return None
+    """a * b on padic tuples."""
     va, ua, da, ca = a
     vb, ub, db, cb = b
     if va is None or vb is None:
-        return (None, 0, 1, (ca if va is None else va) + (cb if vb is None else vb))
+        return _bound_mul(va, ca, vb, cb)
     cap = _mul_cap(va, ca, vb, cb)
     if cap is None:
         return (va + vb, ua * ub, da * db, None)
@@ -770,35 +787,33 @@ def _pmul(a, b, p):
 
 
 def _padd(a, b, p):
-    """a + b on padic forms."""
-    if a is None:
-        return b
-    if b is None:
-        return a
+    """a + b on padic tuples."""
     va, ua, da, ca = a
     vb, ub, db, cb = b
     cap = ca if cb is None or (ca is not None and ca < cb) else cb
     if va is None:
-        return (None, 0, 1, cap) if vb is None else _ptrunc(b, cap, p)
+        return (None, None, 1, cap) if vb is None else _ptrunc(b, cap, p)
     if vb is None:
         return _ptrunc(a, cap, p)
     if va > vb:
         va, ua, da, vb, ub, db = vb, ub, db, va, ua, da
     s = vb - va
     if cap is None:
+        if s * log2(p) > MAX_EXACT_BITS:
+            raise PreconditionViolated(
+                f"exact padic sum needs {p}^{s}, longer than MAX_EXACT_BITS = {MAX_EXACT_BITS}"
+            )
         if da == db:
             u, den = ua + ub * p**s, da
         else:
             u, den = ua * db + ub * da * p**s, da * db
-        if not u:
-            return None
     else:
         den, m = 1, p ** (cap - va)
         u = _punit(ua, da, m)
         if s < cap - va:  # else the second number is 0 mod p^(cap - va)
             u = (u + _punit(ub, db, m) * p**s) % m
-        if not u:
-            return (None, 0, 1, cap)
+    if not u:
+        return (None, None, 1, cap)
     while not u % p:
         u //= p
         va += 1
@@ -806,28 +821,34 @@ def _padd(a, b, p):
 
 
 def _ptrunc(a, cap, p):
-    """A padic number plus an order bound at cap."""
+    """A padic number plus an order bound at cap (None: the exact zero)."""
     v, u, den, c = a
-    if v >= cap:
-        return (None, 0, 1, cap)
-    if c is not None and c <= cap:
+    if cap is None or (c is not None and c <= cap):
         return a
+    if v >= cap:
+        return (None, None, 1, cap)
     return (v, _punit(u, den, p ** (cap - v)), 1, cap)
 
 
 def _pfma(a, b, c, p):
-    """a * b + c on padic forms."""
+    """a * b + c on padic tuples."""
     return _padd(_pmul(a, b, p), c, p)
 
 
+def _lneg(a, p=None):
+    """-a on laurent-q tuples."""
+    v, u, den, cap = a
+    if v is None:
+        return a
+    return (v, tuple([-c for c in u]), den, cap)
+
+
 def _lmul(a, b, p=None):
-    """a * b on laurent-q forms."""
-    if a is None or b is None:
-        return None
+    """a * b on laurent-q tuples."""
     va, ua, da, ca = a
     vb, ub, db, cb = b
     if va is None or vb is None:
-        return (None, 0, 1, (ca if va is None else va) + (cb if vb is None else vb))
+        return _bound_mul(va, ca, vb, cb)
     cap = _mul_cap(va, ca, vb, cb)
     n = len(ua) + len(ub) - 1
     if cap is not None:
@@ -841,16 +862,12 @@ def _lmul(a, b, p=None):
 
 
 def _ladd(a, b, p=None):
-    """a + b on laurent-q forms."""
-    if a is None:
-        return b
-    if b is None:
-        return a
+    """a + b on laurent-q tuples."""
     va, ua, da, ca = a
     vb, ub, db, cb = b
     cap = ca if cb is None or (ca is not None and ca < cb) else cb
     if va is None:
-        return (None, 0, 1, cap) if vb is None else _ltrunc(b, cap)
+        return (None, None, 1, cap) if vb is None else _ltrunc(b, cap)
     if vb is None:
         return _ltrunc(a, cap)
     if va > vb:
@@ -874,19 +891,19 @@ def _ladd(a, b, p=None):
     while not digits[lead]:
         lead += 1
         if lead == length:
-            return None if cap is None else (None, 0, 1, cap)
+            return (None, None, 1, cap)
     while not digits[-1]:
         digits.pop()
     return (va + lead, digits[lead:] if lead else digits, den, cap)
 
 
 def _ltrunc(a, cap):
-    """A laurent-q number plus an order bound at cap."""
+    """A laurent-q number plus an order bound at cap (None: the exact zero)."""
     v, u, den, c = a
-    if v >= cap:
-        return (None, 0, 1, cap)
-    if c is not None and c <= cap:
+    if cap is None or (c is not None and c <= cap):
         return a
+    if v >= cap:
+        return (None, None, 1, cap)
     k = cap - v
     if len(u) > k:
         u = list(u[:k])
@@ -896,12 +913,13 @@ def _ltrunc(a, cap):
 
 
 def _lfma(a, b, c, p=None):
-    """a * b + c on laurent-q forms."""
+    """a * b + c on laurent-q tuples."""
     return _ladd(_lmul(a, b), c)
 
 
 _ADD = {LAURENT: _ladd, PADIC: _padd}
 _MUL = {LAURENT: _lmul, PADIC: _pmul}
+_NEG = {LAURENT: _lneg, PADIC: _pneg}
 _FMA = {LAURENT: _lfma, PADIC: _pfma}
 
 
@@ -940,35 +958,28 @@ def decimal(c) -> str:
 
 def format_elem(x: FieldElem) -> str:
     f = x.field
-    if x.kind == _ZERO:
-        return "0"
+    pi = "t" if f.backend == LAURENT else f.p
+    tail = "" if x.cap is None else f"O({pi}^{x.cap})"
+    if x.v is None:
+        return tail or "0"
     if f.backend == LAURENT:
-        if x.kind == _SMALL:
-            return f"O(t^{x.rel})"
         parts = []
         for i, c in enumerate(x.u):
             if not c:
                 continue
             k = x.v + i
-            c = Fraction(c, x.den)
-            c = decimal(c)
+            c = decimal(Fraction(c, x.den))
             parts.append(c if k == 0 else f"{c}*t^{k}")
-        if not parts:
-            parts.append("0")
-        s = " + ".join(parts)
-        if x.rel is not None:
-            s += f" + O(t^{x.v + x.rel})"
-        return s
-    if x.kind == _SMALL:
-        return f"O({f.p}^{x.rel})"
-    # p divides neither u nor den, so p^v * u/den is in lowest terms
-    num, den = x.u, x.den
-    if x.v >= 0:
-        num *= f.p ** x.v
+        s = " + ".join(parts) or "0"
     else:
-        den *= f.p ** -x.v
-    s = decimal(Fraction(num, den))
-    return s if x.rel is None else f"{s} + O({f.p}^{x.v + x.rel})"
+        # p divides neither u nor den, so p^v * u/den is in lowest terms
+        num, den = x.u, x.den
+        if x.v >= 0:
+            num *= f.p ** x.v
+        else:
+            den *= f.p ** -x.v
+        s = decimal(Fraction(num, den))
+    return f"{s} + {tail}" if tail else s
 
 
 # one lexer for all input text: a run of decimal digits, any other run of

@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import PrecisionExhausted, PreconditionViolated
-from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, fingerprint
+from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, fingerprint, val_diff
 from .poly import (
     Poly,
     annulus_residue_poly,
@@ -117,7 +117,7 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
         fx = P(x)
         if fx.is_small:
             wider = carry(y, None)
-            if wider.rel is not None and wider.rel > x.rel:
+            if wider.cap is not None and wider.cap > x.cap:
                 x, fx = wider, P(wider)
         return x, fx
 
@@ -130,10 +130,10 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
         if fx.is_small:
             # zero at the precision the data supports; nothing more can be
             # revealed by iterating
-            if fx.rel >= base_target:
+            if fx.cap >= base_target:
                 break
             raise PrecisionExhausted(
-                f"root certified only modulo pi^{fx.rel}, target {base_target}"
+                f"root certified only modulo pi^{fx.cap}, target {base_target}"
             )
         if steps >= _MAX_NEWTON_STEPS:
             raise PrecisionExhausted("iteration budget exhausted before certification")
@@ -146,7 +146,7 @@ def newton_lift(P: Poly, a: FieldElem, delta=0, target=None) -> LiftCertificate:
             # the step converged past the digits x carried, so v(P) may be
             # cut short there: take the step again from all digits of y
             wider = carry(y, None)
-            if wider.rel is not None and wider.rel > x.rel:
+            if wider.cap is not None and wider.cap > x.cap:
                 x = wider
                 fx = P(x)
                 vfx = fx.val_lb()
@@ -180,8 +180,8 @@ def elem_sort_key(x: FieldElem, digits: int = 6):
     if x.is_zero:
         return (0, 0, ())
     if x.is_small:
-        return (1, x.rel, ())
-    take = digits if x.rel is None else min(digits, x.rel)
+        return (1, x.cap, ())
+    take = digits if x.cap is None else min(digits, x.cap - x.v)
     u = x.unit_digits(take)
     if x.field.backend == LAURENT:
         key = tuple(u)
@@ -213,12 +213,16 @@ def _field_roots(field: Field, coeffs) -> tuple[FieldElem, ...]:
         roots.append(field.zero())
         g = Poly(field, g.coeffs[low:])
     if g.degree >= 1:
-        pairs = coeff_vals(g)
-        for s in _integer_slopes(pairs):
-            G = _scale_to_radius(g, pairs, s)
-            pi_s = field.monomial(1, s)
-            for u in _roots_in_O(G, 0, only_units=True):
-                roots.append(_snap_exact(g, pi_s * u))
+        pairs = coeff_vals(g)  # raises on a coefficient zero only to precision
+        if g.degree == 1:
+            # a linear factor's root is read off: no residue search, no lifting
+            roots.append(-g.coeffs[0] / g.coeffs[1])
+        else:
+            for s in _integer_slopes(pairs):
+                G = _scale_to_radius(g, pairs, s)
+                pi_s = field.monomial(1, s)
+                for u in _roots_in_O(G, 0, only_units=True):
+                    roots.append(_snap_exact(g, pi_s * u))
     roots.sort(key=elem_sort_key)
     return tuple(roots)
 
@@ -241,9 +245,9 @@ def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
     candidates = []
     if field.backend == LAURENT:
         candidates.append(x.as_exact())
-        candidates.append(x.truncate_rel(max(1, (x.rel or field.prec) - 4)).as_exact())
+        candidates.append(x.truncate_rel(max(1, x.cap - x.v - 4)).as_exact())
     else:
-        k = max(4, (x.rel or field.prec) - 4)
+        k = max(4, x.cap - x.v - 4)
         fr = _rational_reconstruct(x.unit_digits(k), field.p**k)
         if fr is not None and fr != 0:
             candidates.append(field.from_rational(fr).shift(x.v))
@@ -352,8 +356,9 @@ def resolution_horizon(field: Field) -> int:
 
 
 def same_point(a: FieldElem, b: FieldElem) -> bool:
-    """Whether a and b agree to the resolution horizon."""
-    return (a - b).val_lb() >= resolution_horizon(a.field)
+    """Whether a and b are proven to agree to the resolution horizon."""
+    h = resolution_horizon(a.field)
+    return val_diff(a, b, h) == h
 
 
 def is_root(g: Poly, x: FieldElem) -> bool:
@@ -482,7 +487,7 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int):
             except (PreconditionViolated, PrecisionExhausted):
                 lam = None
         if lam is None:
-            inside = [(n, r) for n, r in droots if (r - beta).val_lb() > delta_ann]
+            inside = [(n, r) for n, r in droots if val_diff(r, beta, delta_ann + 1) == delta_ann + 1]
             if not inside:
                 continue
             inside.sort(key=lambda nr: (nr[0], elem_sort_key(nr[1])))

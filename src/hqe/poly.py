@@ -14,7 +14,6 @@ from .field import (
     PRIME_BOUND,
     Field,
     FieldElem,
-    _form,
     _from_form,
     _is_prime,
     fingerprint,
@@ -199,16 +198,16 @@ def _point_form(field: Field, x):
         x = field.from_rational(x)
     elif x.field.backend != field.backend or x.field.p != field.p:
         raise ValueError("mixed-backend arithmetic")
-    return _form(x)
+    return (x.v, x.u, x.den, x.cap)
 
 
 def _coeff_forms(field: Field, coeffs) -> tuple:
     """The forms of the coefficients; laurent-q digits over one common
     denominator, so that Horner's sums need no rescaling of coefficients."""
-    forms = [_form(c) for c in coeffs]
+    forms = [(c.v, c.u, c.den, c.cap) for c in coeffs]
     if field.backend != LAURENT:
         return tuple(forms)
-    nums = [i for i, e in enumerate(forms) if e is not None and e[0] is not None]
+    nums = [i for i, e in enumerate(forms) if e[0] is not None]
     den = lcm(*(forms[i][2] for i in nums))
     for i in nums:
         v, u, d, cap = forms[i]

@@ -26,7 +26,7 @@ from .errors import (
     PrecisionExhausted,
     PreconditionViolated,
 )
-from .field import Field, FieldElem
+from .field import Field, FieldElem, val_diff
 from .formula import (
     FALSE,
     TRUE,
@@ -116,8 +116,9 @@ def eliminate_linear_exists(constraints, field: Field, case_log=None) -> bool:
     # singletons force the witness
     for x0, _ in singles:
         for other, _ in singles:
-            d = x0 - other
-            if not d.is_zero and not (d.is_small and d.rel >= resolution_horizon(x0.field)):
+            # the same point: equal on all known digits, known to the horizon
+            known = min(x0.abs_prec, other.abs_prec)
+            if known < resolution_horizon(x0.field) or val_diff(x0, other, known) != known:
                 return False
         for B in balls:
             if not _in_open_ball(x0, B):
@@ -131,7 +132,8 @@ def eliminate_linear_exists(constraints, field: Field, case_log=None) -> bool:
 
 
 def _in_open_ball(x, B) -> bool:
-    return (x - B["center"]).val_lb() > B["radius"]
+    r = B["radius"] + 1
+    return val_diff(x, B["center"], r) == r
 
 
 def _pair_intersects(B1, B2, case_log) -> bool:
@@ -159,7 +161,7 @@ def _pair_intersects(B1, B2, case_log) -> bool:
         # order is coarser than that when v(z_2) < v(z_1)
         return (B1["z"] + dcc - B2["z"]).val_lb() > B1["radius"]
     # cases 1 and 2: the severity criterion on z_1 - z_2 + (c_1 - c_2)
-    return (B2["center"] - B1["center"]).val_lb() > B1["radius"]
+    return _in_open_ball(B2["center"], B1)
 
 
 # ---- atoms to polynomials ------------------------------------------------------

@@ -17,7 +17,7 @@ from functools import lru_cache
 from .balls import Ball, SwissCheese
 from .decomp import decompose
 from .errors import NonEffectiveQuantifier, PrecisionExhausted
-from .field import Field, FieldElem
+from .field import Field, FieldElem, val_diff
 from .hensel import field_roots, resolution_horizon, same_point
 from .poly import Poly
 from .valq import FLIP, INF, NEG_INF, holds
@@ -171,17 +171,16 @@ def _cell_compare(ch: _CellData, cg: _CellData, c, op, cheese, field) -> Region:
     a1, a2 = ch.center, cg.center
     if m1 == 0 and m2 == 0:
         return [cheese] if holds(A, B, op) else []
-    d = a1 - a2
-    dv = d.val_lb()
-    if not d.is_zero and d.is_small and d.rel < resolution_horizon(field):
+    horizon = resolution_horizon(field)
+    dd = val_diff(a1, a2, horizon)  # v(a1 - a2), or the horizon for the same center
+    if dd is None:
         raise PrecisionExhausted("cell centers indistinguishable at precision")
     out: Region = []
-    if same_point(a1, a2):
+    if dd == horizon:
         # same center: one radius r, w1 = A + m1 r, w2 = B + m2 r
         for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, INF, True):
             out.extend(_radius_range(a1, lo, hi, inc, field))
     else:
-        dd = dv
         # r1 < dd forces r2 = r1
         for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, dd - 1, False):
             out.extend(_radius_range(a1, lo, hi, inc, field))

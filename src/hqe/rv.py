@@ -118,8 +118,8 @@ def rv(x: FieldElem, delta) -> RVElem:
     delta = as_order(delta)
     if x.is_small:
         raise PrecisionExhausted("class of an element with unknown leading digit")
-    if x.rel is not None and x.rel <= delta:
-        raise PrecisionExhausted(f"need {delta + 1} unit digits, have {x.rel}")
+    if x.cap is not None and x.cap - x.v <= delta:
+        raise PrecisionExhausted(f"need {delta + 1} unit digits, have {x.cap - x.v}")
     return RVElem(delta, x.truncate_rel(delta + 1).as_exact())
 
 

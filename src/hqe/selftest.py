@@ -18,7 +18,7 @@ from .decomp import m_bound, rv_decompose
 from .errors import PreconditionViolated, PrecisionExhausted
 from .field import Field, FieldElem
 from .formula import parse_formula, has_field_quantifier
-from .hensel import collision_data, collision_root, is_root, newton_lift
+from .hensel import collision_data, collision_root, is_root, newton_lift, same_point
 from .poly import Poly, derivative
 from .qe import decide, eliminate_linear_exists, normal_form, qe
 from .rv import RVElem, oplus_holds, rv, rv_sum_analyze
@@ -299,7 +299,7 @@ def suite_hensel(seed=0) -> SuiteResult:
                     cert.separation > delta
                     and achieved == cert.separation
                     and is_root(P, cert.root)
-                    and _close(cert.root, root, field.prec // 2)
+                    and same_point(cert.root, root)
                 )
                 if not ok:
                     _fail(result, f"lift {field.backend} case {i}")
@@ -327,15 +327,6 @@ def suite_hensel(seed=0) -> SuiteResult:
         pass
     result.duration = time.perf_counter() - start
     return result
-
-
-def _close(x, y, bound):
-    d = x - y
-    if d.is_zero:
-        return True
-    if d.is_small:
-        return d.rel >= bound
-    return d.val() >= bound
 
 
 # ---- suite 4: collisions ------------------------------------------------------------
@@ -571,7 +562,7 @@ def _root_search_oracle(g, side, var, field):
                 pass
     distinct = []
     for r in found:
-        if not any(_close(r, s, field.prec // 2) for s in distinct):
+        if not any(same_point(r, s) for s in distinct):
             distinct.append(r)
     for r in distinct:
         try:

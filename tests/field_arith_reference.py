@@ -91,7 +91,7 @@ def add(x: FieldElem, y: FieldElem) -> FieldElem:
     if w == 0:
         return f.small(cap)
     j = _int_vp(w, f.p)
-    return FieldElem(f, _NUM, x.v + j, (w // f.p ** j) % f.p ** (k - j), k - j)
+    return FieldElem(f, x.v + j, (w // f.p ** j) % f.p ** (k - j), 1, x.v + k)
 
 
 def mul(x: FieldElem, y: FieldElem) -> FieldElem:
@@ -114,7 +114,7 @@ def mul(x: FieldElem, y: FieldElem) -> FieldElem:
     if rel is None:
         return _pelem(f, x.v + y.v, x.u * y.u, x.den * y.den)
     u = x.unit_digits(rel) * y.unit_digits(rel) % f.p ** rel
-    return FieldElem(f, _NUM, x.v + y.v, u, rel)
+    return FieldElem(f, x.v + y.v, u, 1, x.v + y.v + rel)
 
 
 def _min_rel(a, b):

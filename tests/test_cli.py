@@ -107,7 +107,7 @@ def test_bad_field_is_a_precondition_violation(capsys, argv, message):
 
 def test_root_search_over_a_huge_prime_is_a_precondition_violation(capsys):
     p = (1 << 61) - 1
-    code, out, err = run_cli(capsys, "--field", "padic", "--p", str(p), "decide", "EX y:K. y = 3")
+    code, out, err = run_cli(capsys, "--field", "padic", "--p", str(p), "decide", "EX y:K. y^2 = 3")
     assert code == 4 and out == ""
     assert err == f"precondition violated: root search over F_p scans every residue; p = {p} exceeds 65536\n"
 
@@ -124,8 +124,12 @@ def test_root_search_over_a_huge_prime_is_a_precondition_violation(capsys):
         (
             # 1048583 and 1048589 are primes above 2^20: trial division up to
             # 2^20 leaves their product, which is not prime
-            ["decide", f"EX x:K. x = {1048583 * 1048589}"],
+            ["decide", f"EX x:K. x^2 = {1048583 * 1048589}"],
             "rational root search cannot factor a 41-bit cofactor: no factor up to 1048576 and not a proven prime",
+        ),
+        (
+            ["--field", "padic", "--p", "7", "eval", "1 + 7^30000000"],
+            "exact padic sum needs 7^30000000, longer than MAX_EXACT_BITS = 16777216",
         ),
     ],
 )
@@ -146,6 +150,8 @@ def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
         (["decide", "EX x:K. x = 100000000000000000000"], "TRUE"),
         (["decide", "EX x:K. x^2 = 100000000000000000000"], "TRUE"),
         (["decide", "EX x:K. 3*x = 100000000000000000000"], "TRUE"),
+        # a linear equation is solved by one division, with no factoring
+        (["decide", f"EX x:K. x = {1048583 * 1048589}"], "TRUE"),
     ],
 )
 def test_hostile_input_is_answered_in_bounded_time(capsys, argv, answer):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqe.errors import DivisionByZero, HQEError, PrecisionExhausted, PreconditionViolated
-from hqe.field import MAX_DIGIT_SPAN, Field
+from hqe.field import MAX_DIGIT_SPAN, MAX_EXACT_BITS, Field, val_diff
 from hqe.valq import INF
 
 import field_arith_reference as frozen
@@ -438,3 +438,92 @@ def test_digit_span_bound_is_checked_before_allocation(laurent):
     ):
         with pytest.raises(PreconditionViolated, match="MAX_DIGIT_SPAN"):
             build()
+
+
+def test_exact_padic_sum_bound_is_checked_before_the_power(padic7):
+    far = padic7.monomial(1, 30000000)
+    with pytest.raises(PreconditionViolated, match=f"MAX_EXACT_BITS = {MAX_EXACT_BITS}"):
+        padic7.one() + far
+    with pytest.raises(PreconditionViolated, match="MAX_EXACT_BITS"):
+        far - padic7.one()
+    # a far term past the cap of an inexact sum, and an exact product, build no power of p
+    assert str(padic7.parse("1 + O(7^5)") + far) == "1 + O(7^5)"
+    assert (far * far).v == 60000000
+
+
+# ---- the stored encoding read back, and v(x - c) against r ---------------------
+
+
+def test_element_reads_back_kind_rel_abs_prec_unit_and_v(laurent, padic7):
+    inv2 = 3 * pow(2, -1, 7**10) % 7**10
+    cases = [
+        (laurent.zero(), ("z", None, INF, None, None)),
+        (laurent.small(5), ("s", 5, 5, None, None)),
+        (laurent.parse("1/2 + t"), ("n", None, INF, (Fraction(1, 2), Fraction(1)), 0)),
+        (laurent.parse("t^-1 + 2 + O(t^3)"), ("n", 4, 3, (Fraction(1), Fraction(2)), -1)),
+        (padic7.zero(), ("z", None, INF, None, None)),
+        (padic7.small(-2), ("s", -2, -2, None, None)),
+        (padic7.from_rational(Fraction(49, 3)), ("n", None, INF, Fraction(1, 3), 2)),
+        (padic7.parse("3/2 + O(7^10)"), ("n", 10, 10, inv2, 0)),
+        (padic7.parse("3/2 + O(7^10)").shift(-3), ("n", 10, 7, inv2, -3)),
+    ]
+    for x, expected in cases:
+        assert (x.kind, x.rel, x.abs_prec, x.unit, x.v) == expected, x
+        assert x.is_zero == (x.kind == "z") and x.is_small == (x.kind == "s")
+        assert x.is_exact == (x.abs_prec == INF)
+
+
+def _v_at_least_route(x, c, r):
+    """v(x - c) >= r as ball membership decided it before val_diff: on the
+    difference of x and c truncated at r (a point, r = INF: on x - c),
+    raising when the known digits cannot tell."""
+    d = frozen.sub(x, c) if r == INF else frozen.sub(x.truncate_abs(r), c.truncate_abs(r))
+    if d.is_zero:
+        return True
+    if d.is_small:
+        if d.rel >= r:
+            return True
+        raise PrecisionExhausted(f"cannot decide v >= {r} at precision {d.rel}")
+    return d.val() >= r
+
+
+def _check_val_diff(x, c, r):
+    w = val_diff(x, c, r)
+    assert _outcome(lambda: _v_at_least_route(x, c, r)) == ("raised" if w is None else w == r)
+    d = frozen.sub(x, c)
+    # the proven-or-not reading of same_point and of the open-ball tests
+    assert (d.val_lb() >= r) == (w == r)
+    if w is not None and w != r:
+        assert w == d.val()
+
+
+@st.composite
+def _laurent_pair(draw, field):
+    """Two laurent-q elements, often close: the second a truncation of the
+    first, or the first plus a perturbation at some valuation."""
+    x = draw(_laurent_elems(field))
+    how = draw(st.sampled_from(["any", "truncated", "near"]))
+    if how == "any":
+        return x, draw(_laurent_elems(field))
+    if how == "truncated":
+        return x, x.truncate_abs(draw(st.integers(-4, 12)))
+    return x, x + draw(_laurent_elems(field)).shift(draw(st.integers(0, 8)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    data=st.data(),
+    name=st.sampled_from(["laurent-q", "padic-7", "padic-2"]),
+    r=st.one_of(st.integers(-6, 14), st.just(INF)),
+)
+def test_val_diff_matches_the_routes_it_replaced(data, name, r):
+    """val_diff(x, c, r) against the subtractions it replaced: the
+    decide-or-raise of ball membership and v(x - c) >= r proven or not."""
+    if name == "laurent-q":
+        x, c = data.draw(_laurent_pair(Field.laurent(16)))
+    else:
+        p = int(name.split("-")[1])
+        field = Field.padic(p)
+        (x, _), (c, _) = (_build(field, spec) for spec in data.draw(_padic_pair(p)))
+    _check_val_diff(x, c, r)
+    _check_val_diff(c, x, r)

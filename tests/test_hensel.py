@@ -261,6 +261,21 @@ def test_field_roots_examples(laurent, padic2):
     assert field_roots(sq_minus(padic2, padic2.from_rational(3))) == []
 
 
+def test_linear_root_is_the_constant_at_its_own_precision(laurent, padic7):
+    """The root of x - c is c itself, even when c is known to fewer digits
+    than the working precision: no Newton certificate is asked for."""
+    sqrt98 = field_roots(sq_minus(padic7, padic7.from_rational(98)))[0]
+    consts = [sqrt98.truncate_rel(62), sqrt98.truncate_rel(63), laurent.parse("1 + t + 3*t^2 + O(t^63)")]
+    for c in consts:
+        assert c.rel < c.field.prec
+        assert field_roots(Poly(c.field, [-c, c.field.one()])) == [c]
+    # a linear factor keeps its exact rational root, and a root of any size
+    three = laurent.from_rational(3)
+    assert field_roots(Poly(laurent, [-three, three * laurent.uniformizer()])) == [laurent.parse("t^-1")]
+    big = padic7.from_rational(1048583 * 1048589)
+    assert field_roots(Poly(padic7, [-big, padic7.one()])) == [big]
+
+
 def test_field_roots_deg5(laurent):
     t = laurent.uniformizer()
     one = laurent.one()
