@@ -8,7 +8,9 @@ derivative of f) the Newton data singles out an initial segment of radii on
 which the m-th recentered monomial is strictly minimal; past it the maximal
 index drops and the recursion continues inward; on the boundary annulus the
 residue-root classes that can carry collisions are re-centered at roots of
-derivatives found inside them.  A double induction on (m, number of
+derivatives found inside them.  The root sets are found when a class asks,
+lowest derivative order first: a class reads f, f', ... up to the first
+order with a root inside it.  A double induction on (m, number of
 derivative roots inside) terminates.
 """
 
@@ -22,7 +24,7 @@ from math import factorial, lcm
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
 from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem, val_diff
-from .hensel import derivative_roots, elem_sort_key, resolution_horizon
+from .hensel import DerivativeRoots, resolution_horizon
 from .poly import Poly, annulus_residue_poly, argmin_indices, residue_roots, taylor_shift
 from .rv import RVElem, rv
 from .valq import INF, NEG_INF, as_order
@@ -286,7 +288,8 @@ def m_bound(f: Poly, alpha: FieldElem, S: SwissCheese) -> int:
 
 def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> list[Piece]:
     """Disjoint pieces covering S (default: all of K) with the valuation
-    bound of Piece on each; centers are roots of derivatives of f."""
+    bound of Piece on each; centers are roots of derivatives of f, whose
+    sets are found lowest order first, when a residue class asks."""
     field = f.field
     if f.is_zero:
         raise PreconditionViolated("cannot decompose the zero polynomial")
@@ -300,7 +303,7 @@ def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> li
     top = f.coeffs[d]
     below = f.coeffs[d - 1]
     alpha0 = -(below / (top * d))
-    droots = derivative_roots(f)
+    droots = DerivativeRoots(f)
     pieces = _region(f, alpha0, Ball.all(field), droots, _exact, 0)
     if S is not None:
         pieces = [
@@ -313,7 +316,9 @@ def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> li
 
 
 def _count_inside(droots, ball: Ball) -> int:
-    """An upper bound on the distinct derivative roots in ball.
+    """An upper bound on the distinct derivative roots in ball; droots is a
+    DerivativeRoots or a list of its (n, root) pairs.  Iterating a
+    DerivativeRoots finds every order's set, so the count reads every root.
 
     Conservative: a root whose membership is undecided counts as inside.
     The count feeds only _region's measure assertion, which counts a ball
@@ -392,7 +397,8 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
 def _annulus_analysis(f, coeffs, center, r, droots, exact, depth, pieces, prev):
     """Handle the residue-root classes on the annulus v(x-center) = r.
 
-    Classes containing a root of a derivative are re-centered there and
+    Classes containing a root of a derivative are re-centered at the least
+    root of the lowest order with one inside (``droots.lowest``) and
     recursed into (this covers every class whose collision severity can
     exceed 2^m v(m!)); in exact mode the remaining residue-root classes are
     subdivided as well, so every produced piece carries zero slack.
@@ -412,10 +418,8 @@ def _annulus_analysis(f, coeffs, center, r, droots, exact, depth, pieces, prev):
             continue
         beta = center + pi_r * field.from_rational(c)
         cls_ball = Ball.more_than(beta, r)
-        inside = [(n, rt) for n, rt in droots if cls_ball.contains(rt)]
-        if inside:
-            inside.sort(key=lambda nr: (nr[0], elem_sort_key(nr[1])))
-            lam = inside[0][1]
+        lam = droots.lowest(cls_ball.contains)
+        if lam is not None:
             class_balls.append(cls_ball)
             pieces.extend(
                 _region(f, lam, Ball.more_than(lam, r), droots, exact, depth + 1, prev)

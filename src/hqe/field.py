@@ -46,9 +46,10 @@ parsers share one lexer, ``_Tokens``.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from itertools import repeat
-from math import gcd, lcm, log2
+from math import floor, gcd, lcm, log2
 from operator import mul
 
 from .errors import (
@@ -952,8 +953,30 @@ def decimal(c) -> str:
     try:
         return str(c)
     except ValueError:
-        bits = max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-        raise PreconditionViolated(f"a number of {bits} bits is too long to print") from None
+        raise _too_long(max(abs(c.numerator).bit_length(), c.denominator.bit_length())) from None
+
+
+def _too_long(bits: int) -> PreconditionViolated:
+    return PreconditionViolated(f"a number of {bits} bits is too long to print")
+
+
+def _unprintable_bits(n: int, p: int, k: int) -> int | None:
+    """The bit length of |n| * p^k, read off logarithms without building p^k,
+    when a number that long has more digits than the interpreter converts;
+    None when it may have fewer, or when rounding leaves the bit length
+    in doubt."""
+    limit = sys.get_int_max_str_digits()
+    if p == 2:
+        bits = abs(n).bit_length() + k
+        e = bits - 1  # at most log2(|n| * 2^k)
+    else:
+        e = log2(abs(n)) + k * log2(p)
+        bits = floor(e * (1 - 2**-40)) + 1
+        if bits != floor(e * (1 + 2**-40)) + 1:
+            return None
+    # a number N has more than log2(N) * log10(2) decimal digits; the one
+    # digit to spare absorbs the rounding of e
+    return bits if limit and e > (limit + 1) * log2(10) else None
 
 
 def format_elem(x: FieldElem) -> str:
@@ -974,6 +997,10 @@ def format_elem(x: FieldElem) -> str:
     else:
         # p divides neither u nor den, so p^v * u/den is in lowest terms
         num, den = x.u, x.den
+        scaled, other = (num, den) if x.v >= 0 else (den, num)
+        bits = _unprintable_bits(scaled, f.p, abs(x.v))
+        if bits is not None:
+            raise _too_long(max(bits, abs(other).bit_length()))
         if x.v >= 0:
             num *= f.p ** x.v
         else:

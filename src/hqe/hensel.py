@@ -366,14 +366,42 @@ def is_root(g: Poly, x: FieldElem) -> bool:
     return g(x).val_lb() >= resolution_horizon(g.field)
 
 
+class DerivativeRoots:
+    """The K-rational roots of f = f^(0), f', ..., f^(d-1), each order's set
+    found by field_roots the first time it is asked for.  Iterating gives
+    the (n, root) pairs of derivative_roots, and finds every set."""
+
+    __slots__ = ("f", "_sets")
+
+    def __init__(self, f: Poly):
+        self.f = f
+        self._sets = {}  # n -> the roots of f^(n)
+
+    def roots(self, n: int) -> list[FieldElem]:
+        found = self._sets.get(n)
+        if found is None:
+            found = self._sets[n] = field_roots(derivative(self.f, n))
+        return found
+
+    def __iter__(self):
+        for n in range(self.f.degree):
+            for r in self.roots(n):
+                yield n, r
+
+    def lowest(self, inside) -> FieldElem | None:
+        """The least root by elem_sort_key of the lowest order n that has a
+        root r with inside(r); None only after every order is read.  The
+        sets of orders above n are not found."""
+        for n in range(self.f.degree):
+            hits = [r for r in self.roots(n) if inside(r)]
+            if hits:
+                return min(hits, key=elem_sort_key)
+        return None
+
+
 def derivative_roots(f: Poly) -> list[tuple[int, FieldElem]]:
     """(n, root) for every K-rational root of f = f^(0), f', ..., f^(d-1)."""
-    out = []
-    d = f.degree
-    for n in range(d):
-        for r in field_roots(derivative(f, n)):
-            out.append((n, r))
-    return out
+    return list(DerivativeRoots(f))
 
 
 # ---- collisions -------------------------------------------------------------
@@ -457,9 +485,10 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int):
     annulus; a class qualifies when it contains a root of some derivative
     (by the collision-to-derivative-root principle this covers every class
     whose severity can exceed 2^m v(m!)), and the returned lam is obtained
-    by Newton/collision lifting.  The result is conservative: classes whose
-    severity stays below the bound but which do contain a derivative root
-    are also reported.
+    by Newton/collision lifting, or else is the least root inside of the
+    lowest derivative order that has one.  The result is conservative:
+    classes whose severity stays below the bound but which do contain a
+    derivative root are also reported.
     """
     field = f.field
     a = taylor_shift(f, alpha)
@@ -471,7 +500,7 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int):
         return []  # a single minimal monomial: no residue root but 0
     m_ann = len(respoly) - 1
     pi_d = field.monomial(1, delta_ann)
-    droots = derivative_roots(f)
+    droots = DerivativeRoots(f)
     out = []
     for c in residue_roots(field, respoly):
         if c == 0:
@@ -480,18 +509,15 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int):
         _, _, severity = collision_data(f, alpha, beta)
         base = (field.factorial_val(m_ann)) * (2**m_ann)
         lam = None
-        n_chosen = None
         if severity > base:
             try:
-                n_chosen, lam = collision_root(f, alpha, beta, 0)
+                _, lam = collision_root(f, alpha, beta, 0)
             except (PreconditionViolated, PrecisionExhausted):
                 lam = None
         if lam is None:
-            inside = [(n, r) for n, r in droots if val_diff(r, beta, delta_ann + 1) == delta_ann + 1]
-            if not inside:
+            lam = droots.lowest(lambda r: val_diff(r, beta, delta_ann + 1) == delta_ann + 1)
+            if lam is None:
                 continue
-            inside.sort(key=lambda nr: (nr[0], elem_sort_key(nr[1])))
-            n_chosen, lam = inside[0]
         out.append((rv(lam - alpha, 0), lam))
     out.sort(key=lambda pair: elem_sort_key(pair[1]))
     return out

@@ -68,6 +68,15 @@ def test_decide_commands(capsys):
     assert (code, out.strip()) == (0, "TRUE")
 
 
+def test_atom_at_an_approximated_root_does_not_sink_the_verdict(capsys):
+    """The first disjunct alone is TRUE; the region of rv[0](x^2 - y) at the
+    approximated root of x^2 = 2 is built from coefficients known to 64
+    digits only, and must not turn TRUE into precision exhausted."""
+    sentence = "EX x:K. EX y:K. (rv[0](x - 1) = rv[0](1)) | ((x^2 = 2) & (rv[0](x^2 - y) = rv[0](1)))"
+    code, out, err = run_cli(capsys, "--field", "padic", "--p", "7", "decide", sentence)
+    assert (code, out, err) == (0, "TRUE\n", "")
+
+
 def test_qe_command(capsys):
     code, out, _ = run_cli(capsys, "qe", "EX y:K. y^2 = t^2")
     assert code == 0
@@ -131,6 +140,8 @@ def test_root_search_over_a_huge_prime_is_a_precondition_violation(capsys):
             ["--field", "padic", "--p", "7", "eval", "1 + 7^30000000"],
             "exact padic sum needs 7^30000000, longer than MAX_EXACT_BITS = 16777216",
         ),
+        # the length of 7^30000000 is read off its valuation, before 7^30000000 is built
+        (["--field", "padic", "--p", "7", "eval", "7^30000000"], "a number of 84220648 bits is too long to print"),
     ],
 )
 def test_hostile_input_breaks_a_named_bound(capsys, argv, message):

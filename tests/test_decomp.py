@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import derivative_roots_reference
 import eval_rv_reference
 from hqe.balls import Ball, SwissCheese
 import hqe.decomp
 from hqe.decomp import Piece, _count_inside, decompose, m_bound, rv_decompose
-from hqe.errors import NotInPiece, PrecisionExhausted
+from hqe.errors import HQEError, NotInPiece, PrecisionExhausted
 from hqe.field import Field, FieldElem
-from hqe.hensel import derivative_roots, is_root, resolution_horizon
+import hqe.hensel
+from hqe.hensel import collision_classes, derivative_roots, is_root, resolution_horizon
 from hqe.poly import Poly, derivative
 from hqe.rv import RVElem, rv
 from hqe.valq import INF
@@ -373,3 +375,62 @@ def test_count_inside_reaches_no_piece(monkeypatch):
     # starts, where m does not drop: the outer ball, then the class ball
     assert len(seen) == 2 and seen[0].contains_ball(seen[1])
     assert len({p.center for p in expected}) >= 2
+
+
+# ---- derivative roots found on demand ----------------------------------------
+
+
+def _json(pieces):
+    return [p.to_json() for p in pieces]
+
+
+def _agrees_with_eager_reference(got, want):
+    """The same answer as the frozen eager path; where that raised, the
+    on-demand path may answer (it reads fewer root sets), and it never
+    raises where the reference answered."""
+    try:
+        expected = want()
+    except HQEError:
+        return
+    assert got() == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_on_demand_derivative_roots_match_eager_reference(data):
+    field = data.draw(st.sampled_from(_LIN_FIELDS))
+    f = _planted(data.draw, field)
+    ref = derivative_roots_reference
+    _agrees_with_eager_reference(lambda: derivative_roots(f), lambda: ref.derivative_roots(f))
+    _agrees_with_eager_reference(lambda: _json(decompose(f)), lambda: _json(ref.decompose(f)))
+    _agrees_with_eager_reference(
+        lambda: _json(decompose(f, None, _exact=True)), lambda: _json(ref.decompose(f, None, _exact=True))
+    )
+    try:
+        centers = sorted({str(p.center): p.center for p in ref.decompose(f)}.items())
+    except HQEError:
+        centers = []
+    alpha = data.draw(st.sampled_from([field.zero()] + [c for _, c in centers]))
+    delta = data.draw(st.integers(-1, 3))
+    _agrees_with_eager_reference(
+        lambda: collision_classes(f, alpha, delta), lambda: ref.collision_classes(f, alpha, delta)
+    )
+
+
+def test_classes_holding_roots_of_f_find_no_derivative_roots(monkeypatch):
+    """Every residue class of (x - 1)(x - 8)(x - 50) over padic-7 holds a
+    root of f, so only the roots of f itself are searched for."""
+    field = Field.padic(7)
+    f = Poly.from_rationals(field, [-400, 458, -59, 1])
+    expected = [_json(derivative_roots_reference.decompose(f, None, exact)) for exact in (False, True)]
+    searched = []
+    field_roots = hqe.hensel.field_roots
+
+    def recorded(g):
+        searched.append(g.degree)
+        return field_roots(g)
+
+    monkeypatch.setattr(hqe.hensel, "field_roots", recorded)
+    assert [_json(decompose(f, None, exact)) for exact in (False, True)] == expected
+    assert searched == [3, 3]
+    assert len({p["center"] for p in expected[0]}) >= 3

@@ -1,13 +1,14 @@
 import operator
+import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqe.errors import DivisionByZero, HQEError, PrecisionExhausted, PreconditionViolated
-from hqe.field import MAX_DIGIT_SPAN, MAX_EXACT_BITS, Field, val_diff
+from hqe.field import MAX_DIGIT_SPAN, MAX_EXACT_BITS, Field, decimal, val_diff
 from hqe.valq import INF
 
 import field_arith_reference as frozen
@@ -527,3 +528,23 @@ def test_val_diff_matches_the_routes_it_replaced(data, name, r):
         (x, _), (c, _) = (_build(field, spec) for spec in data.draw(_padic_pair(p)))
     _check_val_diff(x, c, r)
     _check_val_diff(c, x, r)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_print_bound_read_off_the_valuation_agrees_with_the_built_number(p):
+    """Around the interpreter's digit limit, an exact padic element prints,
+    or fails to, as the number p^v * u/den it stands for does."""
+    field = Field.padic(p)
+    k0 = round(sys.get_int_max_str_digits() * log2(10) / log2(p))
+    for k in range(k0 - 4, k0 + 5):
+        for c in (Fraction(1), Fraction(p + 1, p - 1 if p > 2 else 3), Fraction(-(2**40 + 1), 5 if p != 5 else 3)):
+            for s in (k, -k):
+                try:
+                    want = decimal(c * Fraction(p) ** s)
+                except PreconditionViolated as e:
+                    want = str(e)
+                try:
+                    got = str(field.from_rational(c).shift(s))
+                except PreconditionViolated as e:
+                    got = str(e)
+                assert got == want, (c, s)

@@ -297,6 +297,21 @@ def test_two_variable_blocks_match_dnf_reference(case):
     _agrees_with_dnf_reference(case)
 
 
+@pytest.mark.parametrize("square", [2, 98])
+@pytest.mark.parametrize("names", [("x", "y"), ("y", "x")])
+def test_atom_at_an_approximated_root_matches_dnf_reference(padic7, square, names):
+    """The matrices hypothesis found at --hypothesis-seed=16 and 47: the cell
+    partition builds the region of rv[0](x^2 - y) at the approximated root
+    of x^2 = square, which the DNF path never reached; both answer TRUE."""
+    matrix = parse_formula(
+        padic7,
+        f"(rv[0](x - (1)) = rv[0]((1))) | ((!(rv[0](x - (1)) = rv[0]((1)))) & "
+        f"((x^2 = ({square})) & (rv[0](x^2 - y) = rv[0]((1)))))",
+    )
+    assert dnf_reference.decide_exists_block(list(names), matrix, padic7) is True
+    assert decide_exists_block(list(names), matrix, padic7) is True
+
+
 def test_region_vs_sampling(any_field):
     """Sampled witnesses imply the eliminated formula is true."""
     field = any_field
