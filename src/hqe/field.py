@@ -728,22 +728,47 @@ def _from_form(field: Field, e) -> FieldElem:
 def val_diff(x: FieldElem, c: FieldElem, r):
     """min(v(x - c), r) for an int r or INF, read from the digits of x and c
     below r; None when those digits do not decide it, because one of x and
-    c is known only to fewer.  The order bound O(pi^r) is added to both
-    before they are subtracted, so no digit at r or beyond is computed."""
+    c is known only to fewer.  No digit at r or beyond is computed, and no
+    element is built: at equal valuations the units are compared in place."""
     vx, vc = x.v, c.v
     if vx is not None and vc is not None and vx != vc:
         # two numbers: the one of lower valuation is known there, and leads
         w = vx if vx < vc else vc
         return w if w < r else r
-    f = x.field
-    add, p = _ADD[f.backend], f.p
-    bound = (None, None, 1, None if r == INF else r)
-    a = add((x.v, x.u, x.den, x.cap), bound, p)
-    b = add((c.v, c.u, c.den, c.cap), bound, p)
-    v, _, _, cap = add(a, _NEG[f.backend](b, p), p)
-    if v is not None:
-        return v
-    return r if cap is None or cap >= r else None
+    # the digits below k are known in both and asked for
+    k = r
+    if x.cap is not None and x.cap < k:
+        k = x.cap
+    if c.cap is not None and c.cap < k:
+        k = c.cap
+    if vx is None or vc is None:
+        # at most one number, and it leads when it is below k
+        w = vc if vx is None else vx
+        if w is not None and w < k:
+            return w
+        return r if k >= r else None
+    # v(x) == v(c): the digits of u_x/den_x - u_c/den_c, i.e. of
+    # u_x * den_c - u_c * den_x, at the relative places below k - v
+    if x.field.backend == LAURENT:
+        ux, uc, dx, dc = x.u, c.u, x.den, c.den
+        n = max(len(ux), len(uc))
+        if k - vx < n:
+            n = k - vx
+        for i in range(n):
+            a = ux[i] * dc if i < len(ux) else 0
+            if a != (uc[i] * dx if i < len(uc) else 0):
+                return vx + i
+        return r if k >= r else None
+    p = x.field.p
+    num = x.u * c.den - c.u * x.den
+    if num:
+        w = vx
+        while w < k and not num % p:
+            num //= p
+            w += 1
+        if w < k:
+            return w
+    return r if k >= r else None
 
 
 def _bound_mul(va, ca, vb, cb):
@@ -1040,6 +1065,10 @@ class _Tokens:
             spans[start] = (end, m.lastindex)
         nxt[end] = len(text)
         self.pos = nxt[0]
+
+    def char(self) -> str:
+        """The character at the cursor, "" past the last token."""
+        return self.text[self.pos : self.pos + 1]
 
     def at(self, s: str) -> bool:
         return self.text.startswith(s, self.pos)

@@ -51,13 +51,22 @@ keyword (``class FAdd(Node, kids=("left", "right"))``), and every walk over
 subterms (free variables, substitution, the search for a field quantifier,
 the elimination's pass-through) reads them through ``children`` and
 ``with_children``.
+
+A node keeps two things it would otherwise recompute, each for as long as
+the node lives.  Its hash is computed once, in ``__post_init__`` when the
+node is built, from its class and fields; a subnode's hash is already
+stored there, so this is one step per node, and every node class uses it
+in place of the dataclass's recursive ``__hash__``.  Its free variables
+are computed by the first ``free_vars`` call that reaches it, one stack
+frame per nesting level, and kept.  No table of nodes is kept: equal
+nodes built apart stay distinct objects that hash and compare alike.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, replace
-from operator import is_
+from operator import attrgetter, is_
 
 from .errors import FormulaSyntaxError, OrderMismatch
 from .field import LAURENT, Field, FieldElem, _Tokens
@@ -69,13 +78,28 @@ from .rv import RVElem, parse_rv_scan
 class Node:
     """A term or formula node: a frozen dataclass whose fields named by the
     class keyword ``kids`` hold its subnodes, each a node or a tuple of
-    nodes; its other fields are data."""
+    nodes; its other fields are data.
+
+    Its hash is computed once, when it is built, from its class and fields:
+    a subnode's hash is already stored on the subnode, so this costs one
+    step per node and no walk."""
 
     _kids = ()
 
     def __init_subclass__(cls, kids=(), **kw):
         super().__init_subclass__(**kw)
         cls._kids = kids
+        # the class and the fields @dataclass makes of the class body's
+        # annotations; a __hash__ of the class's own keeps @dataclass from
+        # adding its recursive one
+        cls._key = attrgetter("__class__", *cls.__dict__.get("__annotations__", ()))
+        cls.__hash__ = Node.__hash__
+
+    def __post_init__(self):
+        self.__dict__["_hash"] = hash(self._key(self))
+
+    def __hash__(self):
+        return self._hash
 
 
 class Formula(Node):
@@ -338,16 +362,35 @@ def has_field_quantifier(phi) -> bool:
 def free_vars(node, bound=frozenset(), out=None) -> set:
     """The free variables of a term or formula outside bound, added to out
     when it is given."""
-    out = set() if out is None else out
-    if isinstance(node, (FVar, RVVarT)):
-        if node.name not in bound:
-            out.add(node.name)
-        return out
-    if isinstance(node, _BINDERS):
-        bound = bound | {node.var}
-    for sub in children(node):
-        free_vars(sub, bound, out)
+    names = _free(node) - bound
+    if out is None:
+        return set(names)
+    out |= names
     return out
+
+
+_NO_VARS = frozenset()
+
+
+def _free(node) -> frozenset:
+    """node's free variables: computed by the first call on node or on a
+    node above it, then kept on node.  A node whose subnodes add no
+    variable shares their set."""
+    names = node.__dict__.get("_free")
+    if names is not None:
+        return names
+    if isinstance(node, (FVar, RVVarT)):
+        names = frozenset((node.name,))
+    else:
+        names = _NO_VARS
+        for sub in children(node):
+            more = _free(sub)
+            if not more <= names:
+                names = more if names <= more else names | more
+        if isinstance(node, _BINDERS) and node.var in names:
+            names = names - {node.var}
+    node.__dict__["_free"] = names
+    return names
 
 
 _FIELD_TERMS = (FVar, FLit, FAdd, FMul, FNeg, FPow)
@@ -725,18 +768,21 @@ class _FormulaParser:
     # field terms ----------------------------------------------------------------
 
     def fterm(self):
+        # each loop reads the character at the cursor once, and probes only
+        # the strings that start with it
         sc = self.sc
-        negate = not sc.number_next() and sc.eat("-")
+        negate = sc.char() == "-" and not sc.number_next() and sc.eat("-")
         left = self.fprod()
         if negate:
             left = FNeg(left)
         links, frames = self.links, None
         while True:
-            if sc.eat("+"):
+            c = sc.char()
+            if c == "+":
+                sc.eat("+")
                 left = FAdd(left, self.fprod())
-            elif sc.at("->"):
-                break
-            elif sc.eat("-"):
+            elif c == "-" and not sc.at("->"):
+                sc.eat("-")
                 left = FAdd(left, FNeg(self.fprod()))
             else:
                 break
@@ -745,27 +791,33 @@ class _FormulaParser:
         return left
 
     def fprod(self):
+        sc = self.sc
         left = self.ffactor()
         links, frames = self.links, None
-        while self.sc.eat("*"):
+        while sc.char() == "*":
+            sc.eat("*")
             left = FMul(left, self.ffactor())
             links, frames = self._chain(max(links, self.links), frames)
         self.links = links
         return left
 
     def ffactor(self):
+        sc = self.sc
         base = self.fprimary()
-        if self.sc.eat("^"):
-            return FPow(base, self.sc.integer())
+        if sc.char() == "^":
+            sc.eat("^")
+            return FPow(base, sc.integer())
         return base
 
     def fprimary(self):
         sc = self.sc
-        if sc.eat("("):
+        c = sc.char()
+        if c == "(":
+            sc.eat("(")
             inner = self.fterm()
             sc.expect(")")
             return inner
-        if sc.eat("O("):
+        if c == "O" and sc.eat("O("):
             if self.field.backend == LAURENT:
                 sc.expect("t")
             else:

@@ -167,60 +167,76 @@ def _pair_intersects(B1, B2, case_log) -> bool:
 # ---- atoms to polynomials ------------------------------------------------------
 
 
-def term_to_poly(term, var: str, field: Field) -> Poly:
+def term_to_poly(term, var: str, field: Field, memo=None) -> Poly:
     """The field term as a polynomial in var (all other variables must
-    already be literals)."""
+    already be literals).
+
+    With a dict ``memo``, each distinct (term, var, field) is converted once
+    while the dict lives: an equal subterm met again, in this atom or in
+    another, reads its polynomial back.  The key carries the field because
+    equal literals of fields of different working precision are equal
+    terms.  ``witness_box`` makes one memo per call and drops it on return."""
+    if memo is not None:
+        key = (term, var, field)
+        out = memo.get(key)
+        if out is not None:
+            return out
     if isinstance(term, FVar):
         if term.name != var:
             raise NonEffectiveQuantifier(f"free field variable {term.name}")
-        return Poly(field, [field.zero(), field.one()])
-    if isinstance(term, FLit):
-        return Poly(field, [term.value])
-    if isinstance(term, FAdd):
-        return term_to_poly(term.left, var, field) + term_to_poly(term.right, var, field)
-    if isinstance(term, FMul):
-        return term_to_poly(term.left, var, field) * term_to_poly(term.right, var, field)
-    if isinstance(term, FNeg):
-        return -term_to_poly(term.arg, var, field)
-    if isinstance(term, FPow):
-        base = term_to_poly(term.base, var, field)
+        out = Poly(field, [field.zero(), field.one()])
+    elif isinstance(term, FLit):
+        out = Poly(field, [term.value])
+    elif isinstance(term, FAdd):
+        out = term_to_poly(term.left, var, field, memo) + term_to_poly(term.right, var, field, memo)
+    elif isinstance(term, FMul):
+        out = term_to_poly(term.left, var, field, memo) * term_to_poly(term.right, var, field, memo)
+    elif isinstance(term, FNeg):
+        out = -term_to_poly(term.arg, var, field, memo)
+    elif isinstance(term, FPow):
+        base = term_to_poly(term.base, var, field, memo)
         if base.degree == 0:
-            return Poly(field, [base.coeffs[0] ** term.exp])
-        if term.exp < 0:
-            raise NonEffectiveQuantifier("negative power of a non-constant term")
-        check_degree(base.degree * term.exp if base.degree else 0)  # before the products
-        out = Poly(field, [field.one()])
-        for _ in range(term.exp):
-            out = out * base
-        return out
-    raise TypeError(f"not a field term: {term!r}")
+            out = Poly(field, [base.coeffs[0] ** term.exp])
+        else:
+            if term.exp < 0:
+                raise NonEffectiveQuantifier("negative power of a non-constant term")
+            check_degree(base.degree * term.exp if base.degree else 0)  # before the products
+            out = Poly(field, [field.one()])
+            for _ in range(term.exp):
+                out = out * base
+    else:
+        raise TypeError(f"not a field term: {term!r}")
+    if memo is not None:
+        memo[key] = out
+    return out
 
 
-def rvterm_to_poly(term, var: str, field: Field):
+def rvterm_to_poly(term, var: str, field: Field, memo=None):
     """Express an rv term in var as (order, Poly): the term denotes
     rv[order](P(x)).  Multiplication and projection are pushed through the
-    quotient map; returns None if the term cannot be so expressed."""
+    quotient map; returns None if the term cannot be so expressed.  ``memo``
+    is term_to_poly's."""
     if isinstance(term, RVOf):
-        return term.order, term_to_poly(term.arg, var, field)
+        return term.order, term_to_poly(term.arg, var, field, memo)
     if isinstance(term, RVLitT):
         if term.value.is_inf:
             return term.value.order, Poly(field, [])
         return term.value.order, Poly(field, [term.value.rep()])
     if isinstance(term, RVProjT):
-        inner = rvterm_to_poly(term.arg, var, field)
+        inner = rvterm_to_poly(term.arg, var, field, memo)
         if inner is None:
             return None
         return term.order, inner[1]
     if isinstance(term, RVMulT):
-        left = rvterm_to_poly(term.left, var, field)
-        right = rvterm_to_poly(term.right, var, field)
+        left = rvterm_to_poly(term.left, var, field, memo)
+        right = rvterm_to_poly(term.right, var, field, memo)
         if left is None or right is None:
             return None
         if left[0] != right[0]:
             return None
         return left[0], left[1] * right[1]
     if isinstance(term, RVPowT):
-        inner = rvterm_to_poly(term.base, var, field)
+        inner = rvterm_to_poly(term.base, var, field, memo)
         if inner is None or term.exp < 0:
             return None
         out = Poly(field, [field.one()])
@@ -234,16 +250,17 @@ def rvterm_to_poly(term, var: str, field: Field):
 # ---- literal regions -----------------------------------------------------------
 
 
-def literal_region(atom, var: str, field: Field) -> Region:
-    """The set of witnesses x satisfying the atom, as a region."""
+def literal_region(atom, var: str, field: Field, memo=None) -> Region:
+    """The set of witnesses x satisfying the atom, as a region; ``memo`` is
+    term_to_poly's."""
     if isinstance(atom, PolyZero):
-        return _equation_region(term_to_poly(atom.arg, var, field), field)
+        return _equation_region(term_to_poly(atom.arg, var, field, memo), field)
     if isinstance(atom, RVEq):
-        return _rveq_region(atom, var, field)
+        return _rveq_region(atom, var, field, memo)
     if isinstance(atom, VComp):
-        return _vcomp_atom_region(atom, var, field)
+        return _vcomp_atom_region(atom, var, field, memo)
     if isinstance(atom, OplusA):
-        return _oplus_region(atom, var, field)
+        return _oplus_region(atom, var, field, memo)
     raise NonEffectiveQuantifier(f"unsupported atom {atom!r}")
 
 
@@ -253,19 +270,19 @@ def _equation_region(P: Poly, field) -> Region:
     return roots_region(P, field)[0] if P.degree else []
 
 
-def _side_polys(sides, var, field, what):
+def _side_polys(sides, var, field, what, memo=None):
     """(order, Poly) of every rv-term side of an atom."""
     out = []
     for side in sides:
-        data = rvterm_to_poly(side, var, field)
+        data = rvterm_to_poly(side, var, field, memo)
         if data is None:
             raise NonEffectiveQuantifier(f"{what} not polynomial in the variable")
         out.append(data)
     return out
 
 
-def _rveq_region(atom: RVEq, var, field) -> Region:
-    (d1, P1), (d2, P2) = _side_polys((atom.left, atom.right), var, field, "leading-term term")
+def _rveq_region(atom: RVEq, var, field, memo) -> Region:
+    (d1, P1), (d2, P2) = _side_polys((atom.left, atom.right), var, field, "leading-term term", memo)
     if d1 != d2:
         raise NonEffectiveQuantifier(f"comparing leading terms of orders {d1} and {d2}")
     return _rv_eq_polys_region(P1, P2, d1, field)
@@ -287,8 +304,8 @@ def _rv_eq_polys_region(P1: Poly, P2: Poly, order: int, field) -> Region:
     return reg + [SwissCheese.of_ball(Ball.point(r)) for r in joint]
 
 
-def _vcomp_atom_region(atom: VComp, var, field) -> Region:
-    (_, P1), (_, P2) = _side_polys((atom.left, atom.right), var, field, "value comparison")
+def _vcomp_atom_region(atom: VComp, var, field, memo) -> Region:
+    (_, P1), (_, P2) = _side_polys((atom.left, atom.right), var, field, "value comparison", memo)
     if P2.is_zero:
         return vcomp_region(P1, None, atom.op, field)
     if P1.is_zero:
@@ -296,11 +313,11 @@ def _vcomp_atom_region(atom: VComp, var, field) -> Region:
     return vcomp_region(P1, P2, atom.op, field)
 
 
-def _oplus_region(atom: OplusA, var, field) -> Region:
+def _oplus_region(atom: OplusA, var, field, memo) -> Region:
     """oplus holds exactly when v(P3 - P1 - P2) > min(v(P1), v(P2)) + d,
     with the degenerate case of both summands vanishing handled pointwise
     (there the relation asks the third side to vanish as well)."""
-    (_, P1), (_, P2), (_, P3) = _side_polys((atom.a, atom.b, atom.c), var, field, "oplus operand")
+    (_, P1), (_, P2), (_, P3) = _side_polys((atom.a, atom.b, atom.c), var, field, "oplus operand", memo)
     S = P3 + (-P1) + (-P2)
 
     def compare(P_):
@@ -385,11 +402,13 @@ def witness_box(varlist, matrix, field: Field):
         raise NonEffectiveQuantifier(
             f"parameters must be concrete before elimination: {sorted(extra)}"
         )
-    return _witness(varlist, _fold_closed(matrix, field), {v: () for v in varlist}, field)
+    memo = {}  # term_to_poly's, for this call only
+    return _witness(varlist, _fold_closed(matrix, field), {v: () for v in varlist}, field, memo)
 
 
-def _witness(varlist, matrix, pinned, field):
-    """witness_box, each variable v kept off the points pinned[v]."""
+def _witness(varlist, matrix, pinned, field, memo):
+    """witness_box, each variable v kept off the points pinned[v]; ``memo``
+    is term_to_poly's."""
     atoms = _atoms(matrix)
     names = [(a, free_vars(a)) for a in atoms]  # each atom's variables, read once
     live = [v for v in varlist if any(v in vs for _, vs in names)]
@@ -399,25 +418,25 @@ def _witness(varlist, matrix, pinned, field):
     if not joined:
         x = live[0]
     else:
-        x = next((v for v in live if v in joined and _equations(names, v, field)), None)
+        x = next((v for v in live if v in joined and _equations(names, v, field, memo)), None)
         if x is None:
             raise NonEffectiveQuantifier("no quantified variable is pinned by an equation of its own")
     rest = [v for v in varlist if v != x]
-    of_atom, unknown, cells, roots = _axis(names, x, pinned[x], field)
+    of_atom, unknown, cells, roots = _axis(names, x, pinned[x], field, memo)
     for i, r in roots.items():
         if cells[i] is None:
             continue
         # x's own atoms read their bit at the cell of r, the rest get x := r
         at_root = _fold(matrix, lambda a: _bit(of_atom[a], i) if a in of_atom else subst(a, {x: FLit(r)}))
-        w = _witness(rest, _fold_closed(at_root, field), pinned, field)
+        w = _witness(rest, _fold_closed(at_root, field), pinned, field, memo)
         if w is not None:
             return {x: SwissCheese.of_ball(Ball.point(r)), **w}
     # off the roots the equations in x alone are false
-    equations = _equations(names, x, field)
+    equations = _equations(names, x, field, memo)
     matrix = _fold(matrix, lambda a: FALSE if a in equations else a)
     pinned = {**pinned, x: pinned[x] + tuple(roots.values())}
     if joined:
-        return _witness(varlist, matrix, pinned, field)
+        return _witness(varlist, matrix, pinned, field, memo)
     for a in _atoms(matrix):
         if a in unknown:
             raise unknown[a]
@@ -443,7 +462,7 @@ def _witness(varlist, matrix, pinned, field):
         if at_cell in tried:
             continue
         tried.add(at_cell)
-        w = _witness(rest, at_cell, pinned, field)
+        w = _witness(rest, at_cell, pinned, field, memo)
         if w is not None:
             return {x: cheese, **w}
     return None
@@ -453,19 +472,19 @@ def _bit(mask, i):
     return TRUE if mask >> i & 1 else FALSE
 
 
-def _equations(names, v, field) -> dict:
+def _equations(names, v, field, memo) -> dict:
     """The nonconstant equations in v alone among the atoms, as polynomials;
     ``names`` pairs each atom with its free variables."""
     out = {}
     for a, vs in names:
         if isinstance(a, PolyZero) and vs == {v}:
-            f = term_to_poly(a.arg, v, field)
+            f = term_to_poly(a.arg, v, field, memo)
             if f.degree:
                 out[a] = f
     return out
 
 
-def _axis(names, v, pinned, field):
+def _axis(names, v, pinned, field, memo):
     """The cells of K for v, cut along the regions of the atoms in v alone
     and at the roots of their equations: the bitmask of each such atom over
     the cells, the atoms outside the region calculus with their errors, the
@@ -474,12 +493,12 @@ def _axis(names, v, pinned, field):
     evaluated at the roots and not effective off them.  ``names`` pairs each
     atom with its free variables."""
     mine = [(a, vs) for a, vs in names if vs == {v}]
-    equations = _equations(mine, v, field)
+    equations = _equations(mine, v, field, memo)
     regions, unknown = {}, {}
     for a, _ in mine:
         if a not in equations:
             try:
-                regions[a] = literal_region(a, v, field)
+                regions[a] = literal_region(a, v, field, memo)
             except NonEffectiveQuantifier as e:
                 unknown[a] = e
     roots = [(r, f) for f in dict.fromkeys(equations.values()) for r in field_roots(f)]

@@ -530,6 +530,31 @@ def test_val_diff_matches_the_routes_it_replaced(data, name, r):
     _check_val_diff(c, x, r)
 
 
+_EQUAL_VALUATION_PAIRS = [
+    ("laurent-q", "1/2 + 1/3*t + t^2", "1/2 + 1/3*t + 1/5*t^2"),
+    ("laurent-q", "1/2 + 1/3*t + O(t^4)", "1/2 + 1/3*t + 7/4*t^3"),
+    ("laurent-q", "1/3*t + 1/7*t^2 + O(t^9)", "1/3*t + 1/7*t^2 + 1/2*t^9"),
+    ("laurent-q", "-1/6*t^-2 + 1/4*t", "-1/6*t^-2 + 1/4*t + 1/9*t^3 + O(t^6)"),
+    ("padic-7", "1/2 + 1/3*7", "1/2 + 1/5*7"),
+    ("padic-7", "1/2 + 1/3*7^2", "1/2 + 1/3*7^2 + O(7^6)"),
+    ("padic-7", "1/3*7^-1 + 1/5*7^3", "1/3*7^-1 + 1/5*7^3 + 1/2*7^8"),
+    ("padic-2", "1/3 + 1/5*2^3", "1/3 + 1/7*2^3"),
+    ("padic-2", "1/3 + 1/5*2^3", "1/3 + 1/5*2^3 + O(2^5)"),
+]
+
+
+@pytest.mark.parametrize("r", [-3, 0, 1, 2, 3, 4, 6, 9, 12, INF])
+@pytest.mark.parametrize("name, x, c", _EQUAL_VALUATION_PAIRS)
+def test_val_diff_at_equal_valuations_and_different_denominators(name, x, c, r):
+    """The case val_diff decides on the units in place: v(x) == v(c), with
+    denominators that differ, against the same routes as above."""
+    field = Field.laurent(16) if name == "laurent-q" else Field.padic(int(name.split("-")[1]))
+    x, c = field.parse(x), field.parse(c)
+    assert x.v == c.v and x.den != c.den
+    _check_val_diff(x, c, r)
+    _check_val_diff(c, x, r)
+
+
 @pytest.mark.parametrize("p", [2, 3, 7])
 def test_print_bound_read_off_the_valuation_agrees_with_the_built_number(p):
     """Around the interpreter's digit limit, an exact padic element prints,

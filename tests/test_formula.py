@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from hqe.formula import (
     ExistsRV,
     FAdd,
     Formula,
+    Node,
     FVar,
     PolyZero,
     RVEq,
@@ -17,7 +20,9 @@ from hqe.formula import (
     RVMulT,
     RVOf,
     RVPowT,
+    RVSumT,
     RVVarT,
+    children,
     free_vars,
     has_field_quantifier,
     normalize,
@@ -25,6 +30,7 @@ from hqe.formula import (
     parse_formula,
     print_formula,
     subst,
+    with_children,
     FLit,
 )
 from hqe.rv import rv
@@ -151,6 +157,66 @@ def test_walks_match_the_isinstance_reference(case):
     else:
         assert free_vars(node) == ref.term_vars(node)
         assert _outcome(subst, node, env) == _outcome(ref.subst_term, node, env)
+
+
+def _inner_nodes(node):
+    stack, out = [node], []
+    while stack:
+        n = stack.pop()
+        kids = children(n)
+        if kids:
+            out.append(n)
+            stack.extend(kids)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_WALK_CASES)
+def test_nodes_built_apart_hash_alike_and_walk_as_the_reference(case):
+    """The reference's substitution rebuilds every inner node: the copy is
+    equal and hashes alike, with_children rebuilds as the reference's
+    constructors do, and the walks agree with the reference on both, on
+    the first read of the free variables kept on nodes and on later ones."""
+    node, env, bound = case
+    vars_ref = ref.free_vars if isinstance(node, Formula) else ref.term_vars
+    rebuild = ref.subst if isinstance(node, Formula) else ref.subst_term
+    apart = rebuild(node, {})
+    assert apart == node and hash(apart) == hash(node)
+    for copy, orig in zip(_inner_nodes(apart), _inner_nodes(node)):
+        assert copy is not orig and copy == orig and hash(copy) == hash(orig)
+        assert with_children(orig, children(orig)) is orig
+        assert with_children(orig, children(copy)) == copy
+    for n in (node, apart):
+        assert free_vars(n) == vars_ref(n)
+        if isinstance(n, Formula):
+            assert free_vars(n, bound) == ref.free_vars(n, bound)
+        assert free_vars(n, bound, {"z"}) == (vars_ref(n) - bound) | {"z"}
+        assert _outcome(subst, n, env) == _outcome(ref.subst if isinstance(n, Formula) else ref.subst_term, n, env)
+
+
+def _node_classes(cls=Node):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _node_classes(sub)
+
+
+def test_every_node_class_is_a_frozen_dataclass_hashed_at_construction():
+    """A node class that is not a frozen dataclass, or that falls back to
+    the recursive dataclass hash, fails here."""
+    classes = [cls for cls in _node_classes() if cls is not Formula]  # Formula only marks
+    assert {FAdd, RVSumT, PolyZero, ExistsRV} <= set(classes)
+    for cls in classes:
+        params = getattr(cls, "__dataclass_params__", None)
+        assert params is not None and params.frozen and params.eq, cls
+        assert cls.__hash__ is Node.__hash__, cls
+        # the stored hash is read from every field: equal fields hash alike,
+        # and a change to any one field changes it
+        values = [object() for _ in dataclasses.fields(cls)]
+        node = cls(*values)
+        assert hash(cls(*values)) == hash(node) == node._hash, cls
+        for i in range(len(values)):
+            other = values[:i] + [object()] + values[i + 1 :]
+            assert hash(cls(*other)) != hash(node), (cls, i)
 
 
 def test_subst_checks_sorts_and_keeps_bound_variables(laurent):

@@ -1,4 +1,7 @@
+import gc
 import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -516,6 +519,10 @@ _DEEP_SHAPES = [
     lambda n: "EX x:K. " + " -> ".join(["v(rv[0](x)) > v(rv[0](1))"] * n),
     lambda n: "EX x:K. " + "(v(rv[0](x)) > v(rv[0](1)) | " * n + "x = 1" + ")" * n,
     lambda n: "".join(f"EX x{i}:K. " for i in range(n)) + "x0 = 1",
+    # the longest field-term chains: every walk over them (hash, free
+    # variables, polynomial) runs at one frame a link or none
+    lambda n: "EX x:K. v(rv[0](x" + " - 1" * n + ")) >= v(rv[0](1))",
+    lambda n: "EX x:K. " + "x + " * n + "1 = 0",
 ]
 
 
@@ -534,3 +541,61 @@ def test_deepest_parsed_formula_decides(laurent, shape):
             hi = mid - 1
     assert lo < 4000
     assert isinstance(decide(parse_formula(laurent, make(lo)), laurent), bool)
+
+
+# ---- one polynomial per distinct field term, for one decision -------------------
+
+
+def test_a_repeated_centre_builds_its_polynomial_once_per_decide(laurent, monkeypatch):
+    """The polynomial of x - c is built once however many atoms ask for it,
+    and nothing of the decision is kept once it returns."""
+    qe_module = sys.modules["hqe.qe"]  # the module; hqe.qe is also the function
+
+    k = 6
+    text = "EX x:K. " + " | ".join(f"v(rv[0](x - (1/3 + t))) = v(rv[0](t^{j}))" for j in range(2, 2 + k))
+    built = []  # the polynomials handed out for x - c, kept so no id is reused
+    convert = qe_module.term_to_poly
+
+    def spy(term, *rest):
+        out = convert(term, *rest)
+        if term == centre:
+            built.append(out)
+        return out
+
+    monkeypatch.setattr(qe_module, "term_to_poly", spy)
+    for _ in range(2):
+        sentence = parse_formula(laurent, text)
+        centre = sentence.body.args[0].left.arg  # x - (1/3 + t), k equal copies
+        assert decide(sentence, laurent) is True
+        assert len(built) >= k and len({id(P) for P in built}) == 1
+        gone = weakref.ref(centre)
+        del sentence, centre
+        built.clear()
+        gc.collect()
+        assert gone() is None
+
+
+# the first is exhausted at the default 64 digits and answered at 128
+_PRECISION_TEXTS = [
+    "EX x:K. rv[0](x - 1) = rv[0](t^70) & x^2 = 1 + 2*t^70 + t^140",
+    "EX x:K. (x - 1)^2 = t^100 & v(rv[0](x - 1)) = v(rv[0](t^50))",
+    "EX x:K. v(rv[0](x - 1)) > v(rv[0](t^80)) & (x - 1)*(x - 1 - t^90) = 0",
+]
+
+
+def _verdict(field, text):
+    try:
+        return decide(parse_formula(field, text), field)
+    except HQEError as e:
+        return type(e).__name__
+
+
+@pytest.mark.parametrize("first", [64, 128])
+def test_one_text_under_two_precisions_answers_as_before(first):
+    """Equal terms of fields of different working precision are equal, so
+    polynomials are never shared between the two; either order of the
+    decisions gives the answers each precision gives alone."""
+    want = {64: ["PrecisionExhausted", True, True], 128: [True, True, True]}
+    for prec in (first, 192 - first):
+        field = Field.laurent(prec)
+        assert [_verdict(field, text) for text in _PRECISION_TEXTS] == want[prec]
