@@ -32,11 +32,13 @@ from .formula import (
     TRUE,
     And,
     ExistsF,
+    ExistsRV,
     FAdd,
     FLit,
     FMul,
     FNeg,
     ForallF,
+    ForallRV,
     Formula,
     FPow,
     FVar,
@@ -62,6 +64,7 @@ from .formula import (
     free_vars,
     has_field_quantifier,
     neg,
+    print_formula,
     subst,
     with_children,
 )
@@ -175,7 +178,8 @@ def term_to_poly(term, var: str, field: Field, memo=None) -> Poly:
     while the dict lives: an equal subterm met again, in this atom or in
     another, reads its polynomial back.  The key carries the field because
     equal literals of fields of different working precision are equal
-    terms.  ``witness_box`` makes one memo per call and drops it on return."""
+    terms.  ``witness_box`` and ``normal_form`` each make one memo per call
+    and drop it on return."""
     if memo is not None:
         key = (term, var, field)
         out = memo.get(key)
@@ -250,42 +254,53 @@ def rvterm_to_poly(term, var: str, field: Field, memo=None):
 # ---- literal regions -----------------------------------------------------------
 
 
+def _atom_sides(atom, var: str, field: Field, memo=None) -> list:
+    """Each side of the atom as (order, Poly): an equation's one side and a
+    value comparison's two at order 0, an rv equality's two at their common
+    order, and oplus's three at its own order.  ``memo`` is term_to_poly's."""
+    if isinstance(atom, PolyZero):
+        return [(0, term_to_poly(atom.arg, var, field, memo))]
+    if isinstance(atom, RVEq):
+        what = "leading-term term"
+    elif isinstance(atom, VComp):
+        what = "value comparison"
+    elif isinstance(atom, OplusA):
+        what = "oplus operand"
+    else:
+        raise NonEffectiveQuantifier(f"unsupported atom {print_formula(atom)}")
+    out = []
+    for side in children(atom):
+        data = rvterm_to_poly(side, var, field, memo)
+        if data is None:
+            raise NonEffectiveQuantifier(f"{what} not polynomial in the variable")
+        out.append(data)
+    if isinstance(atom, RVEq):
+        (d1, _), (d2, _) = out
+        if d1 != d2:
+            raise NonEffectiveQuantifier(f"comparing leading terms of orders {d1} and {d2}")
+        return out
+    order = atom.order if isinstance(atom, OplusA) else 0
+    return [(order, P) for _, P in out]
+
+
 def literal_region(atom, var: str, field: Field, memo=None) -> Region:
     """The set of witnesses x satisfying the atom, as a region; ``memo`` is
     term_to_poly's."""
+    sides = _atom_sides(atom, var, field, memo)
+    polys = [P for _, P in sides]
     if isinstance(atom, PolyZero):
-        return _equation_region(term_to_poly(atom.arg, var, field, memo), field)
+        return _equation_region(polys[0], field)
     if isinstance(atom, RVEq):
-        return _rveq_region(atom, var, field, memo)
+        return _rv_eq_polys_region(*polys, sides[0][0], field)
     if isinstance(atom, VComp):
-        return _vcomp_atom_region(atom, var, field, memo)
-    if isinstance(atom, OplusA):
-        return _oplus_region(atom, var, field, memo)
-    raise NonEffectiveQuantifier(f"unsupported atom {atom!r}")
+        return _vcomp_polys_region(*polys, atom.op, field)
+    return _oplus_polys_region(*polys, atom.order, field)
 
 
 def _equation_region(P: Poly, field) -> Region:
     if P.is_zero:
         return region_all(field)
     return roots_region(P, field)[0] if P.degree else []
-
-
-def _side_polys(sides, var, field, what, memo=None):
-    """(order, Poly) of every rv-term side of an atom."""
-    out = []
-    for side in sides:
-        data = rvterm_to_poly(side, var, field, memo)
-        if data is None:
-            raise NonEffectiveQuantifier(f"{what} not polynomial in the variable")
-        out.append(data)
-    return out
-
-
-def _rveq_region(atom: RVEq, var, field, memo) -> Region:
-    (d1, P1), (d2, P2) = _side_polys((atom.left, atom.right), var, field, "leading-term term", memo)
-    if d1 != d2:
-        raise NonEffectiveQuantifier(f"comparing leading terms of orders {d1} and {d2}")
-    return _rv_eq_polys_region(P1, P2, d1, field)
 
 
 def _rv_eq_polys_region(P1: Poly, P2: Poly, order: int, field) -> Region:
@@ -304,33 +319,33 @@ def _rv_eq_polys_region(P1: Poly, P2: Poly, order: int, field) -> Region:
     return reg + [SwissCheese.of_ball(Ball.point(r)) for r in joint]
 
 
-def _vcomp_atom_region(atom: VComp, var, field, memo) -> Region:
-    (_, P1), (_, P2) = _side_polys((atom.left, atom.right), var, field, "value comparison", memo)
+def _vcomp_polys_region(P1: Poly, P2: Poly, op: str, field) -> Region:
+    """{x : v(P1(x)) op v(P2(x))}."""
     if P2.is_zero:
-        return vcomp_region(P1, None, atom.op, field)
+        return vcomp_region(P1, None, op, field)
     if P1.is_zero:
-        return vcomp_region(P2, None, FLIP[atom.op], field)
-    return vcomp_region(P1, P2, atom.op, field)
+        return vcomp_region(P2, None, FLIP[op], field)
+    return vcomp_region(P1, P2, op, field)
 
 
-def _oplus_region(atom: OplusA, var, field, memo) -> Region:
-    """oplus holds exactly when v(P3 - P1 - P2) > min(v(P1), v(P2)) + d,
-    with the degenerate case of both summands vanishing handled pointwise
-    (there the relation asks the third side to vanish as well)."""
-    (_, P1), (_, P2), (_, P3) = _side_polys((atom.a, atom.b, atom.c), var, field, "oplus operand", memo)
+def _oplus_polys_region(P1: Poly, P2: Poly, P3: Poly, order: int, field) -> Region:
+    """oplus[order](P1, P2, P3) holds exactly when v(P3 - P1 - P2) >
+    min(v(P1), v(P2)) + order, with the degenerate case of both summands
+    vanishing handled pointwise (there the relation asks the third side to
+    vanish as well)."""
     S = P3 + (-P1) + (-P2)
 
     def compare(P_):
-        return region_all(field) if S.is_zero else vcomp_region(S, P_, ">", field, atom.order)
+        return region_all(field) if S.is_zero else vcomp_region(S, P_, ">", field, order)
 
     if P1.is_zero and P2.is_zero:
         # oplus(inf, inf, c) asks c = inf
         return _equation_region(P3, field)
     if P1.is_zero:
         # oplus(inf, b, c) asks c = b
-        return _rv_eq_polys_region(P3, P2, atom.order, field)
+        return _rv_eq_polys_region(P3, P2, order, field)
     if P2.is_zero:
-        return _rv_eq_polys_region(P3, P1, atom.order, field)
+        return _rv_eq_polys_region(P3, P1, order, field)
     low1 = vcomp_region(P1, P2, "<=", field)
     low2 = vcomp_region(P2, P1, "<", field)
     reg = [(low1, compare(P1)), (low2, compare(P2))]
@@ -615,8 +630,6 @@ class NormalForm:
 
     def __str__(self):
         cs = ", ".join(f"{n}: rv[{g}]({self.var} - ({a}))" for n, g, a in zip(self.names, self.orders, self.centers))
-        from .formula import print_formula
-
         return f"pullback [{cs}] of {print_formula(self.D)}"
 
 
@@ -626,45 +639,31 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     The polynomials of phi are decomposed simultaneously; on each cell every
     atom becomes a leading-term condition on rv(x - center), membership in
     the cell is itself such a condition, and D is the disjunction over
-    cells.  In residue characteristic 0 all emitted orders equal the orders
+    cells.  Atoms under a leading-term quantifier are read and decomposed
+    alike.  In residue characteristic 0 all emitted orders equal the orders
     appearing in phi (0 for order-0 input)."""
     if params:
         phi = subst(phi, {k: _as_literal(v) for k, v in params.items()})
     extra = free_vars(phi) - {var}
     if extra:
         raise NonEffectiveQuantifier(f"parameters must be concrete: {sorted(extra)}")
-    phi = _fold_closed(_qe_walk(phi, field), field)
-    # (poly, order) data needed to linearize every atom in var
-    acc = []
-    for a in _atoms(phi):
-        if isinstance(a, PolyZero):
-            acc.append((term_to_poly(a.arg, var, field), 0))
-        elif isinstance(a, RVEq):
-            acc += [(P, d) for d, P in _side_polys((a.left, a.right), var, field, "atom")]
-        elif isinstance(a, VComp):
-            acc += [(P, 0) for _, P in _side_polys((a.left, a.right), var, field, "atom")]
-        elif isinstance(a, OplusA):
-            acc += [(P, a.order) for _, P in _side_polys((a.a, a.b, a.c), var, field, "atom")]
-    work = [(P, d) for P, d in acc if P.degree is not None and P.degree >= 1]
-    if not work:
-        # no dependence on the variable beyond trivial atoms
-        return NormalForm(field, var, [field.zero()], [0], ["w1"], phi)
-    polys = []
-    orders = []
-    for P, d in work:
-        for i, Q in enumerate(polys):
-            if Q == P:
-                orders[i] = max(orders[i], d)
-                break
-        else:
-            polys.append(P)
-            orders.append(d)
-    dec = rv_decompose(polys, orders)
-    gamma = 0
-    for cell in dec.cells:
-        for d, piece in zip(orders, cell.pieces):
-            gamma = max(gamma, d + _int_val(field, piece.q))
+
+    # an atom reads only as polynomials in var, so the variable of a
+    # leading-term quantifier may occur in none: the quantifier is vacuous
+    def strip(a):
+        return _fold(a.body, strip) if isinstance(a, (ExistsRV, ForallRV)) else a
+
+    phi = _fold(_fold_closed(_qe_walk(phi, field), field), strip)
+    memo = {}  # term_to_poly's, for this call only
+    sides = {a: _atom_sides(a, var, field, memo) for a in _atoms(phi)}
+    # each nonconstant polynomial, at the largest order it is read at
+    order_of = {}
+    for data in sides.values():
+        for d, P in data:
+            if P.degree:
+                order_of[P] = max(order_of.get(P, d), d)
     centers = []
+    piece_of, gamma = {}, 0
 
     def center_index(a: FieldElem) -> int:
         for i, c in enumerate(centers):
@@ -673,75 +672,61 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
         centers.append(a)
         return len(centers) - 1
 
+    def sum_term(P: Poly, delta: int):
+        if P.degree is None:
+            return RVLitT(RVElem.inf(field, delta))
+        if P.degree == 0:
+            return RVLitT(rv(P.coeffs[0], delta))
+        piece = piece_of[P]
+        need = delta + _int_val(field, piece.q)
+        w = RVVarT(f"w{center_index(piece.center) + 1}", gamma)
+        wp = w if need == gamma else RVProjT(need, w)
+        terms = []
+        for j, cls in piece.rv_terms(need):
+            lit = RVLitT(cls)
+            terms.append(lit if j == 0 else RVMulT(lit, RVPowT(wp, j)))
+        if not terms:
+            return RVLitT(RVElem.inf(field, delta))
+        return RVSumT(delta, tuple(terms))
+
+    def poly_zero_atom(P: Poly):
+        # on this cell v(P) is pinned to the piece line, so P vanishes
+        # exactly at the center when the center is a root
+        if P.degree is None:
+            return TRUE
+        if P.degree == 0:
+            return TRUE if P.coeffs[0].is_zero else FALSE
+        piece = piece_of[P]
+        a0 = piece.coeffs[0]
+        vanishes = a0.is_zero or coeff_unresolved(field, a0)
+        if not vanishes:
+            return FALSE
+        if piece.m == 0:
+            return TRUE
+        w = RVVarT(f"w{center_index(piece.center) + 1}", gamma)
+        return RVEq(w, RVLitT(RVElem.inf(field, gamma)))
+
+    def rewrite(a):
+        # the atom on the cell of piece_of
+        if a in (TRUE, FALSE):
+            return a
+        if isinstance(a, PolyZero):
+            return poly_zero_atom(sides[a][0][1])
+        return with_children(a, [sum_term(P, d) for d, P in sides[a]])
+
+    if not order_of:
+        # no dependence on the variable beyond constant atoms
+        return NormalForm(field, var, [field.zero()], [0], ["w1"], _fold(phi, rewrite))
+    polys = list(order_of)
+    orders = list(order_of.values())
+    dec = rv_decompose(polys, orders)
+    for cell in dec.cells:
+        for d, piece in zip(orders, cell.pieces):
+            gamma = max(gamma, d + _int_val(field, piece.q))
     disjuncts = []
     for cell in dec.cells:
-        piece_by_poly = dict(zip(range(len(polys)), cell.pieces))
-
-        def sum_term(P: Poly, delta: int):
-            if P.degree is None:
-                return RVLitT(RVElem.inf(field, delta))
-            if P.degree == 0:
-                return RVLitT(rv(P.coeffs[0], delta))
-            idx = polys.index(P)
-            piece = piece_by_poly[idx]
-            need = delta + _int_val(field, piece.q)
-            w = RVVarT(f"w{center_index(piece.center) + 1}", gamma)
-            wp = w if need == gamma else RVProjT(need, w)
-            terms = []
-            for j, cls in piece.rv_terms(need):
-                lit = RVLitT(cls)
-                terms.append(lit if j == 0 else RVMulT(lit, RVPowT(wp, j)))
-            if not terms:
-                return RVLitT(RVElem.inf(field, delta))
-            return RVSumT(delta, tuple(terms))
-
-        def poly_zero_atom(P: Poly):
-            # on this cell v(P) is pinned to the piece line, so P vanishes
-            # exactly at the center when the center is a root
-            if P.degree is None:
-                return TRUE
-            if P.degree == 0:
-                return TRUE if P.coeffs[0].is_zero else FALSE
-            piece = piece_by_poly[polys.index(P)]
-            a0 = piece.coeffs[0]
-            vanishes = a0.is_zero or coeff_unresolved(field, a0)
-            if not vanishes:
-                return FALSE
-            if piece.m == 0:
-                return TRUE
-            w = RVVarT(f"w{center_index(piece.center) + 1}", gamma)
-            return RVEq(w, RVLitT(RVElem.inf(field, gamma)))
-
-        def rebuild(node):
-            if isinstance(node, (TrueF, FalseF)):
-                return node
-            if isinstance(node, PolyZero):
-                return poly_zero_atom(term_to_poly(node.arg, var, field))
-            if isinstance(node, RVEq):
-                l = rvterm_to_poly(node.left, var, field)
-                r = rvterm_to_poly(node.right, var, field)
-                return RVEq(sum_term(l[1], l[0]), sum_term(r[1], r[0]))
-            if isinstance(node, VComp):
-                l = rvterm_to_poly(node.left, var, field)
-                r = rvterm_to_poly(node.right, var, field)
-                return VComp(node.op, sum_term(l[1], 0), sum_term(r[1], 0))
-            if isinstance(node, OplusA):
-                sides = [rvterm_to_poly(s, var, field) for s in (node.a, node.b, node.c)]
-                return OplusA(node.order, *(sum_term(s[1], node.order) for s in sides))
-            if isinstance(node, Not):
-                return neg(rebuild(node.arg))
-            if isinstance(node, And):
-                return conj([rebuild(a) for a in node.args])
-            if isinstance(node, Or):
-                return disj([rebuild(a) for a in node.args])
-            if isinstance(node, (ExistsF, ForallF)):
-                raise NonEffectiveQuantifier(f"unsupported node in normal form: {node!r}")
-            kids = []
-            for sub in children(node):
-                kids.append(rebuild(sub))
-            return with_children(node, kids)
-
-        body = rebuild(phi)
+        piece_of = dict(zip(polys, cell.pieces))
+        body = _fold(phi, rewrite)
         if isinstance(body, FalseF):
             continue
         memb = _membership_formula(cell.cheese, center_index, gamma, field)

@@ -89,6 +89,24 @@ def test_normal_form_command(capsys):
     assert "D:" in out and "rv[0]" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an atom outside the region calculus is printed as a formula
+        (["decide", "ALL x:K. EX w:RV[0]. rv[0](x) = w"], "unsupported atom EX w:RV[0]. rv[0](x) = w"),
+        # the quantified leading term is not polynomial in x
+        (["normal-form", "x = 1 & (EX w:RV[0]. rv[0](x - 1) = w)", "--var", "x"], "leading-term term not polynomial in the variable"),
+        # normal-form reads an atom as decide does
+        (["normal-form", "rv[0](x) = rv[1](x)", "--var", "x"], "comparing leading terms of orders 0 and 1"),
+        (["decide", "EX x:K. rv[0](x) = rv[1](x)"], "comparing leading terms of orders 0 and 1"),
+    ],
+)
+def test_unreadable_atom_is_one_non_effective_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (3, "", f"non-effective quantifier: {message}\n")
+    assert "ExistsRV(" not in err
+
+
 def test_exit_codes(capsys):
     code, _, err = run_cli(capsys, "decide", "EX y:K. y^2 = ")
     assert code == 1

@@ -1,4 +1,5 @@
 import gc
+import importlib
 import random
 import sys
 import weakref
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnf_reference
+import normal_form_reference
 from hqe import selftest
 from hqe.errors import FormulaSyntaxError, HQEError, NonEffectiveQuantifier, PrecisionExhausted
 from hqe.field import Field
@@ -18,6 +20,7 @@ from hqe.formula import (
     FLit,
     FVar,
     RVOf,
+    free_vars,
     parse_formula,
     print_formula,
     has_field_quantifier,
@@ -293,6 +296,25 @@ def test_cell_partition_matches_dnf_reference(case):
 
 
 @settings(max_examples=200, deadline=None)
+@given(case=matrices())
+def test_normal_form_matches_reference(case):
+    """One variable, no leading-term quantifier, rv equalities of equal
+    orders: the same centres, orders, names and D as the frozen walk, or the
+    same error."""
+    field, _, text = case
+    phi = parse_formula(field, text)
+
+    def run(normal_form):
+        try:
+            nf = normal_form(phi, "x", field)
+        except Exception as e:
+            return type(e)
+        return [str(c) for c in nf.centers], nf.orders, nf.names, print_formula(nf.D)
+
+    assert run(normal_form) == run(normal_form_reference.normal_form), text
+
+
+@settings(max_examples=200, deadline=None)
 @given(case=matrices(("x", "y")))
 def test_two_variable_blocks_match_dnf_reference(case):
     """Each variable fixed in turn at its cells and roots: where the DNF
@@ -494,23 +516,51 @@ def test_normal_form_matches_direct_evaluation(any_field):
         "v(rv[0](x - {a})) <= v(rv[0]({b}))",
         "x = {a} | v(rv[0](x)) < v(rv[0]({b}))",
         "!(rv[0](x) = rv[0]({a}))",
+        # atoms under a leading-term quantifier are decomposed too
+        "x = {a} | (EX w:RV[0]. v(rv[0](x^2 - {a})) > v(rv[0]({b})))",
+        "ALL w:RV[1]. rv[1](x^2) = rv[1]({a}) & x = {b}",
     ]
-    for _ in range(12):
-        tmpl = rng.choice(formulas)
+    for i in range(2 * len(formulas)):
+        tmpl = formulas[i % len(formulas)]
         text = tmpl.format(
             a=_lit(field, rng.choice(units), rng.randrange(-2, 3)),
             b=_lit(field, rng.choice(units), rng.randrange(-2, 3)),
         )
         phi = parse_formula(field, text)
         nf = normal_form(phi, "x", field)
+        # D is a leading-term formula in the pullback's variables alone
+        assert free_vars(nf.D) <= set(nf.names), text
         if field.backend == "laurent-q":
-            assert all(g == 0 for g in nf.orders)
+            # residue characteristic 0: the orders are phi's own
+            assert all(g == (1 if "RV[1]" in tmpl else 0) for g in nf.orders)
         for x0 in pts:
             try:
                 want = evaluate(phi, {"x": x0}, field)
             except PrecisionExhausted:
                 continue
             assert nf.member(x0) == want, (text, str(x0))
+
+
+def test_normal_form_builds_each_term_once(laurent, monkeypatch):
+    """Each atom is read once, with one term_to_poly memo for the call: no
+    field term is converted twice, neither for another cell nor for an
+    equal subterm elsewhere."""
+    qe_module = importlib.import_module("hqe.qe")  # the package exports qe() by that name
+    real = qe_module.term_to_poly
+    built = []
+
+    def spy(term, var, field, memo=None):
+        if memo is None or (term, var, field) not in memo:
+            built.append(term)
+        return real(term, var, field, memo)
+
+    monkeypatch.setattr(qe_module, "term_to_poly", spy)
+    text = (
+        "(v(rv[0](x^2 - t^2)) > v(rv[0](t^3)) | rv[0](x - 1) = rv[0](t))"
+        " & !(x^3 - t = 0) & v(rv[1](x - t)) <= v(rv[1](t^2))"
+    )
+    normal_form(parse_formula(laurent, text), "x", laurent)
+    assert built and len(built) == len(set(built))
 
 
 _DEEP_SHAPES = [
