@@ -662,6 +662,15 @@ def _div(x: FieldElem, y: FieldElem) -> FieldElem:
     return _lelem(f, v, [c * y.den for c in Q], x.den * D, rel)
 
 
+def _horner(cs, x, m=0):
+    """sum cs[i] x^i over the integers or Q, reduced modulo m after each step
+    when m is given."""
+    acc = 0
+    for c in reversed(cs):
+        acc = (acc * x + c) % m if m else acc * x + c
+    return acc
+
+
 def fingerprint(x: FieldElem) -> int | None:
     """The image of an exact element in Z/FINGERPRINT_PRIME: t^v * sum(u_i t^i)
     / den at t = FINGERPRINT_T over laurent-q, p^v * u over padic.
@@ -681,10 +690,7 @@ def fingerprint(x: FieldElem) -> int | None:
         den = x.den % P
         if not den:
             return None
-        acc = 0
-        for c in reversed(x.u):
-            acc = (acc * FINGERPRINT_T + c) % P
-        return acc * pow(FINGERPRINT_T, x.v, P) * pow(den, -1, P) % P
+        return _horner(x.u, FINGERPRINT_T, P) * pow(FINGERPRINT_T, x.v, P) * pow(den, -1, P) % P
     den = x.den % P
     if f.p == P or not den:
         return None

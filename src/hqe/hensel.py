@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 
 from .errors import PrecisionExhausted, PreconditionViolated
-from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, fingerprint, val_diff
+from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, _horner, fingerprint, val_diff
 from .poly import (
     Poly,
     annulus_residue_poly,
@@ -254,12 +254,8 @@ def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
     images = coeff_images(g)
     for cand in candidates:
         w = fingerprint(cand) if images is not None else None
-        if w is not None:
-            acc = 0
-            for c in reversed(images):
-                acc = (acc * w + c) % FINGERPRINT_PRIME
-            if acc:
-                continue
+        if w is not None and _horner(images, w, FINGERPRINT_PRIME):
+            continue
         if g(cand).is_zero:
             return cand
     return x

@@ -4,6 +4,7 @@ Newton-polygon bookkeeping, and root search over the residue field."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd, lcm
 
 from .errors import PrecisionExhausted, PreconditionViolated
@@ -11,10 +12,10 @@ from .field import (
     _FMA,
     FINGERPRINT_PRIME,
     LAURENT,
-    PRIME_BOUND,
     Field,
     FieldElem,
     _from_form,
+    _horner,
     _is_prime,
     fingerprint,
 )
@@ -23,10 +24,6 @@ from .valq import INF, NEG_INF
 # residue_roots scans all of F_p, which is hopeless for a huge prime, so root
 # search over the residue field refuses a p above this bound
 RESIDUE_SCAN_MAX_P = 1 << 16
-
-# the rational root search factors a coefficient by trial division up to this
-# bound, and accepts a larger cofactor only when it is a proven prime
-TRIAL_DIVISION_BOUND = 1 << 20
 
 # root search costs at least quadratic time in the degree, so no polynomial
 # of higher degree is built
@@ -311,13 +308,12 @@ def coeff_images(f: Poly) -> list[int] | None:
     return None if None in images else images
 
 
-def _coprime_mod_prime(a, b) -> bool:
+def _coprime_mod_prime(a, b, P: int = FINGERPRINT_PRIME) -> bool:
     """Whether the coefficient images a and b (constant term first, None when
     undefined) are nonempty with nonzero leading entries and have a constant
-    gcd over F_P, P = FINGERPRINT_PRIME."""
+    gcd over F_P, P a prime (FINGERPRINT_PRIME unless given)."""
     if not a or not b or not a[-1] or not b[-1]:
         return False
-    P = FINGERPRINT_PRIME
     while b:
         # a := a mod b; the leading entry of b is nonzero
         inv = pow(b[-1], -1, P)
@@ -491,84 +487,85 @@ def residue_roots(field: Field, coeffs):
     """All roots, in the residue field, of the residue polynomial given by
     ``coeffs`` (Fractions over laurent-q, integers mod p over padic).
 
-    Over Q this is an exhaustive rational-root search; over F_p a scan, so
-    p above RESIDUE_SCAN_MAX_P raises PreconditionViolated.
+    Over F_p this is a scan, so p above RESIDUE_SCAN_MAX_P raises
+    PreconditionViolated.  Over Q it is l-adic expansion (Loos, "Computing
+    rational zeros of integral polynomials by p-adic expansion", SIAM J.
+    Comput. 12, 1983), which factors no integer.  A rational root r of the
+    squarefree part g has a denominator dividing g's leading coefficient a,
+    so a*r is an integer at most |a|*B in absolute value, B Cauchy's bound.
+    The roots of g modulo the least prime l at which a is a unit and g stays
+    squarefree are simple; each is Newton-lifted to l^k > 2|a|B, where the
+    centred residue of a times the lift is a*r, and checked exactly.
     """
     if field.backend == LAURENT:
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        if not cs:
-            raise ValueError("zero residue polynomial")
-        roots = set()
-        while cs and cs[0] == 0:
-            roots.add(Fraction(0))
-            cs.pop(0)
-        if len(cs) > 1:
-            mult = lcm(*[c.denominator for c in cs])
-            ics = [c.numerator * (mult // c.denominator) for c in cs]
-            g = gcd(*ics)
-            ics = [c // g for c in ics]
-            dens = _divisors(abs(ics[-1]))
-            for num in _divisors(abs(ics[0])):
-                for den in dens:
-                    if gcd(num, den) != 1:
-                        continue  # the same candidate in lower terms
-                    for n in (num, -num):
-                        # den^d * g(n/den), by Horner on integers
-                        acc, scale = ics[-1], 1
-                        for c in reversed(ics[:-1]):
-                            scale *= den
-                            acc = acc * n + c * scale
-                        if acc == 0:
-                            roots.add(Fraction(n, den))
-        return sorted(roots)
-    p = field.p
-    if p > RESIDUE_SCAN_MAX_P:
+    elif field.p > RESIDUE_SCAN_MAX_P:
         raise PreconditionViolated(
-            f"root search over F_p scans every residue; p = {p} exceeds {RESIDUE_SCAN_MAX_P}"
+            f"root search over F_p scans every residue; p = {field.p} exceeds {RESIDUE_SCAN_MAX_P}"
         )
-    cs = [int(c) % p for c in coeffs]
+    else:
+        cs = [int(c) % field.p for c in coeffs]
     while cs and cs[-1] == 0:
         cs.pop()
     if not cs:
         raise ValueError("zero residue polynomial")
-    out = []
-    for u in range(p):
-        acc = 0
-        for c in reversed(cs):
-            acc = (acc * u + c) % p
-        if acc == 0:
-            out.append(u)
-    return out
+    if field.backend != LAURENT:
+        return _roots_mod(cs, field.p)
+    roots = [Fraction(0)] if cs[0] == 0 else []
+    while cs[0] == 0:
+        cs.pop(0)
+    return sorted(roots + _rational_roots(cs)) if len(cs) > 1 else roots
 
 
-def _divisors(n: int):
-    """The positive divisors of n, sorted (none for 0), from n's factors.
+def _roots_mod(cs, p: int) -> list[int]:
+    """The roots in 0..p-1 of sum cs[i] x^i modulo p, by a scan."""
+    return [u for u in range(p) if not _horner(cs, u, p)]
 
-    Trial division of the shrinking cofactor stops at TRIAL_DIVISION_BOUND,
-    so every n below TRIAL_DIVISION_BOUND^2 = 2^40 factors; a larger
-    cofactor is accepted only when ``field._is_prime`` proves it prime, else
-    PreconditionViolated."""
-    if n == 0:
-        return []
-    out = [1]
-    d = 2
-    while d * d <= n:
-        if d > TRIAL_DIVISION_BOUND:
-            if n >= PRIME_BOUND or not _is_prime(n):
-                raise PreconditionViolated(
-                    f"rational root search cannot factor a {n.bit_length()}-bit cofactor: "
-                    f"no factor up to {TRIAL_DIVISION_BOUND} and not a proven prime"
-                )
-            break
-        e = 0
-        while not n % d:
-            n //= d
-            e += 1
-        if e:
-            out = [a * d**i for a in out for i in range(e + 1)]
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out += [a * n for a in out]
-    return sorted(out)
+
+def _rational_roots(cs) -> list[Fraction]:
+    """The rational roots of sum cs[i] x^i (Fractions, degree >= 1,
+    cs[0] != 0) by l-adic lifting, as residue_roots describes."""
+    den, num = lcm(*[c.denominator for c in cs]), gcd(*[c.numerator for c in cs])
+    g = [c.numerator * (den // c.denominator) // num for c in cs]
+
+    def squarefree_mod(q):
+        return _coprime_mod_prime([c % q for c in g], [c % q for c in _deriv(g)], q)
+
+    if not squarefree_mod(FINGERPRINT_PRIME):
+        a, b = g, _deriv(g)  # Euclid over Z: g / gcd(g, g') is squarefree
+        while b:
+            a, b = b, _zdivmod(a, b)[1]
+        g = _zdivmod(g, a)[0]
+    if len(g) == 2:
+        return [Fraction(-g[0], g[1])]
+    a, dg = g[-1], _deriv(g)
+    # squarefree_mod(q) fails when q divides a, whose image leads g mod q
+    ell = next(q for q in count(2) if _is_prime(q) and squarefree_mod(q))
+    m, lifts = ell, _roots_mod(g, ell)
+    while m <= 2 * (abs(a) + max(abs(c) for c in g[:-1])):
+        m *= m
+        lifts = [(r - _horner(g, r, m) * pow(_horner(dg, r, m), -1, m)) % m for r in lifts]
+    # a^deg(g) * g(y / a), whose integer roots are a times the roots of g
+    ga = [c * a ** (len(g) - 1 - i) for i, c in enumerate(g)]
+    cands = [n - m if 2 * n > m else n for n in (a * r % m for r in lifts)]
+    return [Fraction(n, a) for n in cands if not _horner(ga, n)]
+
+
+def _deriv(cs) -> list:
+    return [i * c for i, c in enumerate(cs)][1:]
+
+
+def _zdivmod(a, b):
+    """(q, r) for integer coefficient lists with k * a = q * b + c * r for
+    integers k and c (k = 1 when b divides a over Z), r primitive."""
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    while len(a) >= len(b):
+        if a[-1] % b[-1]:
+            a, q = [c * b[-1] for c in a], [c * b[-1] for c in q]
+        q[len(a) - len(b)] = c = a[-1] // b[-1]
+        for j, bj in enumerate(b):
+            a[len(a) - len(b) + j] -= c * bj
+        while a and not a[-1]:
+            a.pop()
+    k = gcd(*a)
+    return q, [c // k for c in a]

@@ -149,12 +149,6 @@ def test_root_search_over_a_huge_prime_is_a_precondition_violation(capsys):
         (["decide", "EX y:K. (y + 1)^100 * y^29 = t"], "polynomial degree 129 exceeds MAX_DEGREE = 128"),
         (["decompose", "--poly", "x^200 - t"], "polynomial degree 200 exceeds MAX_DEGREE = 128"),
         (
-            # 1048583 and 1048589 are primes above 2^20: trial division up to
-            # 2^20 leaves their product, which is not prime
-            ["decide", f"EX x:K. x^2 = {1048583 * 1048589}"],
-            "rational root search cannot factor a 41-bit cofactor: no factor up to 1048576 and not a proven prime",
-        ),
-        (
             ["--field", "padic", "--p", "7", "eval", "1 + 7^30000000"],
             "exact padic sum needs 7^30000000, longer than MAX_EXACT_BITS = 16777216",
         ),
@@ -175,19 +169,31 @@ def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
     [
         # 7^30000000 starts past the sum's cap, so its power of 7 is not computed
         (["--field", "padic", "--p", "7", "eval", "1 + O(7^5) + 7^30000000"], "1 + O(7^5) (v=0)"),
-        # the rational root search factors 10^20 = 2^20 * 5^20
+        # the rational root search factors no integer, so coefficients with
+        # huge or many prime factors cost it no trial division
         (["decide", "EX x:K. x = 100000000000000000000"], "TRUE"),
         (["decide", "EX x:K. x^2 = 100000000000000000000"], "TRUE"),
         (["decide", "EX x:K. 3*x = 100000000000000000000"], "TRUE"),
         # a linear equation is solved by one division, with no factoring
         (["decide", f"EX x:K. x = {1048583 * 1048589}"], "TRUE"),
+        # 1048583 and 1048589 are primes above 2^20, and their product is
+        # not a square
+        (["decide", f"EX x:K. x^2 = {1048583 * 1048589}"], "FALSE"),
+        # 1099532599387 is a 41-bit prime
+        (["decide", "EX x:K. (x - 1/1099532599387)*(x - 2) = 0"], "TRUE"),
+        (["decide", "EX x:K. x^2 = 1099532599387^2"], "TRUE"),
+        (["decide", "EX x:K. 963761198400*x^2 = 182568275710689562381"], "FALSE"),
+        (["decide", "EX x:K. x^2 = 2^200*3^100*5^50*7^30*11^20"], "TRUE"),
+        # None: any stdout, with exit code 0 and nothing on stderr
+        (["decompose", "--poly", "x^2 - 1099532599387"], None),
     ],
 )
 def test_hostile_input_is_answered_in_bounded_time(capsys, argv, answer):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
     assert time.perf_counter() - start < 5
-    assert (code, out, err) == (0, answer + "\n", "")
+    assert (code, err) == (0, "")
+    assert answer is None or out == answer + "\n"
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -5,6 +5,7 @@ from fractions import Fraction
 import gcd_reference
 import horner_reference
 import pytest
+import residue_roots_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from hqe.hensel import _roots_in_O, field_roots
 from hqe.poly import (
     RESIDUE_SCAN_MAX_P,
     Poly,
-    _divisors,
     _strip_content,
     coeff_images,
     derivative,
@@ -264,6 +264,7 @@ def _residue_roots_by_fractions(cs):
     every num/den with num | a_0 and den | a_d, both signs."""
     from math import lcm
 
+    divisors = residue_roots_reference.divisors
     cs = [Fraction(c) for c in cs]
     while cs and cs[-1] == 0:
         cs.pop()
@@ -274,8 +275,8 @@ def _residue_roots_by_fractions(cs):
     if len(cs) > 1:
         mult = lcm(*[c.denominator for c in cs])
         ics = [int(c * mult) for c in cs]
-        for num in _divisors(abs(ics[0])):
-            for den in _divisors(abs(ics[-1])):
+        for num in divisors(abs(ics[0])):
+            for den in divisors(abs(ics[-1])):
                 for cand in (Fraction(num, den), Fraction(-num, den)):
                     if sum(c * cand**i for i, c in enumerate(cs)) == 0:
                         roots.add(cand)
@@ -285,23 +286,91 @@ def _residue_roots_by_fractions(cs):
 _small_rational = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 6))
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    data=st.data(),
-    roots=st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), max_size=3),
-    scale=st.integers(1, 6),
-)
-def test_residue_roots_matches_fraction_search(data, roots, scale):
-    # a random factor times planted rational roots, so that roots exist
-    cs = data.draw(st.lists(_small_rational, min_size=1, max_size=4))
+def _times_root(cs, r):
+    """The coefficients of (x - r) * sum cs[i] x^i."""
+    cs = [Fraction(0)] + list(cs)
+    for i in range(len(cs) - 1):
+        cs[i] -= r * cs[i + 1]
+    return cs
+
+
+@st.composite
+def _planted_residue_polys(draw):
+    """A random factor with small rational coefficients times up to three
+    planted small rational roots, scaled, so that roots exist."""
+    cs = draw(st.lists(_small_rational, min_size=1, max_size=4))
     if not any(cs):
         cs[-1] = Fraction(1)
-    for r in roots:
-        cs = [Fraction(0)] + cs
-        for i in range(len(cs) - 1):
-            cs[i] -= r * cs[i + 1]
-    cs = [c * scale for c in cs]
+    for r in draw(st.lists(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)), max_size=3)):
+        cs = _times_root(cs, r)
+    scale = draw(st.integers(1, 6))
+    return [c * scale for c in cs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=_planted_residue_polys())
+def test_residue_roots_matches_fraction_search(cs):
     assert residue_roots(Field.laurent(), cs) == _residue_roots_by_fractions(cs)
+
+
+# 1048583 and 1048589 are primes above the reference's trial-division bound
+# 2^20, and their product is not prime, so the divisor search refuses it
+_UNFACTORED_ROOT = Fraction(1, 1048583 * 1048589)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cs=_planted_residue_polys(), unfactored=st.booleans())
+def test_residue_roots_matches_divisor_search_reference(cs, unfactored):
+    """The l-adic search returns the frozen divisor search's roots, and it
+    answers where that search refuses a leading coefficient it cannot
+    factor: there the roots are the reference's plus the planted one."""
+    expected = residue_roots_reference.residue_roots(cs)
+    if unfactored:
+        cs = _times_root(cs, _UNFACTORED_ROOT)
+        with pytest.raises(PreconditionViolated, match="cannot factor"):
+            residue_roots_reference.residue_roots(cs)
+        expected = sorted(set(expected) | {_UNFACTORED_ROOT})
+    assert residue_roots(Field.laurent(), cs) == expected
+
+
+_wide_root = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.lists(_wide_root, min_size=1, max_size=3),
+    repeats=st.lists(st.integers(0, 2), max_size=2),
+    cofactor=st.lists(_small_rational, min_size=1, max_size=3),
+)
+def test_residue_roots_finds_planted_wide_roots(roots, repeats, cofactor):
+    """Planted roots with numerators and denominators up to 2^64, some of
+    them repeated, times a small cofactor: a short lift misreads them, and a
+    prime dividing the leading coefficient or one at which the squarefree
+    part collapses misses or breaks them."""
+    if not any(cofactor):
+        cofactor[-1] = Fraction(1)
+    cs = cofactor
+    for r in roots + [roots[i % len(roots)] for i in repeats]:
+        cs = _times_root(cs, r)
+    expected = sorted(set(roots) | set(residue_roots_reference.residue_roots(cofactor)))
+    start = time.perf_counter()
+    assert residue_roots(Field.laurent(), cs) == expected
+    assert time.perf_counter() - start < 1
+
+
+def test_residue_roots_skips_primes_where_roots_collide():
+    """30030 (x - 1)(x - 6469693231): 6469693230 is the product of the primes
+    up to 29, so the roots agree modulo each of them, and 30030 is the
+    product of the primes up to 13.  (30030 x - 30031)(x - c) is primitive
+    with leading coefficient 30030, so modulo a prime up to 13 it keeps only
+    the root c, and c = 30031/30030 modulo 17, 19, 23 and 29.  For both the
+    least usable prime is 31."""
+    cs = [30030 * c for c in _times_root(_times_root([Fraction(1)], 1), 1 + 6469693230)]
+    assert residue_roots(Field.laurent(), cs) == [1, 6469693231]
+    c = 129488 + 17 * 19 * 23 * 29 * 10**12
+    assert c * 30030 % (17 * 19 * 23 * 29) == 30031
+    cs = _times_root([Fraction(-30031), Fraction(30030)], c)
+    assert residue_roots(Field.laurent(), cs) == [Fraction(30031, 30030), c]
 
 
 def test_residue_roots_refuses_a_huge_prime():
