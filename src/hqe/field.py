@@ -30,22 +30,23 @@ evaluation and ``poly.taylor_shift`` chain them as ``a * b + c`` without
 building an element per step.  The precision rules live there: a product
 is known below min(A_a + v_b, v_a + A_b), a sum below the smaller cap;
 leading digits that cancel are stripped from a sum, and a sum whose known
-digits all cancel is the order bound at its cap.  No fraction is reduced
-on the way: an exact number has many forms, and ``_from_form`` makes the
-one element built from a result canonical.  ``val_diff`` decides
+digits all cancel is the order bound at its cap.  A fraction is reduced on
+the way only in a product whose denominator has grown past
+``REDUCE_DEN_BITS``: an exact number has many forms, and ``_from_form``
+makes the one element built from a result canonical.  ``val_diff`` decides
 v(x - c) >= r on the same tuples, from the digits below r; balls, cells,
 roots and decisions all ask it.
 
 ``str`` prints an element as a field term of ``hqe.formula``'s grammar,
 and ``Field.parse`` reads one back: any field term with no variables,
 evaluated, such as ``1 + -1*t^2 + O(t^8)`` or ``3/2 + O(7^10)``, where
-``O(t^k)`` is an element known only to have valuation at least k.  The
-parsers share one lexer, ``_Tokens``.
+``O(t^k)`` is an element known only to have valuation at least k.  Every
+text the toolkit reads goes through the one lexer and parser of
+``hqe.formula``.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -80,6 +81,13 @@ FINGERPRINT_T = 0x2545F4914F6CDD1D % FINGERPRINT_PRIME
 # t^-50000000 + t^50000000 would fill memory across its span: the kernel
 # refuses to allocate a vector longer than this
 MAX_DIGIT_SPAN = 1 << 11
+
+
+# a laurent-q product's denominator is the product of its operands', so a
+# Horner chain would carry den^k after k steps: a product whose denominator
+# is longer than this many bits divides out what it shares with its digits
+# (doing so on every denominator costs more than it saves at bench sizes)
+REDUCE_DEN_BITS = 256
 
 
 # an exact padic sum builds p^s for the valuation gap s of its terms, so a
@@ -269,7 +277,8 @@ def _num_den(x) -> tuple:
     """(numerator, denominator) of a rational x in lowest terms."""
     if type(x) is int:
         return x, 1
-    x = Fraction(x)
+    if type(x) is not Fraction:
+        x = Fraction(x)
     return x.numerator, x.denominator
 
 
@@ -890,7 +899,13 @@ def _lmul(a, b, p=None):
     digits = _lconv(ua, ub, n)
     while not digits[-1]:
         digits.pop()
-    return (va + vb, digits, da * db, cap)
+    den = da * db
+    if den.bit_length() > REDUCE_DEN_BITS:
+        g = gcd(den, *digits)
+        if g > 1:
+            den //= g
+            digits = [c // g for c in digits]
+    return (va + vb, digits, den, cap)
 
 
 def _ladd(a, b, p=None):
@@ -1038,112 +1053,3 @@ def format_elem(x: FieldElem) -> str:
             den *= f.p ** -x.v
         s = decimal(Fraction(num, den))
     return f"{s} + {tail}" if tail else s
-
-
-# one lexer for all input text: a run of decimal digits, any other run of
-# word characters, or one other character; whitespace separates tokens
-_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
-_DIGITS, _WORD = 1, 2
-
-
-class _Tokens:
-    """A cursor over the tokens of one input text, lexed in one pass.
-
-    ``pos`` is where the current token starts (``len(text)`` past the last
-    one).  ``at``, ``eat`` and ``expect`` match a string from there, so a
-    string that spans tokens (``rv[``, ``->``) needs them adjacent.  One
-    that ends inside a word (``t`` of ``O(tx``, ``inf`` of ``{infx``) leaves
-    the cursor there, where no token starts, and the string the grammar
-    expects next fails to match, as it did on the characters.  A sign
-    belongs to a number only right before its digits.
-    """
-
-    __slots__ = ("text", "pos", "_spans", "_next")
-
-    def __init__(self, text: str):
-        self.text = text
-        self._spans = spans = {}  # token start -> (end, kind)
-        self._next = nxt = {}  # token end -> start of the next token
-        end = 0
-        for m in _TOKEN.finditer(text):
-            start = nxt[end] = m.start()
-            end = m.end()
-            spans[start] = (end, m.lastindex)
-        nxt[end] = len(text)
-        self.pos = nxt[0]
-
-    def char(self) -> str:
-        """The character at the cursor, "" past the last token."""
-        return self.text[self.pos : self.pos + 1]
-
-    def at(self, s: str) -> bool:
-        return self.text.startswith(s, self.pos)
-
-    def eat(self, s: str) -> bool:
-        if not self.text.startswith(s, self.pos):
-            return False
-        end = self.pos + len(s)
-        self.pos = self._next.get(end, end)
-        return True
-
-    def expect(self, s: str):
-        if not self.eat(s):
-            raise FormulaSyntaxError(f"expected {s!r}", self.pos)
-
-    def peek(self) -> str:
-        """The run of word characters or digits at the cursor, else ""."""
-        end, kind = self._spans.get(self.pos, (self.pos, 0))
-        return self.text[self.pos : end] if kind in (_DIGITS, _WORD) else ""
-
-    def word(self) -> str:
-        """An identifier: a run of word characters (digits included)."""
-        start = end = self.pos
-        while self.pos == end:
-            tok_end, kind = self._spans.get(self.pos, (self.pos, 0))
-            if kind not in (_DIGITS, _WORD):
-                break
-            end = tok_end
-            self.pos = self._next[end]
-        if end == start:
-            raise FormulaSyntaxError("expected identifier", start)
-        return self.text[start:end]
-
-    def _number_end(self):
-        """Where the integer at the cursor ends, None if there is none."""
-        q = self.pos + self.text.startswith(("+", "-"), self.pos)
-        end, kind = self._spans.get(q, (q, 0))
-        return end if kind == _DIGITS else None
-
-    def number_next(self) -> bool:
-        """Whether a number literal starts here: digits, or "-" right before them."""
-        return not self.at("+") and self._number_end() is not None
-
-    def integer(self) -> int:
-        start, end = self.pos, self._number_end()
-        if end is None:
-            raise FormulaSyntaxError("expected integer", start)
-        self.pos = self._next[end]
-        try:
-            return int(self.text[start:end])
-        except ValueError:  # more digits than the interpreter converts
-            raise PreconditionViolated(f"integer literal of {end - start} characters is too long") from None
-
-    def order(self) -> int:
-        return bounded_order(self.integer())
-
-    def rational(self) -> Fraction:
-        num = self.integer()
-        save = self.pos
-        if self.eat("/"):
-            try:
-                den = self.integer()
-            except FormulaSyntaxError:
-                self.pos = save
-                return Fraction(num)
-            if den <= 0:
-                raise FormulaSyntaxError("denominator must be positive", save)
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def done(self) -> bool:
-        return self.pos >= len(self.text)

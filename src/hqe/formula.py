@@ -35,9 +35,12 @@ the toolkit reads:
     int     := ["+" | "-"] digits         d := int, 0 <= d < MAX_DIGIT_SPAN
     ident   := a run of letters, digits and "_"
 
-Whitespace separates tokens and is otherwise ignored; the input is lexed
-once (``field._Tokens``).  A sign belongs to a number only right before its
-digits, so ``x-1`` is a subtraction and ``(-588)`` a literal.  ``O(t^k)``
+Whitespace separates tokens and is otherwise ignored.  The parser lexes the
+input once into a flat token list and reads each token once, terms by
+precedence climbing; a "(" that starts an atom is settled by the token after
+its ")", and one explicit count bounds nesting.  A sign belongs to a number
+only right before its digits, so ``x-1`` is a subtraction and ``(-588)`` a
+literal.  ``O(t^k)``
 is an element known only to have valuation at least k, so ``1 + t + O(t^3)``
 is 1 + t known to three digits.  A field literal, as ``Field.parse`` reads
 it, is a field term with no variables: ``1 + -1*t^2 + O(t^8)``,
@@ -53,23 +56,27 @@ the elimination's pass-through) reads them through ``children`` and
 ``with_children``.
 
 A node keeps two things it would otherwise recompute, each for as long as
-the node lives.  Its hash is computed once, in ``__post_init__`` when the
-node is built, from its class and fields; a subnode's hash is already
-stored there, so this is one step per node, and every node class uses it
-in place of the dataclass's recursive ``__hash__``.  Its free variables
-are computed by the first ``free_vars`` call that reaches it, one stack
-frame per nesting level, and kept.  No table of nodes is kept: equal
-nodes built apart stay distinct objects that hash and compare alike.
+the node lives.  Its hash is computed once, by ``__init__`` when the node
+is built, from its class and fields; a subnode's hash is already stored
+there, so this is one step per node, and every node class uses it in place
+of the dataclass's recursive ``__hash__``.  Its free variables are computed
+by the first ``free_vars`` call that reaches it, one stack frame per nesting
+level, and kept.  No table of nodes outlives a parse, which shares the node
+of a repeated literal or v(...) term: equal nodes built apart stay distinct
+objects that hash and compare alike.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from dataclasses import dataclass, replace
-from operator import attrgetter, is_
+from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import is_
 
-from .errors import FormulaSyntaxError, OrderMismatch
-from .field import LAURENT, Field, FieldElem, _Tokens
+from .errors import FormulaSyntaxError, OrderMismatch, PreconditionViolated
+from .field import LAURENT, Field, FieldElem, bounded_order
 from .rv import RVElem, parse_rv_scan
 
 # ---- nodes ----------------------------------------------------------------
@@ -89,14 +96,13 @@ class Node:
     def __init_subclass__(cls, kids=(), **kw):
         super().__init_subclass__(**kw)
         cls._kids = kids
-        # the class and the fields @dataclass makes of the class body's
-        # annotations; a __hash__ of the class's own keeps @dataclass from
-        # adding its recursive one
-        cls._key = attrgetter("__class__", *cls.__dict__.get("__annotations__", ()))
-        cls.__hash__ = Node.__hash__
-
-    def __post_init__(self):
-        self.__dict__["_hash"] = hash(self._key(self))
+        # an __init__ and a __hash__ of the class's own, which @dataclass keeps:
+        # one stores and hashes the fields once, the other reads that hash
+        names = cls.__dict__.get("__annotations__", ())
+        args, stores = "".join(f"{n}, " for n in names), "".join(f"d[{n!r}] = {n}; " for n in names)
+        scope = {"cls": cls}
+        exec(f"def __init__(self, {args}):\n    d = self.__dict__; {stores}d['_hash'] = hash((cls, {args}))", scope)
+        cls.__init__, cls.__hash__ = scope["__init__"], Node.__hash__
 
     def __hash__(self):
         return self._hash
@@ -277,32 +283,26 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-def conj(args):
-    args = [a for a in args if not isinstance(a, TrueF)]
-    if any(isinstance(a, FalseF) for a in args):
-        return FALSE
+def _join(args, cls, unit, absorbing):
+    """cls over args, flattened, with the unit dropped and the absorbing
+    element absorbing."""
+    args = [a for a in args if not isinstance(a, type(unit))]
+    if any(isinstance(a, type(absorbing)) for a in args):
+        return absorbing
     flat = []
     for a in args:
-        flat.extend(a.args if isinstance(a, And) else [a])
+        flat.extend(a.args if isinstance(a, cls) else [a])
     if not flat:
-        return TRUE
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+        return unit
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def conj(args):
+    return _join(args, And, TRUE, FALSE)
 
 
 def disj(args):
-    args = [a for a in args if not isinstance(a, FalseF)]
-    if any(isinstance(a, TrueF) for a in args):
-        return TRUE
-    flat = []
-    for a in args:
-        flat.extend(a.args if isinstance(a, Or) else [a])
-    if not flat:
-        return FALSE
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _join(args, Or, FALSE, TRUE)
 
 
 def neg(a):
@@ -528,335 +528,434 @@ def print_formula(phi, prec=0) -> str:
         return f"({s})" if prec > 3 else s
     if isinstance(phi, Not):
         return f"!{print_formula(phi.arg, 5)}"
-    if isinstance(phi, ExistsF):
-        s = f"EX {phi.var}:K. {print_formula(phi.body, 1)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(phi, ForallF):
-        s = f"ALL {phi.var}:K. {print_formula(phi.body, 1)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(phi, ExistsRV):
-        s = f"EX {phi.var}:RV[{phi.order}]. {print_formula(phi.body, 1)}"
-        return f"({s})" if prec > 1 else s
-    if isinstance(phi, ForallRV):
-        s = f"ALL {phi.var}:RV[{phi.order}]. {print_formula(phi.body, 1)}"
+    if isinstance(phi, _BINDERS):
+        sort = "K" if isinstance(phi, (ExistsF, ForallF)) else f"RV[{phi.order}]"
+        q = "EX" if isinstance(phi, (ExistsF, ExistsRV)) else "ALL"
+        s = f"{q} {phi.var}:{sort}. {print_formula(phi.body, 1)}"
         return f"({s})" if prec > 1 else s
     raise TypeError(f"not a formula: {phi!r}")
 
 
 # ---- parsing ----------------------------------------------------------------
 
+# The lexer: one regular expression splits the text into a flat list of
+# tokens (a run of decimal digits, any other run of word characters, or one
+# other character, the grammar's own tried first) and the whitespace between
+# them; ASCII classes split ASCII text alike, faster.  A string read as a
+# unit (``rv[``, ``->``, a number with its sign) is tokens with no
+# whitespace between them.
+_TOKEN = re.compile(r"([-+*^/()<>=!&|.,:;\[\]{}]|\d+|\w+|\S)")
+_ASCII_TOKEN = re.compile(_TOKEN.pattern, re.ASCII)
+_WORD = re.compile(r"\w").match
 
-# A chain a + b + ... (or a * b * ..., or an RV product) is read in a loop
-# but builds a left-nested tree, which every later walk recurses through,
-# at most two frames a level.  So each link on a term's deepest path counts
-# as _LINK_FRAMES frames toward the recursion bound that limits nesting,
-# and a chain past that bound is nested too deeply, as deep parentheses are.
-_LINK_FRAMES = 3
+# An atom that starts with "(" and is no "(v(" is read as a field term, not
+# tried as a formula first, when the token after its ")" goes on with a term
+# (none after a formula does) and nothing inside could start a formula: no
+# equation, bracket, quantifier, negation, truth value or RV-sorted variable.
+_TERM_GOES_ON = frozenset("+-*^=")
+_NOT_IN_TERMS = frozenset(("=", "[", ":", "!", "true", "false"))
+
+# Nesting is bounded by one explicit count, ``depth``: the cost of the
+# constructs open at the cursor.  A chain a + b + ... (or a * b * ..., or an
+# RV product) builds a left-nested tree, which every later walk recurses
+# through, so each link on a term's deepest path (its ``height``) costs
+# _LINK on top, and a walk that reaches an atom needs _ATOM more below it.  A
+# parse may spend the frames that the recursion limit leaves below its
+# caller, less _MARGIN for the walks that follow it.
+_LINK, _ATOM, _QUANT, _PARENS, _FIELD_PARENS, _RV_PARENS, _MARGIN = 3, 12, 4, 5, 4, 3, 6
 
 
-def _stack_depth() -> int:
-    frame, n = sys._getframe(1), 0
-    while frame is not None:
-        frame, n = frame.f_back, n + 1
-    return n
+class _Parser:
+    """Reads each token once, from a flat list: ``toks[i]`` is token i and
+    ``gaps[i]`` the whitespace before it, and a last token "" ends the text."""
 
-
-class _FormulaParser:
     def __init__(self, field: Field, text: str, rv_vars=None):
         self.field = field
-        self.sc = _Tokens(text)
+        split = (_ASCII_TOKEN if text.isascii() else _TOKEN).split(text)
+        self.gaps, self.toks = split[::2], split[1::2] + [""]
+        self.i = self.depth = self.room = self.height = 0
         self.sorts = dict(rv_vars or {})  # name -> order for RV, None for K
-        self.links = 0  # chain links on the deepest path of the last term read
+        self.levels = None  # the parenthesis depth after each token, once asked
+        self.memo = {}  # see ``vterm``; for one scope
+        self.lits = {}  # the node of each literal read, by its value ("t" for t)
 
-    def _chain(self, links: int, frames: int | None) -> tuple:
-        """(links + 1, frames): one more link on a chain whose deepest path
-        had ``links`` links, read at stack depth ``frames`` (None: not yet
-        measured); RecursionError once the links pass the bound."""
-        if frames is None:
-            frames = _stack_depth()
-        if frames + _LINK_FRAMES * (links + 1) > sys.getrecursionlimit():
-            raise RecursionError("chain nested too deeply")
-        return links + 1, frames
+    def pos(self, k=None) -> int:
+        """Where token k (by default the current one) starts in the text."""
+        k = self.i if k is None else k
+        return sum(map(len, self.gaps[: k + 1])) + sum(map(len, self.toks[:k]))
 
     def fail(self, msg):
-        raise FormulaSyntaxError(msg, self.sc.pos)
+        raise FormulaSyntaxError(msg, self.pos())
+
+    def at(self, first: str, second: str, i=None) -> bool:
+        """Whether first + second starts at token i (by default the current one)."""
+        i = self.i if i is None else i
+        return self.toks[i] == first and self.toks[i + 1] == second and not self.gaps[i + 1]
+
+    def expect(self, first: str, second=""):
+        """Read first, or the string first + second."""
+        if not (self.at(first, second) if second else self.toks[self.i] == first):
+            self.fail(f"expected {first + second!r}")
+        self.i += 2 if second else 1
+
+    def deeper(self, cost: int):
+        self.depth += cost
+        if self.depth > self.room:
+            raise RecursionError("nested too deeply")
+
+    def link(self, height: int) -> int:
+        """The height of a chain one link longer, its new operand the last term read."""
+        height = max(height, self.height) + 1
+        if self.depth + _LINK * height > self.room:
+            raise RecursionError("chain nested too deeply")
+        return height
+
+    def number(self, i: int) -> int:
+        """How many tokens the integer at token i spans, 0 if none starts there."""
+        if self.toks[i].isdecimal():
+            return 1
+        return 2 if self.toks[i] in ("-", "+") and self.toks[i + 1].isdecimal() and not self.gaps[i + 1] else 0
+
+    def integer(self) -> int:
+        i = self.i
+        n = 1 if self.toks[i].isdecimal() else self.number(i)
+        if not n:
+            self.fail("expected integer")
+        text = "".join(self.toks[i : i + n])
+        self.i = i + n
+        try:
+            return int(text)
+        except ValueError:  # more digits than the interpreter converts
+            raise PreconditionViolated(f"integer literal of {len(text)} characters is too long") from None
+
+    def rational(self):
+        """An int, or a Fraction when a denominator follows."""
+        num, i = self.integer(), self.i
+        if self.toks[i] != "/" or not self.number(i + 1):
+            return num
+        self.i = i + 1
+        den = self.integer()
+        if den <= 0:
+            raise FormulaSyntaxError("denominator must be positive", self.pos(i))
+        return Fraction(num, den)
+
+    def word(self) -> str:
+        """An identifier: a run of word characters (digits included)."""
+        toks, i = self.toks, self.i
+        if not _WORD(toks[i]):
+            self.fail("expected identifier")
+        self.i += 2 if toks[i].isdecimal() and _WORD(toks[i + 1]) and not self.gaps[i + 1] else 1
+        return "".join(toks[i : self.i])
+
+    def closing(self, i: int):
+        """The index of the ")" that closes the "(" at token i, None if none does."""
+        if self.levels is None:
+            self.levels = list(accumulate(map({"(": 1, ")": -1}.get, self.toks, repeat(0))))
+        try:
+            return self.levels.index(self.levels[i] - 1, i + 1)
+        except ValueError:
+            return None
 
     # formulas ---------------------------------------------------------------
 
     def formula(self):
-        left = self.or_()
-        if self.sc.eat("->"):
-            return Implies(left, self.formula())
-        return left
-
-    def or_(self):
-        args = [self.and_()]
-        while self.sc.eat("|"):
-            args.append(self.and_())
-        return args[0] if len(args) == 1 else Or(tuple(args))
-
-    def and_(self):
-        args = [self.unary()]
-        while self.sc.eat("&"):
-            args.append(self.unary())
-        return args[0] if len(args) == 1 else And(tuple(args))
+        """One loop over "->", "|" and "&"; an implication nests to the right."""
+        toks, sides = self.toks, []
+        while True:
+            ors = []
+            while True:
+                ands = [self.unary()]
+                while toks[self.i] == "&":
+                    self.i += 1
+                    ands.append(self.unary())
+                ors.append(ands[0] if len(ands) == 1 else And(tuple(ands)))
+                if toks[self.i] != "|":
+                    break
+                self.i += 1
+            sides.append(ors[0] if len(ors) == 1 else Or(tuple(ors)))
+            if not self.at("-", ">"):
+                break
+            self.i += 2
+            self.deeper(1)
+        self.depth -= len(sides) - 1
+        out = sides.pop()
+        while sides:
+            out = Implies(sides.pop(), out)
+        return out
 
     def unary(self):
-        sc = self.sc
-        if sc.eat("!"):
-            return Not(self.unary())
-        quant = sc.peek()
-        if quant in ("EX", "ALL"):
-            sc.eat(quant)
-            exists = quant == "EX"
-            var = sc.word()
-            sc.expect(":")
-            if sc.peek() == "K":
-                sc.eat("K")
-                sc.expect(".")
-                old = self.sorts.get(var, "absent")
-                self.sorts[var] = None
-                body = self.formula()
-                self._restore(var, old)
-                return ExistsF(var, body) if exists else ForallF(var, body)
-            sc.expect("RV[")
-            order = sc.order()
-            sc.expect("]")
-            sc.expect(".")
-            old = self.sorts.get(var, "absent")
-            self.sorts[var] = order
-            body = self.formula()
-            self._restore(var, old)
-            return ExistsRV(var, order, body) if exists else ForallRV(var, order, body)
-        return self.atom()
+        toks, start = self.toks, self.i
+        while toks[self.i] == "!":
+            self.i += 1
+        bangs = self.i - start
+        self.deeper(bangs)
+        out = self.quant() if toks[self.i] in ("EX", "ALL") else self.atom()
+        self.depth -= bangs
+        for _ in range(bangs):
+            out = Not(out)
+        return out
 
-    def _restore(self, var, old):
-        if old == "absent":
-            self.sorts.pop(var, None)
+    def quant(self):
+        exists, order = self.toks[self.i] == "EX", None
+        self.i += 1
+        var = self.word()
+        self.expect(":")
+        if self.toks[self.i] == "K":
+            self.i += 1
         else:
-            self.sorts[var] = old
+            self.expect("RV", "[")
+            order = bounded_order(self.integer())
+            self.expect("]")
+        self.expect(".")
+        outer, self.memo = self.sorts, {}
+        self.sorts = {**outer, var: order}
+        self.deeper(_QUANT)
+        body = self.formula()
+        self.depth -= _QUANT
+        self.sorts, self.memo = outer, {}
+        if order is None:
+            return ExistsF(var, body) if exists else ForallF(var, body)
+        return ExistsRV(var, order, body) if exists else ForallRV(var, order, body)
 
     def atom(self):
-        sc = self.sc
-        word = sc.peek()
-        if word in ("true", "false"):
-            sc.eat(word)
-            return TRUE if word == "true" else FALSE
-        save = sc.pos
-        if sc.eat("("):
-            try:
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        if self.depth + _ATOM > self.room:
+            raise RecursionError("nested too deeply")
+        if tok == "true" or tok == "false":
+            self.i = i + 1
+            return TRUE if tok == "true" else FALSE
+        if tok == "(" and (self.at("v", "(", i + 1) or not self.term_in_parens(i)):
+            depth = self.depth
+            try:  # a parenthesized formula, or else a field term
+                self.i = i + 1
+                self.deeper(_PARENS)
                 inner = self.formula()
-                sc.expect(")")
+                self.expect(")")
+                self.depth = depth
                 return inner
             except FormulaSyntaxError:
-                sc.pos = save  # a parenthesized field term instead
-        if sc.eat("oplus["):
-            order = sc.order()
-            sc.expect("]")
-            sc.expect("(")
-            a = self.rvterm()
-            sc.expect(",")
-            b = self.rvterm()
-            sc.expect(",")
-            c = self.rvterm()
-            sc.expect(")")
-            return OplusA(order, a, b, c)
-        if sc.eat("v("):
+                self.i, self.depth = i, depth
+        if tok == "v" and self.at("v", "("):
+            left, op, right = self.vterm(), self.vop(), self.vterm()
+            return VComp("<" + op[1:], right, left) if op[0] == ">" else VComp(op, left, right)
+        if tok == "oplus" and self.at("oplus", "["):
+            self.i += 2
+            order = bounded_order(self.integer())
+            self.expect("]")
+            args = []
+            for sep in "(,,":
+                self.expect(sep)
+                args.append(self.rvterm())
+            self.expect(")")
+            return OplusA(order, *args)
+        if self.at_rvterm():
             left = self.rvterm()
-            sc.expect(")")
-            op = self._vop()
-            sc.expect("v(")
-            right = self.rvterm()
-            sc.expect(")")
-            return self._vcomp(op, left, right)
-        if self._at_rvterm():
-            left = self.rvterm()
-            sc.expect("=")
-            right = self.rvterm()
-            return RVEq(left, right)
+            self.expect("=")
+            return RVEq(left, self.rvterm())
         left = self.fterm()
-        if sc.eat("="):
-            right = self.fterm()
-            if isinstance(right, FLit) and right.value.is_zero:
-                return PolyZero(left)
-            return PolyZero(FAdd(left, FNeg(right)))
-        self.fail("expected an atom")
+        if toks[self.i] != "=":
+            self.fail("expected an atom")
+        self.i += 1
+        right = self.fterm()
+        if isinstance(right, FLit) and right.value.is_zero:
+            return PolyZero(left)
+        return PolyZero(FAdd(left, FNeg(right)))
 
-    def _vop(self):
-        for op in ("<=", "!=", "=", "<", ">=", ">"):
-            if self.sc.eat(op):
-                return op
-        self.fail("expected a value comparison")
+    def term_in_parens(self, i: int) -> bool:
+        j = self.closing(i)
+        if j is None or self.toks[j + 1] not in _TERM_GOES_ON or self.at("-", ">", j + 1):
+            return False
+        inside, sorts = self.toks[i + 1 : j], self.sorts
+        return _NOT_IN_TERMS.isdisjoint(inside) and not (sorts and any(sorts.get(t) is not None for t in inside))
 
-    @staticmethod
-    def _vcomp(op, left, right):
-        if op == ">":
-            return VComp("<", right, left)
-        if op == ">=":
-            return VComp("<=", right, left)
-        return VComp(op, left, right)
+    def vterm(self):
+        """v(rvterm), its rv term read once per scope: a repeat of its tokens
+        at no greater depth shares the node read first."""
+        self.expect("v", "(")
+        i, j = self.i, self.closing(self.i - 1)
+        key = j and (*self.toks[i:j], *self.gaps[i + 1 : j])
+        seen = self.memo.get(key)
+        if seen is not None and seen[3] >= self.depth:
+            out, n, self.height, _ = seen
+            self.i += n
+        else:
+            out = self.rvterm()
+            if key:
+                self.memo[key] = out, self.i - i, self.height, self.depth
+        self.expect(")")
+        return out
 
-    def _at_rvterm(self):
-        sc = self.sc
-        if sc.at("rv[") or sc.at("proj[") or sc.at("sum["):
+    def vop(self) -> str:
+        tok = self.toks[self.i]
+        n = 2 if tok in ("<", ">", "!") and self.at(tok, "=") else int(tok in ("<", ">", "="))
+        if not n:
+            self.fail("expected a value comparison")
+        self.i += n
+        return tok + "=" * (n - 1)
+
+    def at_rvterm(self) -> bool:
+        tok = self.toks[self.i]
+        if tok in ("rv", "proj", "sum") and self.at(tok, "["):
             return True
         # an identifier bound to an RV sort
-        name = sc.peek()
-        return bool(name) and self.sorts.get(name, None) is not None and not name[0].isdigit()
+        return self.sorts.get(tok) is not None and _WORD(tok) and not tok[0].isdigit()
 
     # rv terms -----------------------------------------------------------------
 
     def rvterm(self):
+        """rvterm := rvfac ("*" rvfac)*: one loop."""
         left = self.rvfactor()
-        links, frames = self.links, None
-        while self.sc.eat("*"):
+        height = self.height
+        while self.toks[self.i] == "*":
+            self.i += 1
             left = RVMulT(left, self.rvfactor())
-            links, frames = self._chain(max(links, self.links), frames)
-        self.links = links
+            height = self.link(height)
+        self.height = height
         return left
 
     def rvfactor(self):
-        base = self.rvprimary()
-        if self.sc.eat("^"):
-            return RVPowT(base, self.sc.integer())
+        toks, i = self.toks, self.i
+        tok = toks[i]
+        self.height = 0
+        if tok in ("rv", "proj", "sum") and self.at(tok, "["):
+            self.i = i + 2
+            order = bounded_order(self.integer())
+            self.expect("]")
+            if tok == "rv" and toks[self.i] == "{":
+                base = RVLitT(parse_rv_scan(self, order))
+            elif tok == "rv":
+                self.expect("(")
+                base = RVOf(order, self.fterm())
+                self.expect(")")
+            else:
+                self.expect("(")
+                self.deeper(_RV_PARENS)
+                args, height = [self.rvterm()], self.height
+                while tok == "sum" and toks[self.i] == ",":
+                    self.i += 1
+                    args.append(self.rvterm())
+                    height = max(height, self.height)
+                self.depth -= _RV_PARENS
+                self.height = height
+                self.expect(")")
+                base = RVProjT(order, args[0]) if tok == "proj" else RVSumT(order, tuple(args))
+        elif tok == "(":
+            self.i = i + 1
+            self.deeper(_RV_PARENS)
+            base = self.rvterm()
+            self.depth -= _RV_PARENS
+            self.expect(")")
+        else:
+            name = self.word()
+            if self.sorts.get(name) is None:
+                self.fail(f"{name} is not an RV-sorted variable")
+            base = RVVarT(name, self.sorts[name])
+        if toks[self.i] == "^":
+            self.i += 1
+            return RVPowT(base, self.integer())
         return base
-
-    def rvprimary(self):
-        sc = self.sc
-        save = sc.pos
-        if sc.eat("rv["):
-            order = sc.order()
-            sc.expect("]")
-            if sc.at("{"):
-                sc.pos = save
-                self.links = 0
-                return RVLitT(parse_rv_scan(self.field, sc))
-            sc.expect("(")
-            arg = self.fterm()
-            sc.expect(")")
-            return RVOf(order, arg)
-        if sc.eat("proj["):
-            order = sc.order()
-            sc.expect("]")
-            sc.expect("(")
-            arg = self.rvterm()
-            sc.expect(")")
-            return RVProjT(order, arg)
-        if sc.eat("sum["):
-            order = sc.order()
-            sc.expect("]")
-            sc.expect("(")
-            args = [self.rvterm()]
-            links = self.links
-            while sc.eat(","):
-                args.append(self.rvterm())
-                links = max(links, self.links)
-            sc.expect(")")
-            self.links = links
-            return RVSumT(order, tuple(args))
-        if sc.eat("("):
-            inner = self.rvterm()
-            sc.expect(")")
-            return inner
-        name = sc.word()
-        order = self.sorts.get(name)
-        if order is None:
-            self.fail(f"{name} is not an RV-sorted variable")
-        self.links = 0
-        return RVVarT(name, order)
 
     # field terms ----------------------------------------------------------------
 
     def fterm(self):
-        # each loop reads the character at the cursor once, and probes only
-        # the strings that start with it
-        sc = self.sc
-        negate = sc.char() == "-" and not sc.number_next() and sc.eat("-")
-        left = self.fprod()
-        if negate:
-            left = FNeg(left)
-        links, frames = self.links, None
+        """fterm := ["-"] fprod (("+" | "-") fprod)*, fprod := ffac ("*" ffac)*:
+        one loop, a product at a time."""
+        toks, gaps = self.toks, self.gaps
+        negate = toks[self.i] == "-" and not self.number(self.i)
+        self.i += negate
+        total = None
         while True:
-            c = sc.char()
-            if c == "+":
-                sc.eat("+")
-                left = FAdd(left, self.fprod())
-            elif c == "-" and not sc.at("->"):
-                sc.eat("-")
-                left = FAdd(left, FNeg(self.fprod()))
+            prod = self.ffactor()
+            prod_height = self.height
+            while toks[self.i] == "*":
+                self.i += 1
+                prod = FMul(prod, self.ffactor())
+                prod_height = self.link(prod_height)
+            if negate:
+                prod = FNeg(prod)
+            if total is None:
+                total, height = prod, prod_height
             else:
-                break
-            links, frames = self._chain(max(links, self.links), frames)
-        self.links = links
-        return left
-
-    def fprod(self):
-        sc = self.sc
-        left = self.ffactor()
-        links, frames = self.links, None
-        while sc.char() == "*":
-            sc.eat("*")
-            left = FMul(left, self.ffactor())
-            links, frames = self._chain(max(links, self.links), frames)
-        self.links = links
-        return left
+                total, self.height = FAdd(total, prod), prod_height
+                height = self.link(height)
+            i = self.i
+            if toks[i] == "+":
+                negate = False
+            elif toks[i] == "-" and (toks[i + 1] != ">" or gaps[i + 1]):
+                negate = True
+            else:
+                self.height = height
+                return total
+            self.i = i + 1
 
     def ffactor(self):
-        sc = self.sc
-        base = self.fprimary()
-        if sc.char() == "^":
-            sc.eat("^")
-            return FPow(base, sc.integer())
+        toks, i, field, lits = self.toks, self.i, self.field, self.lits
+        tok = toks[i]
+        self.height = 0
+        if tok == "(":
+            self.i = i + 1
+            self.deeper(_FIELD_PARENS)
+            base = self.fterm()
+            self.depth -= _FIELD_PARENS
+            self.expect(")")
+        elif tok.isdecimal() or tok == "-" and self.number(i):
+            q = self.rational()
+            key = q if type(q) is int else (q.numerator, q.denominator)  # a Fraction hashes slowly
+            base = lits.get(key) or lits.setdefault(key, FLit(field.from_rational(q)))
+        elif tok == "O" and self.at("O", "("):
+            self.i = i + 2
+            if field.backend == LAURENT:
+                if toks[self.i] != "t" and toks[self.i][:1] == "t":  # "t" matches, then "^" is missing
+                    raise FormulaSyntaxError("expected '^'", self.pos() + 1)
+                self.expect("t")
+            else:
+                p = self.integer()
+                if p != field.p:
+                    self.fail(f"precision base {p} differs from p = {field.p}")
+            self.expect("^")
+            k = self.integer()
+            self.expect(")")
+            base = FLit(field.small(k))
+        else:
+            name = self.word()
+            if name == "t" and field.backend == LAURENT and name not in self.sorts:
+                base = lits.get("t") or lits.setdefault("t", FLit(field.uniformizer()))
+            elif self.sorts.get(name) is not None:
+                self.fail(f"{name} is RV-sorted, expected a field term")
+            else:
+                base = FVar(name)
+        if toks[self.i] == "^":
+            self.i += 1
+            return FPow(base, self.integer())
         return base
 
-    def fprimary(self):
-        sc = self.sc
-        c = sc.char()
-        if c == "(":
-            sc.eat("(")
-            inner = self.fterm()
-            sc.expect(")")
-            return inner
-        if c == "O" and sc.eat("O("):
-            if self.field.backend == LAURENT:
-                sc.expect("t")
-            else:
-                base = sc.integer()
-                if base != self.field.p:
-                    self.fail(f"precision base {base} differs from p = {self.field.p}")
-            sc.expect("^")
-            k = sc.integer()
-            sc.expect(")")
-            self.links = 0
-            return FLit(self.field.small(k))
-        self.links = 0
-        if sc.number_next():
-            return FLit(self.field.from_rational(sc.rational()))
-        name = sc.word()
-        if name == "t" and self.field.backend == LAURENT and name not in self.sorts:
-            return FLit(self.field.uniformizer())
-        if self.sorts.get(name, None) is not None:
-            self.fail(f"{name} is RV-sorted, expected a field term")
-        return FVar(name)
 
-
-def _parse(field: Field, text: str, rv_vars, rule, what: str):
-    p = _FormulaParser(field, text, rv_vars)
+def _parse(field: Field, text: str, rv_vars, rule, what: str, where="after"):
+    p = _Parser(field, text, rv_vars)
+    frame, p.room = sys._getframe(), sys.getrecursionlimit() - _MARGIN
+    while frame is not None:
+        frame, p.room = frame.f_back, p.room - 1
     try:
         out = rule(p)
     except RecursionError:
         raise FormulaSyntaxError(f"{what} nested too deeply") from None
-    if not p.sc.done():
-        raise FormulaSyntaxError(f"trailing input after {what}", p.sc.pos)
+    if p.toks[p.i]:
+        raise FormulaSyntaxError(f"trailing input {where} {what}", p.pos())
     return out
 
 
 def parse_formula(field: Field, text: str, rv_vars=None):
-    return _parse(field, text, rv_vars, _FormulaParser.formula, "formula")
+    return _parse(field, text, rv_vars, _Parser.formula, "formula")
 
 
 def parse_field_term(field: Field, text: str):
-    return _parse(field, text, None, _FormulaParser.fterm, "term")
+    return _parse(field, text, None, _Parser.fterm, "term")
+
+
+def parse_rv_class(field: Field, text: str):
+    """A leading-term class, rv[d]{...}, as ``rv.parse_rv`` reads it."""
+    return _parse(field, text, None, parse_rv_scan, "rv literal", "in")
 
 
 def normalize(field: Field, text: str, rv_vars=None) -> str:

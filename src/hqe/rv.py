@@ -21,7 +21,7 @@ from .errors import (
     OrderViolation,
     PrecisionExhausted,
 )
-from .field import LAURENT, Field, FieldElem, Residue, _Tokens, decimal
+from .field import LAURENT, Field, FieldElem, Residue, bounded_order, decimal
 from .valq import INF, as_order
 
 
@@ -221,32 +221,39 @@ def oplus_holds(a: RVElem, b: RVElem, c: RVElem) -> bool:
 
 def parse_rv(field: Field, text: str) -> RVElem:
     """Parse the textual form rv[d]{v=k; unit=c0,...,cd} or rv[d]{inf}."""
-    sc = _Tokens(text)
-    a = parse_rv_scan(field, sc)
-    if not sc.done():
-        raise FormulaSyntaxError("trailing input in rv literal", sc.pos)
-    return a
+    from .formula import parse_rv_class
+
+    return parse_rv_class(field, text)
 
 
-def parse_rv_scan(field: Field, sc: _Tokens) -> RVElem:
-    sc.expect("rv[")
-    order = sc.order()
-    sc.expect("]")
-    sc.expect("{")
-    if sc.eat("inf"):
-        sc.expect("}")
-        return RVElem.inf(field, order)
-    sc.expect("v=")
-    value = sc.integer()
-    sc.expect(";")
-    sc.expect("unit=")
-    start = sc.pos
-    unit = [sc.rational()]
-    while sc.eat(","):
-        unit.append(sc.rational())
-    sc.expect("}")
+def parse_rv_scan(p, order=None) -> RVElem:
+    """rv[d]{inf} or rv[d]{v=k; unit=c0,...,cd}, read by the formula parser
+    p; from "{" when the order d is given, read already."""
+    if order is None:
+        p.expect("rv", "[")
+        order = bounded_order(p.integer())
+        p.expect("]")
+    p.expect("{")
+    tok = p.toks[p.i]
+    if tok == "inf":
+        p.i += 1
+        p.expect("}")
+        return RVElem.inf(p.field, order)
+    if tok.startswith("inf"):  # "inf" matches, then "}" is missing
+        raise FormulaSyntaxError("expected '}'", p.pos() + 3)
+    p.expect("v", "=")
+    value = p.integer()
+    p.expect(";")
+    p.expect("unit", "=")
+    start = p.pos()
+    unit = [p.rational()]
+    while p.toks[p.i] == ",":
+        p.i += 1
+        unit.append(p.rational())
+    p.expect("}")
     if len(unit) != order + 1:
         raise FormulaSyntaxError(f"expected {order + 1} unit digits, got {len(unit)}", start)
+    field = p.field
     if field.backend != LAURENT:
         if any(d.denominator != 1 for d in unit):
             raise FormulaSyntaxError("padic unit digits must be integers", start)

@@ -186,6 +186,10 @@ def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
         (["decide", "EX x:K. x^2 = 2^200*3^100*5^50*7^30*11^20"], "TRUE"),
         # None: any stdout, with exit code 0 and nothing on stderr
         (["decompose", "--poly", "x^2 - 1099532599387"], None),
+        # a Horner chain at a root of high degree carries den^k unless its
+        # products are reduced
+        (["decide", "EX x:K. x^128 = 1 + t"], "TRUE"),
+        (["decompose", "--poly", "x^40 - 1 - t"], None),
     ],
 )
 def test_hostile_input_is_answered_in_bounded_time(capsys, argv, answer):

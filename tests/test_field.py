@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqe.errors import DivisionByZero, HQEError, PrecisionExhausted, PreconditionViolated
-from hqe.field import MAX_DIGIT_SPAN, MAX_EXACT_BITS, Field, decimal, val_diff
+from hqe.field import MAX_DIGIT_SPAN, MAX_EXACT_BITS, REDUCE_DEN_BITS, Field, _from_form, _lfma, decimal, val_diff
 from hqe.valq import INF
 
 import field_arith_reference as frozen
@@ -573,3 +573,23 @@ def test_print_bound_read_off_the_valuation_agrees_with_the_built_number(p):
                 except PreconditionViolated as e:
                     got = str(e)
                 assert got == want, (c, s)
+
+
+def test_a_horner_chain_keeps_its_denominator_bounded(laurent):
+    """x^128 by 128 Horner steps of the kernel's a * b + c, at x the root
+    (1 + t)^(1/128) known to 32 digits: each truncated power has digits
+    over a denominator no longer than x's, and a product whose denominator
+    grows past REDUCE_DEN_BITS divides out what it shares with its digits,
+    so the chain never carries den(x)^k."""
+    coeff, terms = Fraction(1), []
+    for k in range(32):
+        terms.append((k, coeff))
+        coeff = coeff * (Fraction(1, 128) - k) / (k + 1)
+    x = laurent.from_terms(terms).truncate_rel(32)
+    form, acc, zero = (x.v, x.u, x.den, x.cap), (0, (1,), 1, None), (None, None, 1, None)
+    bits = []
+    for _ in range(128):
+        acc = _lfma(acc, form, zero)
+        bits.append(acc[2].bit_length())
+    assert max(bits) <= x.den.bit_length() + REDUCE_DEN_BITS
+    assert str(_from_form(laurent, acc)) == "1 + 1*t^1 + O(t^32)"

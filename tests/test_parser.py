@@ -286,3 +286,80 @@ def test_a_match_ending_inside_a_word_fails_as_before(laurent, parse, text):
 def test_an_integer_too_long_to_convert_is_a_precondition_violation(laurent):
     with pytest.raises(PreconditionViolated, match="integer literal of 5001 characters is too long"):
         parse_field_term(laurent, "1" + "0" * 5000)
+
+
+# ---- sentences shaped as the decide workload's ------------------------------
+
+
+def _centre(field):
+    """The text of a centre or a radius, as the decide workload writes one."""
+    if field.backend == "laurent-q":
+        monomial = st.builds("{}*t^{}".format, st.integers(-3, 3).filter(bool), st.integers(-3, 4))
+        return st.lists(monomial, min_size=1, max_size=3).map(" + ".join)
+    den = st.sampled_from([1, 2, 4, 7, 49])
+    return st.builds(lambda n, d: f"{n}/{d}" if d > 1 else str(n), st.integers(-700, 700).filter(bool), den)
+
+
+@st.composite
+def _bench_sentence(draw):
+    field = draw(st.sampled_from(_FIELDS))
+    value = _centre(field)
+    if draw(st.booleans()):
+        # k = 2..10 disjunctions of valuation atoms around a few shared centres
+        centres = draw(st.lists(value, min_size=1, max_size=4))
+
+        def atom():
+            op = draw(st.sampled_from(["<", "<=", "=", "!=", ">", ">="]))
+            return f"v(rv[0](x - ({draw(st.sampled_from(centres))}))) {op} v(rv[0](({draw(value)})))"
+
+        groups = [f"({atom()} | {atom()})" for _ in range(draw(st.integers(2, 10)))]
+        text = "EX x:K. " + " & ".join([atom(), atom(), *groups])
+    else:
+        # a product of planted factors, with a leading-term side condition
+        factors = [f"(y - ({draw(value)}))" for _ in range(draw(st.integers(1, 3)))]
+        side = draw(st.sampled_from(["", " & rv[0](y) = rv[0](({}))", " & v(rv[0](y)) = v(rv[0](({})))"]))
+        text = "EX y:K. " + "*".join(factors) + "*(y^2 - 2) = 0" + side.format(draw(value))
+    return field, draw(_mutated(text))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_bench_sentence())
+def test_parsers_match_the_reference_on_bench_shaped_sentences(case):
+    """Long sentences, whole or with one or two characters changed: the
+    same tree, or the same error."""
+    field, text = case
+    _same(_outcome(parse_formula, field, text), _outcome(ref.parse_formula, field, text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(x - 1)*(x + 1) = 0", "(" * 200 + "x" + ")" * 200 + " = 0", "(v(rv[0](x)) > v(rv[0](t)) | x = 1) & x^2 = 2"],
+)
+def test_a_parenthesis_that_starts_an_atom_is_settled_without_backtracking(laurent, monkeypatch, text):
+    """A valid input raises no syntax error inside the parser: an atom's
+    "(" is read as a formula or as a field term at once."""
+    raised = []
+    init = FormulaSyntaxError.__init__
+
+    def counted(self, *args):
+        raised.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(FormulaSyntaxError, "__init__", counted)
+    parse_formula(laurent, text)
+    assert raised == []
+
+
+@pytest.mark.parametrize(
+    "text", ["(rv[0](x)) = rv[0](t)", "((x)) = 0", "(x = 1", "(true)*2 = 0", "(x = 1)*2 = 0", "(x + true)*2 = 0"]
+)
+def test_a_parenthesis_that_starts_an_atom_ends_as_in_the_reference(laurent, text):
+    """The same tree, or the same error at the same position."""
+
+    def outcome(parse):
+        try:
+            return parse(laurent, text)
+        except FormulaSyntaxError as e:
+            return str(e)
+
+    assert outcome(parse_formula) == outcome(ref.parse_formula)

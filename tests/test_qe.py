@@ -573,13 +573,15 @@ _DEEP_SHAPES = [
     # variables, polynomial) runs at one frame a link or none
     lambda n: "EX x:K. v(rv[0](x" + " - 1" * n + ")) >= v(rv[0](1))",
     lambda n: "EX x:K. " + "x + " * n + "1 = 0",
+    # parentheses around a field term, which build no node
+    lambda n: "EX x:K. " + "(" * n + "x" + ")" * n + " = 0",
 ]
 
 
 @pytest.mark.parametrize("shape", range(len(_DEEP_SHAPES)))
 def test_deepest_parsed_formula_decides(laurent, shape):
-    """The parser gives up first: whatever parses, decide walks without a
-    RecursionError."""
+    """The parser gives up first: whatever parses, decide, the printer and
+    normal_form walk without a RecursionError."""
     make = _DEEP_SHAPES[shape]
     lo, hi = 1, 4000
     while lo < hi:
@@ -590,7 +592,10 @@ def test_deepest_parsed_formula_decides(laurent, shape):
         except FormulaSyntaxError:
             hi = mid - 1
     assert lo < 4000
-    assert isinstance(decide(parse_formula(laurent, make(lo)), laurent), bool)
+    phi = parse_formula(laurent, make(lo))
+    assert isinstance(decide(phi, laurent), bool)
+    assert print_formula(phi)
+    assert normal_form(phi, "x", laurent) is not None
 
 
 # ---- one polynomial per distinct field term, for one decision -------------------
