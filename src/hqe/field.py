@@ -277,8 +277,7 @@ def _num_den(x) -> tuple:
     """(numerator, denominator) of a rational x in lowest terms."""
     if type(x) is int:
         return x, 1
-    if type(x) is not Fraction:
-        x = Fraction(x)
+    x = Fraction(x)
     return x.numerator, x.denominator
 
 

@@ -56,14 +56,13 @@ the elimination's pass-through) reads them through ``children`` and
 ``with_children``.
 
 A node keeps two things it would otherwise recompute, each for as long as
-the node lives.  Its hash is computed once, by ``__init__`` when the node
-is built, from its class and fields; a subnode's hash is already stored
-there, so this is one step per node, and every node class uses it in place
-of the dataclass's recursive ``__hash__``.  Its free variables are computed
-by the first ``free_vars`` call that reaches it, one stack frame per nesting
-level, and kept.  No table of nodes outlives a parse, which shares the node
-of a repeated literal or v(...) term: equal nodes built apart stay distinct
-objects that hash and compare alike.
+the node lives.  Its hash is computed once, in ``__post_init__`` when the
+node is built, from its class and fields; a subnode's hash is already
+stored there, so this is one step per node, and every node class uses it
+in place of the dataclass's recursive ``__hash__``.  Its free variables
+are computed by the first ``free_vars`` call that reaches it, one stack
+frame per nesting level, and kept.  No table of nodes is kept: equal
+nodes built apart stay distinct objects that hash and compare alike.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import is_
+from operator import attrgetter, is_
 
 from .errors import FormulaSyntaxError, OrderMismatch, PreconditionViolated
 from .field import LAURENT, Field, FieldElem, bounded_order
@@ -96,13 +95,14 @@ class Node:
     def __init_subclass__(cls, kids=(), **kw):
         super().__init_subclass__(**kw)
         cls._kids = kids
-        # an __init__ and a __hash__ of the class's own, which @dataclass keeps:
-        # one stores and hashes the fields once, the other reads that hash
-        names = cls.__dict__.get("__annotations__", ())
-        args, stores = "".join(f"{n}, " for n in names), "".join(f"d[{n!r}] = {n}; " for n in names)
-        scope = {"cls": cls}
-        exec(f"def __init__(self, {args}):\n    d = self.__dict__; {stores}d['_hash'] = hash((cls, {args}))", scope)
-        cls.__init__, cls.__hash__ = scope["__init__"], Node.__hash__
+        # the class and the fields @dataclass makes of the class body's
+        # annotations; a __hash__ of the class's own keeps @dataclass from
+        # adding its recursive one
+        cls._key = attrgetter("__class__", *cls.__dict__.get("__annotations__", ()))
+        cls.__hash__ = Node.__hash__
+
+    def __post_init__(self):
+        self.__dict__["_hash"] = hash(self._key(self))
 
     def __hash__(self):
         return self._hash
@@ -283,26 +283,32 @@ TRUE = TrueF()
 FALSE = FalseF()
 
 
-def _join(args, cls, unit, absorbing):
-    """cls over args, flattened, with the unit dropped and the absorbing
-    element absorbing."""
-    args = [a for a in args if not isinstance(a, type(unit))]
-    if any(isinstance(a, type(absorbing)) for a in args):
-        return absorbing
+def conj(args):
+    args = [a for a in args if not isinstance(a, TrueF)]
+    if any(isinstance(a, FalseF) for a in args):
+        return FALSE
     flat = []
     for a in args:
-        flat.extend(a.args if isinstance(a, cls) else [a])
+        flat.extend(a.args if isinstance(a, And) else [a])
     if not flat:
-        return unit
-    return flat[0] if len(flat) == 1 else cls(tuple(flat))
-
-
-def conj(args):
-    return _join(args, And, TRUE, FALSE)
+        return TRUE
+    if len(flat) == 1:
+        return flat[0]
+    return And(tuple(flat))
 
 
 def disj(args):
-    return _join(args, Or, FALSE, TRUE)
+    args = [a for a in args if not isinstance(a, FalseF)]
+    if any(isinstance(a, TrueF) for a in args):
+        return TRUE
+    flat = []
+    for a in args:
+        flat.extend(a.args if isinstance(a, Or) else [a])
+    if not flat:
+        return FALSE
+    if len(flat) == 1:
+        return flat[0]
+    return Or(tuple(flat))
 
 
 def neg(a):
@@ -528,10 +534,17 @@ def print_formula(phi, prec=0) -> str:
         return f"({s})" if prec > 3 else s
     if isinstance(phi, Not):
         return f"!{print_formula(phi.arg, 5)}"
-    if isinstance(phi, _BINDERS):
-        sort = "K" if isinstance(phi, (ExistsF, ForallF)) else f"RV[{phi.order}]"
-        q = "EX" if isinstance(phi, (ExistsF, ExistsRV)) else "ALL"
-        s = f"{q} {phi.var}:{sort}. {print_formula(phi.body, 1)}"
+    if isinstance(phi, ExistsF):
+        s = f"EX {phi.var}:K. {print_formula(phi.body, 1)}"
+        return f"({s})" if prec > 1 else s
+    if isinstance(phi, ForallF):
+        s = f"ALL {phi.var}:K. {print_formula(phi.body, 1)}"
+        return f"({s})" if prec > 1 else s
+    if isinstance(phi, ExistsRV):
+        s = f"EX {phi.var}:RV[{phi.order}]. {print_formula(phi.body, 1)}"
+        return f"({s})" if prec > 1 else s
+    if isinstance(phi, ForallRV):
+        s = f"ALL {phi.var}:RV[{phi.order}]. {print_formula(phi.body, 1)}"
         return f"({s})" if prec > 1 else s
     raise TypeError(f"not a formula: {phi!r}")
 
@@ -541,11 +554,9 @@ def print_formula(phi, prec=0) -> str:
 # The lexer: one regular expression splits the text into a flat list of
 # tokens (a run of decimal digits, any other run of word characters, or one
 # other character, the grammar's own tried first) and the whitespace between
-# them; ASCII classes split ASCII text alike, faster.  A string read as a
-# unit (``rv[``, ``->``, a number with its sign) is tokens with no
-# whitespace between them.
+# them.  A string read as a unit (``rv[``, ``->``, a number with its sign) is
+# tokens with no whitespace between them.
 _TOKEN = re.compile(r"([-+*^/()<>=!&|.,:;\[\]{}]|\d+|\w+|\S)")
-_ASCII_TOKEN = re.compile(_TOKEN.pattern, re.ASCII)
 _WORD = re.compile(r"\w").match
 
 # An atom that starts with "(" and is no "(v(" is read as a field term, not
@@ -571,18 +582,18 @@ class _Parser:
 
     def __init__(self, field: Field, text: str, rv_vars=None):
         self.field = field
-        split = (_ASCII_TOKEN if text.isascii() else _TOKEN).split(text)
-        self.gaps, self.toks = split[::2], split[1::2] + [""]
+        self.split = _TOKEN.split(text)
+        self.gaps, self.toks = self.split[::2], self.split[1::2] + [""]
         self.i = self.depth = self.room = self.height = 0
         self.sorts = dict(rv_vars or {})  # name -> order for RV, None for K
         self.levels = None  # the parenthesis depth after each token, once asked
-        self.memo = {}  # see ``vterm``; for one scope
-        self.lits = {}  # the node of each literal read, by its value ("t" for t)
+        self.starts = None  # where each gap and token starts, once asked
 
     def pos(self, k=None) -> int:
         """Where token k (by default the current one) starts in the text."""
-        k = self.i if k is None else k
-        return sum(map(len, self.gaps[: k + 1])) + sum(map(len, self.toks[:k]))
+        if self.starts is None:
+            self.starts = list(accumulate(map(len, self.split), initial=0))
+        return self.starts[2 * (self.i if k is None else k) + 1]
 
     def fail(self, msg):
         raise FormulaSyntaxError(msg, self.pos())
@@ -707,12 +718,12 @@ class _Parser:
             order = bounded_order(self.integer())
             self.expect("]")
         self.expect(".")
-        outer, self.memo = self.sorts, {}
+        outer = self.sorts
         self.sorts = {**outer, var: order}
         self.deeper(_QUANT)
         body = self.formula()
         self.depth -= _QUANT
-        self.sorts, self.memo = outer, {}
+        self.sorts = outer
         if order is None:
             return ExistsF(var, body) if exists else ForallF(var, body)
         return ExistsRV(var, order, body) if exists else ForallRV(var, order, body)
@@ -770,19 +781,8 @@ class _Parser:
         return _NOT_IN_TERMS.isdisjoint(inside) and not (sorts and any(sorts.get(t) is not None for t in inside))
 
     def vterm(self):
-        """v(rvterm), its rv term read once per scope: a repeat of its tokens
-        at no greater depth shares the node read first."""
         self.expect("v", "(")
-        i, j = self.i, self.closing(self.i - 1)
-        key = j and (*self.toks[i:j], *self.gaps[i + 1 : j])
-        seen = self.memo.get(key)
-        if seen is not None and seen[3] >= self.depth:
-            out, n, self.height, _ = seen
-            self.i += n
-        else:
-            out = self.rvterm()
-            if key:
-                self.memo[key] = out, self.i - i, self.height, self.depth
+        out = self.rvterm()
         self.expect(")")
         return out
 
@@ -890,7 +890,7 @@ class _Parser:
             self.i = i + 1
 
     def ffactor(self):
-        toks, i, field, lits = self.toks, self.i, self.field, self.lits
+        toks, i, field = self.toks, self.i, self.field
         tok = toks[i]
         self.height = 0
         if tok == "(":
@@ -900,9 +900,7 @@ class _Parser:
             self.depth -= _FIELD_PARENS
             self.expect(")")
         elif tok.isdecimal() or tok == "-" and self.number(i):
-            q = self.rational()
-            key = q if type(q) is int else (q.numerator, q.denominator)  # a Fraction hashes slowly
-            base = lits.get(key) or lits.setdefault(key, FLit(field.from_rational(q)))
+            base = FLit(field.from_rational(self.rational()))
         elif tok == "O" and self.at("O", "("):
             self.i = i + 2
             if field.backend == LAURENT:
@@ -920,7 +918,7 @@ class _Parser:
         else:
             name = self.word()
             if name == "t" and field.backend == LAURENT and name not in self.sorts:
-                base = lits.get("t") or lits.setdefault("t", FLit(field.uniformizer()))
+                base = FLit(field.uniformizer())
             elif self.sorts.get(name) is not None:
                 self.fail(f"{name} is RV-sorted, expected a field term")
             else:

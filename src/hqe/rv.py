@@ -245,21 +245,21 @@ def parse_rv_scan(p, order=None) -> RVElem:
     value = p.integer()
     p.expect(";")
     p.expect("unit", "=")
-    start = p.pos()
+    start = p.i
     unit = [p.rational()]
     while p.toks[p.i] == ",":
         p.i += 1
         unit.append(p.rational())
     p.expect("}")
     if len(unit) != order + 1:
-        raise FormulaSyntaxError(f"expected {order + 1} unit digits, got {len(unit)}", start)
+        raise FormulaSyntaxError(f"expected {order + 1} unit digits, got {len(unit)}", p.pos(start))
     field = p.field
     if field.backend != LAURENT:
         if any(d.denominator != 1 for d in unit):
-            raise FormulaSyntaxError("padic unit digits must be integers", start)
+            raise FormulaSyntaxError("padic unit digits must be integers", p.pos(start))
         unit = sum(int(d) * field.p**i for i, d in enumerate(unit)) % field.p ** (order + 1)
     try:
         rep = field.from_unit(value, unit, None)
     except ValueError:
-        raise FormulaSyntaxError("leading unit digit must be nonzero", start) from None
+        raise FormulaSyntaxError("leading unit digit must be nonzero", p.pos(start)) from None
     return RVElem(order, rep)

@@ -190,6 +190,11 @@ def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
         # products are reduced
         (["decide", "EX x:K. x^128 = 1 + t"], "TRUE"),
         (["decompose", "--poly", "x^40 - 1 - t"], None),
+        # each rv literal is read in time independent of where it starts
+        (
+            ["decide", "EX x:K. x = 1 & (" + " | ".join(["rv[0]{v=0; unit=1} = rv[0]{v=1; unit=1}"] * 5000) + ")"],
+            "FALSE",
+        ),
     ],
 )
 def test_hostile_input_is_answered_in_bounded_time(capsys, argv, answer):

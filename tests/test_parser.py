@@ -363,3 +363,36 @@ def test_a_parenthesis_that_starts_an_atom_ends_as_in_the_reference(laurent, tex
             return str(e)
 
     assert outcome(parse_formula) == outcome(ref.parse_formula)
+
+
+
+@pytest.mark.parametrize(
+    "field, text, message",
+    [
+        (
+            _FIELDS[0],
+            "x = 1 & rv[1]{v=0; unit=1,0} = rv[1]{v=2; unit=1,2,3}",
+            "expected 2 unit digits, got 3 (at position 47)",
+        ),
+        (
+            _FIELDS[0],
+            "x = 1 | rv[0]{v=0; unit= 0} = rv[0]{v=0; unit=1}",
+            "leading unit digit must be nonzero (at position 25)",
+        ),
+        (
+            _FIELDS[1],
+            "x = 1 | rv[0]{v=0; unit=1} = rv[0]{v=0; unit=1/2}",
+            "padic unit digits must be integers (at position 45)",
+        ),
+        (
+            _FIELDS[1],
+            "rv[0]{v=0; unit=1} = rv[0]{v=0; unit=1} & rv[1]{v=0; unit=  3}",
+            "expected 2 unit digits, got 1 (at position 60)",
+        ),
+    ],
+)
+def test_an_rv_literal_error_points_at_its_first_unit_digit(field, text, message):
+    """Wherever the literal stands, and past any whitespace after "unit="."""
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_formula(field, text)
+    assert str(e.value) == message
