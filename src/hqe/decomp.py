@@ -11,7 +11,9 @@ residue-root classes that can carry collisions are re-centered at roots of
 derivatives found inside them.  The root sets are found when a class asks,
 lowest derivative order first: a class reads f, f', ... up to the first
 order with a root inside it.  A double induction on (m, number of
-derivative roots inside) terminates.
+derivative roots inside) terminates: where m does not drop, the recursion
+has left the old center, itself a derivative root, behind in the ball it
+came from, so the count drops without counting.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from math import factorial, lcm
 
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
-from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem, val_diff
+from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem
 from .hensel import DerivativeRoots, resolution_horizon
-from .poly import Poly, annulus_residue_poly, argmin_indices, residue_roots, taylor_shift
+from .poly import Poly, annulus_residue_poly, argmin_indices, derivative, residue_roots, taylor_shift
 from .rv import RVElem, rv
 from .valq import INF, NEG_INF, as_order
 
@@ -304,7 +306,7 @@ def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> li
     below = f.coeffs[d - 1]
     alpha0 = -(below / (top * d))
     droots = DerivativeRoots(f)
-    pieces = _region(f, alpha0, Ball.all(field), droots, _exact, 0)
+    pieces = _region(f, alpha0, d - 1, Ball.all(field), droots, _exact, 0)
     if S is not None:
         pieces = [
             Piece(c, p.center, p.coeffs, p.m, p.severity_bound, p.q)
@@ -315,31 +317,35 @@ def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> li
     return pieces
 
 
-def _count_inside(droots, ball: Ball) -> int:
-    """An upper bound on the distinct derivative roots in ball; droots is a
-    DerivativeRoots or a list of its (n, root) pairs.  Iterating a
-    DerivativeRoots finds every order's set, so the count reads every root.
+def _measure_drops(f, droots, prev, ball) -> bool:
+    """Whether fewer derivative roots lie in ``ball`` than in the ball it was
+    entered from, read off facts at hand: with ``prev`` the entering
+    _region's (m, ball, center, n), ``ball`` lies in that ball, and its
+    center, a root of f^(n), lies in it and not in ``ball``.  The set of
+    f^(n) was found when the center was taken from it; the linear f^(d-1),
+    whose root is read off, is evaluated instead."""
+    _, outer, center, n = prev
+    if n is None:
+        return False
+    if n == f.degree - 1:
+        y = derivative(f, n)(center)
+        if not (y.is_zero or y.is_small):
+            return False
+    elif center not in droots.roots(n):
+        return False
+    try:
+        return outer.contains_ball(ball) and outer.contains(center) and not ball.contains(center)
+    except PrecisionExhausted:
+        # Conservative: the facts feed only _region's measure assertion, and
+        # no piece reads them; termination rests on _MAX_DEPTH.  So an
+        # undecided membership can at most let that defensive check pass,
+        # never change an answer.
+        return True
 
-    Conservative: a root whose membership is undecided counts as inside.
-    The count feeds only _region's measure assertion, which counts a ball
-    and the ball it was entered from (_annulus_analysis hands that one to
-    the class recursion) when m does not drop; no piece reads it, and
-    termination rests on _MAX_DEPTH.  So an undecided membership can at
-    most let that defensive check pass, never change an answer."""
-    n = 0
-    seen = []
-    for _, r in droots:
-        try:
-            if ball.contains(r) and not any(val_diff(r, s, r.field.prec) == r.field.prec for s in seen):
-                seen.append(r)
-                n += 1
-        except PrecisionExhausted:
-            n += 1
-    return n
 
-
-def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
-    """Decompose ``ball`` (which contains ``center``) for f."""
+def _region(f, center, n, ball, droots, exact, depth, prev=None) -> list:
+    """Decompose ``ball`` (which contains ``center``, a root of f^(n), or of
+    no derivative for n None) for f."""
     if depth > _MAX_DEPTH:
         raise RecursionBound("decomposition recursion exceeded its defensive cap")
     field = f.field
@@ -353,10 +359,9 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
     gamma = ball.radius_int if ball.kind == "ball" else NEG_INF
     m = max(argmin_indices(pairs, gamma))
     # measure of the double induction: m drops, or the number of derivative
-    # roots strictly inside drops (counted only where m does not drop)
+    # roots inside drops (checked only where m does not drop)
     if prev is not None:
-        prev_m, prev_ball = prev
-        assert m < prev_m or _count_inside(droots, prev_ball) > _count_inside(droots, ball), (
+        assert m < prev[0] or _measure_drops(f, droots, prev, ball), (
             "decomposition measure failed to decrease"
         )
     if m == 0:
@@ -379,7 +384,7 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
         annulus = SwissCheese(Ball.at_least(center, r), [inner_ball])
         if not annulus.is_empty:
             class_balls, slack = _annulus_analysis(
-                f, coeffs, center, r, droots, exact, depth, pieces, (m, ball)
+                f, coeffs, center, r, droots, exact, depth, pieces, (m, ball, center, n)
             )
             remainder = annulus.minus_balls(class_balls)
             if not remainder.is_empty:
@@ -390,7 +395,7 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
                     bound, q = 0, 1
                 pieces.append(Piece(remainder, center, tuple(coeffs), m, bound, q))
     # inside: the maximal index drops strictly
-    pieces.extend(_region(f, center, inner_ball, droots, exact, depth + 1, (m, ball)))
+    pieces.extend(_region(f, center, n, inner_ball, droots, exact, depth + 1, (m, ball, center, n)))
     return pieces
 
 
@@ -402,8 +407,8 @@ def _annulus_analysis(f, coeffs, center, r, droots, exact, depth, pieces, prev):
     recursed into (this covers every class whose collision severity can
     exceed 2^m v(m!)); in exact mode the remaining residue-root classes are
     subdivided as well, so every produced piece carries zero slack.
-    ``prev`` is _region's (m, ball), for the measure assertion of the
-    recursion into a class with a derivative root.
+    ``prev`` is _region's (m, ball, center, n), for the measure assertion
+    of the recursion into a class with a derivative root.
     Returns (class balls removed from the annulus, slack flag).
     """
     field = f.field
@@ -418,18 +423,19 @@ def _annulus_analysis(f, coeffs, center, r, droots, exact, depth, pieces, prev):
             continue
         beta = center + pi_r * field.from_rational(c)
         cls_ball = Ball.more_than(beta, r)
-        lam = droots.lowest(cls_ball.contains)
-        if lam is not None:
+        hit = droots.lowest(cls_ball.contains)
+        if hit is not None:
+            n, lam = hit
             class_balls.append(cls_ball)
             pieces.extend(
-                _region(f, lam, Ball.more_than(lam, r), droots, exact, depth + 1, prev)
+                _region(f, lam, n, Ball.more_than(lam, r), droots, exact, depth + 1, prev)
             )
         elif exact:
             # no derivative root: the collision severity in this class is
             # bounded, and finitely many digit levels resolve it exactly
             class_balls.append(cls_ball)
             pieces.extend(
-                _region(f, beta, cls_ball, droots, exact, depth + 1, None)
+                _region(f, beta, None, cls_ball, droots, exact, depth + 1, None)
             )
         else:
             slack = True
@@ -484,6 +490,21 @@ class RVDecomposition:
         return RVDecomposition((), deltas, cells)
 
 
+def _refine(decomps) -> list:
+    """The nonempty intersections of one piece from each decomposition, as
+    (cheese, pieces) pairs, starting from the first decomposition's pieces."""
+    cells = [(p.cheese, (p,)) for p in decomps[0]]
+    for pieces in decomps[1:]:
+        cells = [
+            (inter, chosen + (p,))
+            for cheese, chosen in cells
+            for p in pieces
+            for inter in [cheese.intersect(p.cheese)]
+            if not inter.is_empty
+        ]
+    return cells
+
+
 def rv_decompose(fs, deltas) -> RVDecomposition:
     """A common partition of K adapted to every f in fs at its order delta:
     intersect the per-polynomial decompositions."""
@@ -491,27 +512,8 @@ def rv_decompose(fs, deltas) -> RVDecomposition:
     deltas = [as_order(d) for d in deltas]
     if len(fs) != len(deltas):
         raise ValueError("one order per polynomial required")
-    field = fs[0].field
-    per_poly = [decompose(f) for f in fs]
-    cells = [(SwissCheese.all(field), [])]
-    for pieces in per_poly:
-        new_cells = []
-        for cheese, chosen in cells:
-            for p in pieces:
-                inter = cheese.intersect(p.cheese)
-                if inter.is_empty:
-                    continue
-                new_cells.append((inter, chosen + [p]))
-        cells = new_cells
-    packed = []
-    for cheese, chosen in cells:
-        packed.append(
-            Cell(
-                cheese,
-                tuple(
-                    Piece(cheese, p.center, p.coeffs, p.m, p.severity_bound, p.q)
-                    for p in chosen
-                ),
-            )
-        )
+    packed = [
+        Cell(cheese, tuple(Piece(cheese, p.center, p.coeffs, p.m, p.severity_bound, p.q) for p in chosen))
+        for cheese, chosen in _refine([decompose(f) for f in fs])
+    ]
     return RVDecomposition(tuple(fs), tuple(deltas), tuple(packed))

@@ -472,14 +472,15 @@ def _flit_text(x: FieldElem):
     product, 3 power, 4 atom); chosen so printing is a fixpoint."""
     if x.is_zero:
         return "0", 4
-    if x.field.backend == LAURENT and x.is_exact and not x.is_small and len(x.unit) == 1:
-        c, k = x.unit[0], x.v
-        cs = str(c)
+    if x.field.backend == LAURENT and x.is_exact and not x.is_small and len(x.u) == 1:
+        # the digit over den, which share no factor: no Fraction is built
+        c, k = x.u[0], x.v
+        cs = str(c) if x.den == 1 else f"{c}/{x.den}"
         if k == 0:
             return cs, (1 if c < 0 else 4)
         base = "t" if k == 1 else f"t^{k}"
         level = 4 if k == 1 else 3
-        if c == 1:
+        if c == x.den:
             return base, level
         return f"{cs}*{base}", 2
     if x.field.backend != LAURENT and not x.is_small and x.is_exact:

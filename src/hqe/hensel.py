@@ -364,8 +364,7 @@ def is_root(g: Poly, x: FieldElem) -> bool:
 
 class DerivativeRoots:
     """The K-rational roots of f = f^(0), f', ..., f^(d-1), each order's set
-    found by field_roots the first time it is asked for.  Iterating gives
-    the (n, root) pairs of derivative_roots, and finds every set."""
+    found by field_roots the first time it is asked for, and only then."""
 
     __slots__ = ("f", "_sets")
 
@@ -379,25 +378,21 @@ class DerivativeRoots:
             found = self._sets[n] = field_roots(derivative(self.f, n))
         return found
 
-    def __iter__(self):
-        for n in range(self.f.degree):
-            for r in self.roots(n):
-                yield n, r
-
-    def lowest(self, inside) -> FieldElem | None:
-        """The least root by elem_sort_key of the lowest order n that has a
-        root r with inside(r); None only after every order is read.  The
-        sets of orders above n are not found."""
+    def lowest(self, inside) -> tuple[int, FieldElem] | None:
+        """(n, r): the lowest order n that has a root r with inside(r), and
+        the least such root by elem_sort_key; None only after every order is
+        read.  The sets of orders above n are not found."""
         for n in range(self.f.degree):
             hits = [r for r in self.roots(n) if inside(r)]
             if hits:
-                return min(hits, key=elem_sort_key)
+                return n, min(hits, key=elem_sort_key)
         return None
 
 
 def derivative_roots(f: Poly) -> list[tuple[int, FieldElem]]:
     """(n, root) for every K-rational root of f = f^(0), f', ..., f^(d-1)."""
-    return list(DerivativeRoots(f))
+    droots = DerivativeRoots(f)
+    return [(n, r) for n in range(f.degree) for r in droots.roots(n)]
 
 
 # ---- collisions -------------------------------------------------------------
@@ -511,9 +506,10 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int):
             except (PreconditionViolated, PrecisionExhausted):
                 lam = None
         if lam is None:
-            lam = droots.lowest(lambda r: val_diff(r, beta, delta_ann + 1) == delta_ann + 1)
-            if lam is None:
+            hit = droots.lowest(lambda r: val_diff(r, beta, delta_ann + 1) == delta_ann + 1)
+            if hit is None:
                 continue
+            lam = hit[1]
         out.append((rv(lam - alpha, 0), lam))
     out.sort(key=lambda pair: elem_sort_key(pair[1]))
     return out

@@ -432,12 +432,16 @@ def _witness(varlist, matrix, pinned, field, memo):
     joined = {v for _, vs in names if len(vs) > 1 for v in vs}
     if not joined:
         x = live[0]
+        equations = _equations(names, x, field, memo)
     else:
-        x = next((v for v in live if v in joined and _equations(names, v, field, memo)), None)
-        if x is None:
+        for x in live:
+            equations = _equations(names, x, field, memo) if x in joined else None
+            if equations:
+                break
+        else:
             raise NonEffectiveQuantifier("no quantified variable is pinned by an equation of its own")
     rest = [v for v in varlist if v != x]
-    of_atom, unknown, cells, roots = _axis(names, x, pinned[x], field, memo)
+    of_atom, unknown, cells, roots = _axis(names, x, equations, pinned[x], field, memo)
     for i, r in roots.items():
         if cells[i] is None:
             continue
@@ -447,7 +451,6 @@ def _witness(varlist, matrix, pinned, field, memo):
         if w is not None:
             return {x: SwissCheese.of_ball(Ball.point(r)), **w}
     # off the roots the equations in x alone are false
-    equations = _equations(names, x, field, memo)
     matrix = _fold(matrix, lambda a: FALSE if a in equations else a)
     pinned = {**pinned, x: pinned[x] + tuple(roots.values())}
     if joined:
@@ -499,19 +502,17 @@ def _equations(names, v, field, memo) -> dict:
     return out
 
 
-def _axis(names, v, pinned, field, memo):
+def _axis(names, v, equations, pinned, field, memo):
     """The cells of K for v, cut along the regions of the atoms in v alone
-    and at the roots of their equations: the bitmask of each such atom over
-    the cells, the atoms outside the region calculus with their errors, the
-    cells (None at the pinned points) and the roots by cell.  An equation
-    holds at none but its roots; an atom outside the region calculus is
-    evaluated at the roots and not effective off them.  ``names`` pairs each
-    atom with its free variables."""
-    mine = [(a, vs) for a, vs in names if vs == {v}]
-    equations = _equations(mine, v, field, memo)
+    and at the roots of their ``equations`` (_equations in v): the bitmask
+    of each such atom over the cells, the atoms outside the region calculus
+    with their errors, the cells (None at the pinned points) and the roots
+    by cell.  An equation holds at none but its roots; an atom outside the
+    region calculus is evaluated at the roots and not effective off them.
+    ``names`` pairs each atom with its free variables."""
     regions, unknown = {}, {}
-    for a, _ in mine:
-        if a not in equations:
+    for a, vs in names:
+        if vs == {v} and a not in equations:
             try:
                 regions[a] = literal_region(a, v, field, memo)
             except NonEffectiveQuantifier as e:

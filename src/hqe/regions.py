@@ -10,12 +10,11 @@ and the balls of finitely many regions cut K into one cell partition.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .balls import Ball, SwissCheese
-from .decomp import decompose
+from .decomp import Piece, _refine, decompose
 from .errors import NonEffectiveQuantifier, PrecisionExhausted
 from .field import Field, FieldElem, val_diff
 from .hensel import field_roots, resolution_horizon, same_point
@@ -102,32 +101,19 @@ def cell_partition(regions, points, field: Field):
 # ---- exact cells --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CellData:
-    cheese: SwissCheese
-    center: FieldElem
-    m: int
-    base: int  # v(a_m), or INF; the linearized valuation is base + m * v(x - center)
-
-
-def exact_cells(H: Poly, field: Field) -> tuple[_CellData, ...]:
-    """Cells on which v(H(x)) = base + m * v(x - center) exactly."""
+def exact_cells(H: Poly, field: Field) -> tuple[Piece, ...]:
+    """The slack-free pieces of H, on each of which v(H(x)) is exactly
+    Piece.eval_v(x) = v(a_m) + m * v(x - center)."""
     if H.is_zero:
         raise NonEffectiveQuantifier("valuation of the zero polynomial")
-    if H.degree == 0:
-        return (_CellData(SwissCheese.all(field), field.zero(), 0, H.coeffs[0].val()),)
     return _exact_cells(field, H.coeffs)
 
 
 @lru_cache(maxsize=2048)
-def _exact_cells(field: Field, coeffs) -> tuple[_CellData, ...]:
-    out = []
-    for p in decompose(Poly(field, coeffs), None, _exact=True):
-        assert p.severity_bound == 0
-        a_m = p.coeffs[p.m]
-        base = INF if a_m.is_zero else a_m.val()
-        out.append(_CellData(p.cheese, p.center, p.m, base))
-    return tuple(out)
+def _exact_cells(field: Field, coeffs) -> tuple[Piece, ...]:
+    pieces = tuple(decompose(Poly(field, coeffs), None, _exact=True))
+    assert all(p.severity_bound == 0 for p in pieces)
+    return pieces
 
 
 def vcomp_region(H: Poly, G, op: str, field: Field, c: int = 0) -> Region:
@@ -150,23 +136,19 @@ def vcomp_region(H: Poly, G, op: str, field: Field, c: int = 0) -> Region:
         # "<" and "!=" hold exactly away from the roots
         _, roots = roots_region(H, field)
         return [SwissCheese(Ball.all(field), [Ball.point(r) for r in roots])]
-    cellsH = exact_cells(H, field)
-    cellsG = exact_cells(G, field)
     out: Region = []
-    for ch in cellsH:
-        for cg in cellsG:
-            cheese = ch.cheese.intersect(cg.cheese)
-            if cheese.is_empty:
-                continue
-            for piece in _cell_compare(ch, cg, c, op, cheese, field):
-                if not piece.is_empty:
-                    out.append(piece)
+    for cheese, (ch, cg) in _refine([exact_cells(H, field), exact_cells(G, field)]):
+        for piece in _cell_compare(ch, cg, c, op, cheese, field):
+            if not piece.is_empty:
+                out.append(piece)
     return out
 
 
-def _cell_compare(ch: _CellData, cg: _CellData, c, op, cheese, field) -> Region:
-    A = ch.base
-    B = cg.base + c if cg.base != INF else INF
+def _cell_compare(ch: Piece, cg: Piece, c, op, cheese, field) -> Region:
+    # v(a_m) of each piece, or INF: its linearized valuation is that plus m * r
+    A, B = (INF if a.is_zero else a.val() for a in (ch.coeffs[ch.m], cg.coeffs[cg.m]))
+    if B != INF:
+        B += c
     m1, m2 = ch.m, cg.m
     a1, a2 = ch.center, cg.center
     if m1 == 0 and m2 == 0:

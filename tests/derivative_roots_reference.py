@@ -12,13 +12,36 @@ from fractions import Fraction
 from math import factorial
 
 from hqe.balls import Ball, SwissCheese
-from hqe.decomp import _MAX_DEPTH, Piece, _count_inside, _support_vals
+from hqe.decomp import _MAX_DEPTH, Piece, _support_vals
 from hqe.errors import PrecisionExhausted, PreconditionViolated, RecursionBound
 from hqe.field import val_diff
 from hqe.hensel import collision_data, collision_root, elem_sort_key, field_roots
 from hqe.poly import Poly, annulus_residue_poly, argmin_indices, derivative, residue_roots, taylor_shift
 from hqe.rv import rv
 from hqe.valq import INF, NEG_INF
+
+
+def _count_inside(droots, ball: Ball) -> int:
+    """An upper bound on the distinct derivative roots in ball; droots is a
+    DerivativeRoots or a list of its (n, root) pairs.  Iterating a
+    DerivativeRoots finds every order's set, so the count reads every root.
+
+    Conservative: a root whose membership is undecided counts as inside.
+    The count feeds only _region's measure assertion, which counts a ball
+    and the ball it was entered from (_annulus_analysis hands that one to
+    the class recursion) when m does not drop; no piece reads it, and
+    termination rests on _MAX_DEPTH.  So an undecided membership can at
+    most let that defensive check pass, never change an answer."""
+    n = 0
+    seen = []
+    for _, r in droots:
+        try:
+            if ball.contains(r) and not any(val_diff(r, s, r.field.prec) == r.field.prec for s in seen):
+                seen.append(r)
+                n += 1
+        except PrecisionExhausted:
+            n += 1
+    return n
 
 
 def derivative_roots(f: Poly) -> list:

@@ -1,18 +1,24 @@
 """Acceptance gate: every property suite runs at its stated size and
 tolerance and must pass within its time budget.  One line per criterion."""
 
-import pytest
+from pathlib import Path
 
 from hqe.selftest import SUITES
 
 SEED = 0
+# the stdout of `hqe selftest --seed 0`
+GOLDEN = Path(__file__).parent / "golden" / "selftest_seed0.txt"
 _RESULTS = {}
 
 
-def _run(name):
+def _result(name):
     if name not in _RESULTS:
         _RESULTS[name] = SUITES[name](SEED)
-    result = _RESULTS[name]
+    return _RESULTS[name]
+
+
+def _run(name):
+    result = _result(name)
     print()
     print(result.line())
     assert result.ok, f"{result.name}: {result.failures[:3]}"
@@ -60,3 +66,10 @@ def test_c7_qe_end_to_end_suite():
 def test_c8_normal_form_suite():
     r = _run("normal-form")
     assert r.cases >= 30
+
+
+def test_selftest_stdout_matches_golden():
+    """The selftest's stdout, one untimed line per suite in suite order, is
+    pinned across commits; the suites run above are not run again."""
+    out = "".join(_result(name).line(with_timing=False) + "\n" for name in SUITES)
+    assert out == GOLDEN.read_text()

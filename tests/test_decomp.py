@@ -9,7 +9,7 @@ import derivative_roots_reference
 import eval_rv_reference
 from hqe.balls import Ball, SwissCheese
 import hqe.decomp
-from hqe.decomp import Piece, _count_inside, decompose, m_bound, rv_decompose
+from hqe.decomp import Piece, _measure_drops, decompose, m_bound, rv_decompose
 from hqe.errors import HQEError, NotInPiece, PrecisionExhausted
 from hqe.field import Field, FieldElem
 import hqe.hensel
@@ -345,36 +345,75 @@ def test_eval_rv_never_forms_a_field_power_or_a_representative(monkeypatch, any_
 
 
 def test_count_inside_counts_an_undecided_root_in(padic7):
-    """The count is an upper bound: a root known only modulo 7^3 may lie in
-    the ball 7^5 O, and counts as inside."""
+    """The frozen count is an upper bound: a root known only modulo 7^3 may
+    lie in the ball 7^5 O, and counts as inside."""
     ball = Ball.at_least(padic7.zero(), 5)
     droots = [(0, padic7.monomial(1, 6)), (0, padic7.one()), (1, padic7.small(3))]
     with pytest.raises(PrecisionExhausted):
         ball.contains(padic7.small(3))
-    assert _count_inside(droots, ball) == 2
+    assert derivative_roots_reference._count_inside(droots, ball) == 2
 
 
-def test_count_inside_reaches_no_piece(monkeypatch):
-    """_region reads the count only in its measure assertion, which counts the
-    ball it was entered from first and then its own ball, and only where m
-    does not drop: with every count replaced by a larger, strictly
-    decreasing one, so that each assertion passes, the pieces are the same."""
+_THREE_ROOTS = [-25137, 3747, -115, 1]  # (x - 9)(x - 49)(x - 57) over padic-7
+
+
+def _spy_measure(monkeypatch, verdict):
+    calls = []
+
+    def forced(f, droots, prev, ball):
+        calls.append((prev, ball))
+        return verdict
+
+    monkeypatch.setattr(hqe.decomp, "_measure_drops", forced)
+    return calls
+
+
+def test_measure_check_failing_raises_the_measure_assertion(monkeypatch):
+    """The check is reached where m does not drop, and its verdict is the
+    assertion's."""
+    f = Poly.from_rationals(Field.padic(7), _THREE_ROOTS)
+    calls = _spy_measure(monkeypatch, False)
+    with pytest.raises(AssertionError, match="measure failed to decrease"):
+        decompose(f)
+    assert len(calls) == 1
+
+
+def test_measure_check_reaches_no_piece(monkeypatch):
+    """_region reads the check only in its measure assertion: forced to pass,
+    the pieces are the same.  It runs once here, in the class recursion that
+    _annulus_analysis starts, where m does not drop; the old center, a root
+    of f', lies in the ball entered from and not in the class ball."""
     field = Field.padic(7)
-    f = Poly.from_rationals(field, [-25137, 3747, -115, 1])  # (x - 9)(x - 49)(x - 57)
+    f = Poly.from_rationals(field, _THREE_ROOTS)
     expected = decompose(f)
-    counts = iter(range(10**6, 0, -1))
-    seen = []
-
-    def inflated(droots, ball):
-        seen.append(ball)
-        return next(counts) + 10**6
-
-    monkeypatch.setattr(hqe.decomp, "_count_inside", inflated)
+    calls = _spy_measure(monkeypatch, True)
     assert decompose(f) == expected
-    # the assertion ran once, in the class recursion that _annulus_analysis
-    # starts, where m does not drop: the outer ball, then the class ball
-    assert len(seen) == 2 and seen[0].contains_ball(seen[1])
+    assert len(calls) == 1
+    (_, outer, center, n), ball = calls[0]
+    assert outer.contains_ball(ball) and outer.contains(center) and not ball.contains(center)
+    assert is_root(derivative(f, n), center)
+    monkeypatch.undo()
+    assert _measure_drops(f, hqe.hensel.DerivativeRoots(f), calls[0][0], ball)
     assert len({p.center for p in expected}) >= 2
+
+
+def test_measure_check_passes_an_undecided_membership(padic7):
+    """Conservative: where the old center's membership in the new ball is
+    undecided at the precision, the defensive check passes instead of
+    raising, since no piece reads it."""
+    f = Poly(padic7, [padic7.zero(), padic7.zero(), padic7.one()])  # x^2: f' has the root 0
+    centre = padic7.small(3)  # zero, known only modulo 7^3
+    outer = Ball.all(padic7)
+    ball = Ball.at_least(padic7.zero(), 5)
+    with pytest.raises(PrecisionExhausted):
+        ball.contains(centre)
+    droots = hqe.hensel.DerivativeRoots(f)
+    assert _measure_drops(f, droots, (2, outer, centre, 1), ball)
+    # a decided membership of the center in the new ball fails the check
+    assert not _measure_drops(f, droots, (2, outer, padic7.zero(), 1), ball)
+    # and so does a center that is no root of the order it came from
+    assert not _measure_drops(f, droots, (2, outer, padic7.one(), 1), ball)
+    assert not _measure_drops(f, droots, (2, outer, padic7.one(), None), ball)
 
 
 # ---- derivative roots found on demand ----------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +33,7 @@ from hqe.formula import (
     subst,
     with_children,
     FLit,
+    _flit_text,
 )
 from hqe.rv import rv
 from test_parser import _FIELD_NAMES, _FIELDS, _RV_NAMES, _element, _formulas, _fterms, _outcome, _rv_class, _rvterms
@@ -233,3 +235,27 @@ def test_subst_checks_sorts_and_keeps_bound_variables(laurent):
         subst(phi, {"w": RVLitT(rv(t, 1))})
     # a quantifier shadows its variable: no check, no substitution inside
     assert subst(phi, {"x": RVLitT(rv(t, 1))}) == phi
+
+
+def _flit_text_with_fractions(x):
+    """The laurent-q single-digit branch of the literal printer as it read
+    the unit through Fraction digits."""
+    c, k = x.unit[0], x.v
+    cs = str(c)
+    if k == 0:
+        return cs, (1 if c < 0 else 4)
+    base = "t" if k == 1 else f"t^{k}"
+    level = 4 if k == 1 else 3
+    if c == 1:
+        return base, level
+    return f"{cs}*{base}", 2
+
+
+def test_literal_text_reads_the_digit_and_den_as_the_fractions_did(laurent):
+    t = laurent.uniformizer()
+    elems = [laurent.monomial(Fraction(n, d), k) for n in range(-7, 8) if n for d in range(1, 7) for k in range(-2, 4)]
+    # built by arithmetic rather than from a reduced fraction
+    elems += [laurent.monomial(6, 1) / laurent.from_rational(4), t * t / laurent.from_rational(-9), -(t / 3) * 6]
+    for x in elems:
+        assert len(x.u) == 1
+        assert _flit_text(x) == _flit_text_with_fractions(x), str(x)

@@ -1,9 +1,12 @@
 import gc
 import importlib
+import os
 import random
+import subprocess
 import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -596,6 +599,69 @@ def test_deepest_parsed_formula_decides(laurent, shape):
     assert isinstance(decide(phi, laurent), bool)
     assert print_formula(phi)
     assert normal_form(phi, "x", laurent) is not None
+
+
+_FRESH_DEEPEST_PRINT = """
+import sys
+
+from hqe.errors import FormulaSyntaxError
+from hqe.field import Field
+from hqe.formula import parse_formula, print_formula
+
+field = Field.laurent()
+make = lambda n: "EX x:K. " + "!" * n + "x = 1"
+lo, hi = 1, 4000
+while lo < hi:
+    mid = (lo + hi + 1) // 2
+    try:
+        parse_formula(field, make(mid))
+        lo = mid
+    except FormulaSyntaxError:
+        hi = mid - 1
+phi = parse_formula(field, make(lo))
+
+
+def deepest_print():
+    # Python frames below print_formula at the deepest point of the walk
+    depth, deepest = [0], [0]
+
+    def count(frame, event, arg):
+        if event == "call":
+            depth[0] += 1
+            deepest[0] = max(deepest[0], depth[0])
+        elif event == "return":
+            depth[0] -= 1
+
+    sys.setprofile(count)
+    try:
+        text = print_formula(phi)
+    finally:
+        sys.setprofile(None)
+    return text, deepest[0]
+
+
+text, first = deepest_print()
+_, again = deepest_print()
+print(lo, first, again)
+print(text)
+"""
+
+
+def test_deepest_negation_chain_prints_in_a_fresh_interpreter():
+    """The first literal printed in a process costs no more stack than a
+    later one, so the deepest parsable chain of negations prints without a
+    RecursionError before anything else has warmed the interpreter up."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _FRESH_DEEPEST_PRINT], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    counts, text = done.stdout.splitlines()
+    depth, first, again = map(int, counts.split())
+    assert 1 < depth < 4000
+    assert text == "EX x:K. " + "!" * depth + "x - 1 = 0"
+    assert first == again
 
 
 # ---- one polynomial per distinct field term, for one decision -------------------

@@ -372,14 +372,7 @@ def test_exact_cells_small_prime_fuzz():
                 dist = x - c.center
                 if dist.is_small:
                     continue
-                r = INF if dist.is_zero else dist.val()
-                if c.m == 0:
-                    got = c.base
-                elif r == INF:
-                    got = INF
-                else:
-                    got = c.base + r * c.m
-                assert got == want, (str(f), str(x))
+                assert c.eval_v(x) == want, (str(f), str(x))
 
 
 def test_mixed_branch_paths(laurent):
