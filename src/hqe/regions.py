@@ -136,12 +136,21 @@ def vcomp_region(H: Poly, G, op: str, field: Field, c: int = 0) -> Region:
         # "<" and "!=" hold exactly away from the roots
         _, roots = roots_region(H, field)
         return [SwissCheese(Ball.all(field), [Ball.point(r) for r in roots])]
-    out: Region = []
+    # a fresh list: a tuple in a region is an intersection, and callers may
+    # extend the list they receive, never the memo
+    return list(_vcomp_region(field, H.coeffs, G.coeffs, op, c))
+
+
+@lru_cache(maxsize=2048)
+def _vcomp_region(field: Field, hc, gc, op: str, c) -> tuple[SwissCheese, ...]:
+    # exact_cells raises on a zero side; lru_cache stores no error
+    H, G = Poly(field, hc), Poly(field, gc)
+    out = []
     for cheese, (ch, cg) in _refine([exact_cells(H, field), exact_cells(G, field)]):
         for piece in _cell_compare(ch, cg, c, op, cheese, field):
             if not piece.is_empty:
                 out.append(piece)
-    return out
+    return tuple(out)
 
 
 def _cell_compare(ch: Piece, cg: Piece, c, op, cheese, field) -> Region:
