@@ -24,7 +24,7 @@ from .errors import (
     PrecisionExhausted,
     RecursionBound,
 )
-from .field import Field, FieldElem, Residue
+from .field import Field, FieldElem
 from .formula import parse_field_term, parse_formula, print_formula
 from .hensel import (
     LiftCertificate,
@@ -84,7 +84,6 @@ __all__ = [
     "RVDecomposition",
     "RVElem",
     "RecursionBound",
-    "Residue",
     "SumAnalysis",
     "SwissCheese",
     "ValQ",

@@ -417,19 +417,17 @@ class FieldElem:
             return tuple(Fraction(c, self.den) for c in u) + (Fraction(0),) * (k - len(u))
         return _punit(self.u, self.den, f.p**k)
 
-    def residue(self, delta) -> "Residue":
-        """The class of the element in O / m_delta (digits 0..delta)."""
+    def residue(self, delta) -> "FieldElem":
+        """The class of the element in O / m_delta, as its exact
+        representative with no digit past delta."""
         d = as_order(delta)
-        f = self.field
         if self.v is not None and self.v < 0:
             raise NegativeValue("residue of an element of negative valuation")
         if self.abs_prec <= d:
             raise PrecisionExhausted(f"residue mod m_{d} needs {d + 1} known digits")
         if self.v is None or self.v > d:
-            return Residue(f, d, _zero_res(f, d))
-        if f.backend == LAURENT:
-            return Residue(f, d, (Fraction(0),) * self.v + self.unit_digits(d + 1 - self.v))
-        return Residue(f, d, self.unit_digits(d + 1 - self.v) * f.p ** self.v % f.p ** (d + 1))
+            return self.field.zero()
+        return self.truncate_rel(d + 1 - self.v).as_exact()
 
     def coeff(self, k: int) -> Fraction:
         """Laurent backend: the coefficient of t^k (must be within precision)."""
@@ -588,51 +586,6 @@ class FieldElem:
 
     def __repr__(self):
         return f"<{format_elem(self)}>"
-
-
-class Residue:
-    """A class in the ring O/m_delta, represented by its digits 0..delta."""
-
-    __slots__ = ("field", "delta", "data")
-
-    def __init__(self, field, delta, data):
-        self.field = field
-        self.delta = delta
-        self.data = data
-
-    @property
-    def is_one(self) -> bool:
-        return self == Residue(self.field, self.delta, _one_res(self.field, self.delta))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Residue)
-            and self.field.backend == other.field.backend
-            and self.field.p == other.field.p
-            and self.delta == other.delta
-            and self.data == other.data
-        )
-
-    def __hash__(self):
-        return hash((self.field.backend, self.field.p, self.delta, self.data))
-
-    def __str__(self):
-        if self.field.backend == LAURENT:
-            return "(" + ", ".join(str(c) for c in self.data) + ")"
-        return f"{self.data} mod {self.field.p}^{self.delta + 1}"
-
-    def __repr__(self):
-        return f"Residue[{self.delta}]({self})"
-
-
-def _zero_res(field, d):
-    return (Fraction(0),) * (d + 1) if field.backend == LAURENT else 0
-
-
-def _one_res(field, d):
-    if field.backend == LAURENT:
-        return (Fraction(1),) + (Fraction(0),) * d
-    return 1
 
 
 # ---- arithmetic kernels -------------------------------------------------

@@ -9,6 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
+from .balls import Ball
 from .errors import PrecisionExhausted, PreconditionViolated
 from .field import FINGERPRINT_PRIME, LAURENT, Field, FieldElem, _horner, fingerprint, val_diff
 from .poly import (
@@ -504,9 +505,13 @@ def collision_classes(f: Poly, alpha: FieldElem, delta_ann: int):
             try:
                 _, lam = collision_root(f, alpha, beta, 0)
             except (PreconditionViolated, PrecisionExhausted):
+                # Conservative: by the collision-to-derivative-root lemma the
+                # class still holds a root of a derivative of f, so the
+                # fallback below finds one and the class is still reported;
+                # only the choice of lam inside it can change
                 lam = None
         if lam is None:
-            hit = droots.lowest(lambda r: val_diff(r, beta, delta_ann + 1) == delta_ann + 1)
+            hit = droots.lowest(Ball.more_than(beta, delta_ann).contains)
             if hit is None:
                 continue
             lam = hit[1]

@@ -17,6 +17,7 @@ unchanged."""
 from __future__ import annotations
 
 from functools import reduce
+from itertools import combinations
 from operator import and_, or_
 
 from .balls import Ball, SwissCheese
@@ -88,13 +89,16 @@ from .valq import FLIP, as_order
 def eliminate_linear_exists(constraints, field: Field, case_log=None) -> bool:
     """Decide EX x. /\\ rv[d_i](z_i) = rv[d_i](a_i x - b_i) with a_i != 0.
 
-    Each constraint is the open ball around (b_i + z~_i)/a_i of radius
-    v(z_i/a_i) + d_i; the pairwise analysis runs through the four cases of
-    the ball intersection elimination (logged in case_log when given), and
-    finitely many pairwise intersecting balls share a point.
+    Each constraint with z_i != 0 is the ball v(x - c_i - z~_i) > v(z_i/a_i)
+    + d_i around c_i = b_i/a_i, z~_i the representative of rv[d_i](z_i/a_i);
+    one with z_i = 0 pins x = c_i.  The pairwise analysis runs through the
+    four cases of the ball intersection elimination (logged in case_log
+    when given), and finitely many pairwise intersecting balls share a
+    point.  Where the known digits do not decide a membership or the
+    case, PrecisionExhausted is raised.
     """
-    balls = []
-    singles = []
+    balls = []  # (ball, z_i/a_i, c_i, d_i)
+    pins = []
     for z, a, b, delta in constraints:
         delta = as_order(delta)
         if a.is_zero or a.is_small:
@@ -103,53 +107,33 @@ def eliminate_linear_exists(constraints, field: Field, case_log=None) -> bool:
             raise PrecisionExhausted("leading term of a constraint side unknown")
         center = b / a
         if z.is_zero:
-            singles.append((center, delta))
+            pins.append(center)
             continue
         zs = z / a
-        rep = rv(zs, delta).rep()
-        balls.append(
-            {
-                "center": center + rep,
-                "radius": zs.val() + delta,
-                "z": zs,
-                "c": center,
-                "delta": delta,
-            }
-        )
-    # singletons force the witness
-    for x0, _ in singles:
-        for other, _ in singles:
-            # the same point: equal on all known digits, known to the horizon
-            known = min(x0.abs_prec, other.abs_prec)
-            if known < resolution_horizon(x0.field) or val_diff(x0, other, known) != known:
-                return False
-        for B in balls:
-            if not _in_open_ball(x0, B):
-                return False
-        return True
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            if not _pair_intersects(balls[i], balls[j], case_log):
-                return False
-    return True
+        ball = Ball.more_than(center + rv(zs, delta).rep(), zs.val() + delta)
+        balls.append((ball, zs, center, delta))
+    if pins:
+        # the pins force the witness
+        x0 = pins[0]
+        others = [Ball.point(p) for p in pins[1:]] + [B for B, *_ in balls]
+        return all(B.contains(x0) for B in others)
+    return all(_pair_intersects(P1, P2, case_log) for P1, P2 in combinations(balls, 2))
 
 
-def _in_open_ball(x, B) -> bool:
-    r = B["radius"] + 1
-    return val_diff(x, B["center"], r) == r
-
-
-def _pair_intersects(B1, B2, case_log) -> bool:
-    if B1["radius"] > B2["radius"]:
-        B1, B2 = B2, B1
-    vz1, vz2 = B1["z"].val(), B2["z"].val()
-    dcc = B1["c"] - B2["c"]
-    vcc = dcc.val_lb()
+def _pair_intersects(P1, P2, case_log) -> bool:
+    """Whether the balls of two constraints, each (ball, z, c, delta), meet."""
+    if P1[0].radius > P2[0].radius:
+        P1, P2 = P2, P1
+    (B1, z1, c1, d1), (B2, z2, c2, d2) = P1, P2
+    vz1 = z1.val()
+    vcc = val_diff(c1, c2, vz1)
+    if vcc is None:
+        raise PrecisionExhausted(f"cannot decide v(c_1 - c_2) >= {vz1} at precision")
     if vcc < vz1:
         case = 4
-    elif vz2 < vz1:
+    elif z2.val() < vz1:
         case = 3
-    elif B1["delta"] <= B2["delta"]:
+    elif d1 <= d2:
         case = 1
     else:
         case = 2
@@ -162,9 +146,9 @@ def _pair_intersects(B1, B2, case_log) -> bool:
         # B1 is the larger ball, so the two meet iff z_1 + (c_1 - c_2) lies
         # within its radius v(z_1) + delta_1 of z_2; comparing rv at the lower
         # order is coarser than that when v(z_2) < v(z_1)
-        return (B1["z"] + dcc - B2["z"]).val_lb() > B1["radius"]
+        return Ball.more_than(c1 + z1, vz1 + d1).contains(c2 + z2)
     # cases 1 and 2: the severity criterion on z_1 - z_2 + (c_1 - c_2)
-    return _in_open_ball(B2["center"], B1)
+    return B1.contains(B2.center)
 
 
 # ---- atoms to polynomials ------------------------------------------------------

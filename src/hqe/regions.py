@@ -101,17 +101,12 @@ def cell_partition(regions, points, field: Field):
 # ---- exact cells --------------------------------------------------------------
 
 
-def exact_cells(H: Poly, field: Field) -> tuple[Piece, ...]:
+def exact_cells(H: Poly, field: Field) -> list[Piece]:
     """The slack-free pieces of H, on each of which v(H(x)) is exactly
     Piece.eval_v(x) = v(a_m) + m * v(x - center)."""
     if H.is_zero:
         raise NonEffectiveQuantifier("valuation of the zero polynomial")
-    return _exact_cells(field, H.coeffs)
-
-
-@lru_cache(maxsize=2048)
-def _exact_cells(field: Field, coeffs) -> tuple[Piece, ...]:
-    pieces = tuple(decompose(Poly(field, coeffs), None, _exact=True))
+    pieces = decompose(H, None, _exact=True)
     assert all(p.severity_bound == 0 for p in pieces)
     return pieces
 

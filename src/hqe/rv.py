@@ -21,7 +21,7 @@ from .errors import (
     OrderViolation,
     PrecisionExhausted,
 )
-from .field import LAURENT, Field, FieldElem, Residue, bounded_order, decimal
+from .field import LAURENT, Field, FieldElem, bounded_order, decimal
 from .valq import INF, as_order
 
 
@@ -123,8 +123,9 @@ def rv(x: FieldElem, delta) -> RVElem:
     return RVElem(delta, x.truncate_rel(delta + 1).as_exact())
 
 
-def residue_of(a: RVElem) -> Residue:
-    """The order-delta residue of the class; requires v(a) >= 0."""
+def residue_of(a: RVElem) -> FieldElem:
+    """The order-delta residue of the class, as FieldElem.residue gives it;
+    requires v(a) >= 0."""
     if a.is_inf:
         raise NegativeValue("inf carries no residue")
     if a.val() < 0:

@@ -120,7 +120,7 @@ def suite_rv_equivalence(seed=0) -> SuiteResult:
                 if q.val() < 0:
                     c3 = False
                 else:
-                    c3 = q.residue(delta).is_one
+                    c3 = q.residue(delta) == 1
                 b1 = Ball.more_than(x, x.val() + delta)
                 b2 = Ball.more_than(y, y.val() + delta)
                 c4 = b1 == b2

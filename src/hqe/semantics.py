@@ -1,10 +1,11 @@
 """Evaluation of formulas over concrete field and leading-term values.
 
 Quantifiers over the field sort are eliminated by the engine under the
-assignment; quantifiers over leading-term sorts are evaluated only for the
-effective patterns the engine itself emits: the two-witness severity
-pattern (the collision test chi) and the guarded universal pattern from the
-ball intersection analysis.  Everything else raises NonEffectiveQuantifier.
+assignment; quantifiers over leading-term sorts are evaluated only for two
+effective patterns, which ``two_witness_pattern`` and
+``guarded_forall_pattern`` build: the two-witness severity pattern (the
+collision test chi) and the guarded universal pattern from the ball
+intersection analysis.  Everything else raises NonEffectiveQuantifier.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ from hqe.errors import (
     OrderViolation,
     PrecisionExhausted,
 )
-from hqe.field import LAURENT, Field, FieldElem, Residue
+from hqe.field import LAURENT, Field, FieldElem
 from hqe.valq import INF, as_order
 from parser_reference import _Scanner
 
@@ -161,7 +161,7 @@ def rv(x: FieldElem, delta) -> RVElem:
     return RVElem(f, delta, x.v, digits)
 
 
-def residue_of(a: RVElem) -> Residue:
+def residue_of(a: RVElem):
     """The order-delta residue of the class; requires v(a) >= 0."""
     if a.is_inf:
         raise NegativeValue("inf carries no residue")

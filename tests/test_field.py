@@ -67,8 +67,8 @@ def test_exact_laurent_division_detected(laurent):
 def test_res_delta_examples(laurent, padic7):
     assert laurent.parse("2 + t").residue(0) == laurent.from_rational(2).residue(0)
     x = padic7.from_rational(52)  # 3 + 49
-    assert x.residue(1).data == 3  # digits 0..1
-    assert x.residue(2).data == 52
+    assert x.residue(1) == 3  # digits 0..1
+    assert x.residue(2) == 52
 
 
 def test_res_delta_matches_class_equality(laurent):
@@ -79,7 +79,7 @@ def test_res_delta_matches_class_equality(laurent):
     x = laurent.parse("1 + t + t^2")
     y = laurent.parse("1 + t + 2*t^2")
     for delta in range(4):
-        lhs = (x / y).residue(delta).is_one
+        lhs = (x / y).residue(delta) == 1
         rhs = rv(x, delta) == rv(y, delta)
         assert lhs == rhs
 
@@ -369,7 +369,7 @@ def test_padic_kernel_matches_fraction_oracle(data, p, k, d):
         _padic_same(z, oz)
         _padic_same(z.truncate_rel(k), padic_oracle.truncate_rel(oz, k, p))
         assert _outcome(lambda: z.unit_digits(k)) == _outcome(lambda: padic_oracle.unit_digits(oz, k, p))
-        assert _outcome(lambda: z.residue(d).data) == _outcome(lambda: padic_oracle.residue(oz, d, p))
+        assert _outcome(lambda: z.residue(d)) == _outcome(lambda: field.from_rational(padic_oracle.residue(oz, d, p)))
         # printing and parsing round-trip to equal data and hash
         back = field.parse(str(z))
         assert back == z and hash(back) == hash(z)

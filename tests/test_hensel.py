@@ -379,6 +379,35 @@ def test_collision_classes_complete_by_sampling(laurent):
         assert (not sev_pos) or in_returned
 
 
+@pytest.mark.parametrize("error", [PreconditionViolated, PrecisionExhausted])
+def test_collision_classes_survive_a_failing_collision_root(monkeypatch, error):
+    """When collision lifting fails, each class that qualified still holds
+    a derivative root, so the fallback reports the same classes."""
+    import hqe.hensel
+
+    laurent, padic7 = Field.laurent(), Field.padic(7)
+    t = laurent.uniformizer()
+    cases = [
+        (sq_minus(laurent, t * t), laurent.zero(), 1),
+        (Poly(laurent, [-(t**3), laurent.zero(), laurent.zero(), laurent.one()]), laurent.zero(), 1),
+        (Poly.from_rationals(padic7, [-400, 458, -59, 1]), padic7.zero(), 0),
+        (Poly.from_rationals(padic7, [-400, 458, -59, 1]), padic7.one(), 1),
+    ]
+    before = [collision_classes(f, alpha, d) for f, alpha, d in cases]
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        raise error("collision lifting refused")
+
+    monkeypatch.setattr(hqe.hensel, "collision_root", failing)
+    for (f, alpha, d), want in zip(cases, before):
+        got = collision_classes(f, alpha, d)
+        assert [a for a, _ in got] == [a for a, _ in want]
+        assert all(rv(lam - alpha, 0) == a for a, lam in got)
+    assert len(calls) == 5
+
+
 def test_derivative_roots_cover_all_orders(laurent):
     t = laurent.uniformizer()
     one = laurent.one()

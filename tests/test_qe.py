@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dnf_reference
+import linear_elimination_reference
 import normal_form_reference
 from hqe import selftest
 from hqe.errors import FormulaSyntaxError, HQEError, NonEffectiveQuantifier, PrecisionExhausted
@@ -442,6 +443,107 @@ def test_linear_elimination_case4_disjoint_balls(padic2):
     assert not eliminate_linear_exists(constraints, padic2, log)
     assert log == {4}
     assert not brute_force_linear(constraints, padic2)
+
+
+_LIN_FIELDS = [Field.laurent(), Field.padic(7), Field.padic(2)]
+
+
+@st.composite
+def _exact_linear_block(draw):
+    """A block of 1-4 exact constraints (z, a, b, delta); the b's come from
+    a pool of two, so that centres repeat and every case is reached."""
+    field = draw(st.sampled_from(_LIN_FIELDS))
+    coeff = st.sampled_from([1, 2, 3, -1, -2, 5, Fraction(1, 3)])
+
+    def elem(terms):
+        out = field.zero()
+        for c, k in draw(st.lists(st.tuples(coeff, st.integers(-3, 5)), min_size=1, max_size=terms)):
+            out = out + field.monomial(c, k)
+        return out
+
+    pool = [elem(2), elem(2), field.zero()]
+    block = []
+    for _ in range(draw(st.integers(1, 4))):
+        z = field.zero() if draw(st.integers(0, 9)) == 0 else elem(2)
+        a = field.monomial(draw(coeff), draw(st.integers(-1, 1)))
+        block.append((z, a, draw(st.sampled_from(pool)), draw(st.integers(0, 4))))
+    return field, block
+
+
+def _linear_outcome(fn, block, field):
+    log = set()
+    try:
+        got = fn(block, field, log)
+    except HQEError as e:
+        got = type(e).__name__
+    return got, log
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_exact_linear_block())
+def test_linear_elimination_matches_dict_ball_reference(case):
+    """On exact inputs the Ball-based elimination gives the frozen dict-ball
+    version's verdict and case_log."""
+    field, block = case
+    ref = linear_elimination_reference.eliminate_linear_exists
+    assert _linear_outcome(eliminate_linear_exists, block, field) == _linear_outcome(ref, block, field)
+
+
+def test_linear_elimination_inexact_pin_is_decided(laurent):
+    """A lone pin known to t^3 is still a witness, as decide finds."""
+    one, c = laurent.one(), laurent.parse("1 + O(t^3)")
+    assert eliminate_linear_exists([(laurent.zero(), one, c, 0)], laurent)
+    assert decide(parse_formula(laurent, "EX x:K. x - (1 + O(t^3)) = 0"), laurent)
+
+
+def test_linear_elimination_undecided_pin_membership_raises(laurent):
+    """Whether the pin 1 + O(t^3) lies in v(x - 1 - t^5) > 5 needs digits
+    up to t^5."""
+    P, one = laurent.parse, laurent.one()
+    block = [(laurent.zero(), one, P("1 + O(t^3)"), 0), (P("t^5"), one, one, 0)]
+    with pytest.raises(PrecisionExhausted):
+        eliminate_linear_exists(block, laurent)
+    with pytest.raises(PrecisionExhausted):
+        decide(parse_formula(laurent, "EX x:K. x - (1 + O(t^3)) = 0 & rv[0](t^5) = rv[0](x - 1)"), laurent)
+
+
+def test_linear_elimination_undecided_centres_raise(laurent):
+    """The centre 1 + e is known only below t^2: e = -t^5 makes the balls
+    v(x - 1 - e - t^5) > 5 and v(x - 1 - t^6) > 6 meet, e = 0 does not."""
+    P, one = laurent.parse, laurent.one()
+    for e, meet in ((P("-t^5"), True), (laurent.zero(), False)):
+        exact = [(P("t^5"), one, one + e, 0), (P("t^6"), one, one, 0)]
+        assert eliminate_linear_exists(exact, laurent) == meet
+    with pytest.raises(PrecisionExhausted):
+        eliminate_linear_exists([(P("t^5"), one, P("1 + O(t^2)"), 0), (P("t^6"), one, one, 0)], laurent)
+    # with v(z_2) < v(z_1), e = 0 is case 3 and e = t^3 - t^5 is case 4 with
+    # meeting balls, so the case itself is undecided
+    for e, meet in ((laurent.zero(), False), (P("t^3 - t^5"), True)):
+        exact = [(P("t^5"), one, one + e, 0), (P("t^3"), one, one, 3)]
+        assert eliminate_linear_exists(exact, laurent) == meet
+    with pytest.raises(PrecisionExhausted):
+        eliminate_linear_exists([(P("t^5"), one, P("1 + O(t^2)"), 0), (P("t^3"), one, one, 3)], laurent)
+
+
+def test_linear_elimination_case4_radius_boundary(laurent):
+    """Case 4 meets iff v(c_2 + z_2 - c_1 - z_1) > v(z_1) + delta_1 = 2:
+    here that value is 3, then 2."""
+    P, one, zero = laurent.parse, laurent.one(), laurent.zero()
+    for z2, meet in ((P("-t + t^2 + t^3"), True), (P("-t + 2*t^2"), False)):
+        block = [(P("t^2"), one, zero, 0), (z2, one, P("t"), 2)]
+        log = set()
+        assert eliminate_linear_exists(block, laurent, log) == meet
+        assert log == {4}
+        assert brute_force_linear(block, laurent) == meet
+
+
+def test_linear_elimination_decided_centres_answer(laurent):
+    """Known to t^9, the centre 1 + O(t^9) is 1 below t^5, which decides
+    the case and the membership: the balls are disjoint."""
+    P, one = laurent.parse, laurent.one()
+    log = set()
+    assert not eliminate_linear_exists([(P("t^5"), one, P("1 + O(t^9)"), 0), (P("t^6"), one, one, 0)], laurent, log)
+    assert log == {1}
 
 
 @pytest.mark.parametrize("seed", range(12))
