@@ -25,7 +25,7 @@ from math import factorial, lcm
 
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
-from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem
+from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem, val_diff
 from .hensel import DerivativeRoots, resolution_horizon
 from .poly import Poly, annulus_residue_poly, argmin_indices, derivative, residue_roots, taylor_shift
 from .rv import RVElem, rv
@@ -61,11 +61,15 @@ class Piece:
         a_m = self.coeffs[self.m]
         if self.m == 0:
             return INF if a_m.is_zero else a_m.val()
-        d = x - self.center
-        if d.is_zero:
-            return INF
-        r = d.val()
-        self._depth_guard(r)
+        horizon = resolution_horizon(self.center.field)
+        r = val_diff(x, self.center, horizon)
+        if r is None or r == horizon:
+            # undecided below the horizon, or at it: the difference decides
+            d = x - self.center
+            if d.is_zero:
+                return INF
+            r = d.val()
+            self._depth_guard(r)
         return a_m.val() + r * self.m
 
     @cached_property
@@ -343,16 +347,17 @@ def _measure_drops(f, droots, prev, ball) -> bool:
         return True
 
 
-def _region(f, center, n, ball, droots, exact, depth, prev=None) -> list:
+def _region(f, center, n, ball, droots, exact, depth, prev=None, coeffs=None) -> list:
     """Decompose ``ball`` (which contains ``center``, a root of f^(n), or of
-    no derivative for n None) for f."""
+    no derivative for n None) for f; ``coeffs``, when given, are f's
+    coefficients at ``center``."""
     if depth > _MAX_DEPTH:
         raise RecursionBound("decomposition recursion exceeded its defensive cap")
     field = f.field
+    if coeffs is None:
+        coeffs = tuple(taylor_shift(f, center))
     if ball.kind == "point":
-        coeffs = taylor_shift(f, center)
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, 0, 1)]
-    coeffs = taylor_shift(f, center)
+        return [Piece(SwissCheese.of_ball(ball), center, coeffs, 0, 0, 1)]
     pairs = _support_vals(field, coeffs)
     if not pairs:
         raise PreconditionViolated("zero polynomial in decomposition")
@@ -365,19 +370,19 @@ def _region(f, center, n, ball, droots, exact, depth, prev=None) -> list:
             "decomposition measure failed to decrease"
         )
     if m == 0:
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, 0, 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, coeffs, 0, 0, 1)]
     vm = dict(pairs)[m]
     cuts = [Fraction(v - vm, m - i) for i, v in pairs if i < m]
     if not cuts:
         # the m-th monomial is strictly minimal on the whole ball
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), m, 0, 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, coeffs, m, 0, 1)]
     rho = min(cuts, default=INF)
     pieces = []
     inner_ball = Ball.more_than(center, rho)
     # radii in [gamma, rho): the m-th monomial is strictly minimal
     outer = SwissCheese(ball, [Ball.at_least(center, rho)])
     if not outer.is_empty:
-        pieces.append(Piece(outer, center, tuple(coeffs), m, 0, 1))
+        pieces.append(Piece(outer, center, coeffs, m, 0, 1))
     # the tie annulus at rho, when it is realized in the value group
     if rho.denominator == 1:
         r = int(rho)
@@ -393,9 +398,9 @@ def _region(f, center, n, ball, droots, exact, depth, prev=None) -> list:
                     q = factorial(m) ** (2**m) if bound > 0 else 1
                 else:
                     bound, q = 0, 1
-                pieces.append(Piece(remainder, center, tuple(coeffs), m, bound, q))
+                pieces.append(Piece(remainder, center, coeffs, m, bound, q))
     # inside: the maximal index drops strictly
-    pieces.extend(_region(f, center, n, inner_ball, droots, exact, depth + 1, (m, ball, center, n)))
+    pieces.extend(_region(f, center, n, inner_ball, droots, exact, depth + 1, (m, ball, center, n), coeffs))
     return pieces
 
 

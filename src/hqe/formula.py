@@ -587,6 +587,7 @@ class _Parser:
         self.gaps, self.toks = self.split[::2], self.split[1::2] + [""]
         self.i = self.depth = self.room = self.height = 0
         self.sorts = dict(rv_vars or {})  # name -> order for RV, None for K
+        self.vterms = {}  # this scope's v(...) source texts -> (node, depth, height)
         self.levels = None  # the parenthesis depth after each token, once asked
         self.starts = None  # where each gap and token starts, once asked
 
@@ -719,12 +720,12 @@ class _Parser:
             order = bounded_order(self.integer())
             self.expect("]")
         self.expect(".")
-        outer = self.sorts
-        self.sorts = {**outer, var: order}
+        outer, outer_vterms = self.sorts, self.vterms
+        self.sorts, self.vterms = {**outer, var: order}, {}
         self.deeper(_QUANT)
         body = self.formula()
         self.depth -= _QUANT
-        self.sorts = outer
+        self.sorts, self.vterms = outer, outer_vterms
         if order is None:
             return ExistsF(var, body) if exists else ForallF(var, body)
         return ExistsRV(var, order, body) if exists else ForallRV(var, order, body)
@@ -782,9 +783,23 @@ class _Parser:
         return _NOT_IN_TERMS.isdisjoint(inside) and not (sorts and any(sorts.get(t) is not None for t in inside))
 
     def vterm(self):
+        """v(rvterm), read once per scope: a repeat of the same source text
+        at no greater depth is the node read first, since the same text in
+        the same scope reads the same way, and where it was read the depth
+        room sufficed."""
+        i = self.i
         self.expect("v", "(")
+        j = self.closing(i + 1)
+        key = j and "".join(self.split[2 * i + 1 : 2 * j + 2])
+        seen = self.vterms.get(key)
+        if seen is not None and self.depth <= seen[1]:
+            out, _, self.height = seen
+            self.i = j + 1
+            return out
         out = self.rvterm()
         self.expect(")")
+        if self.i - 1 == j:
+            self.vterms[key] = out, self.depth, self.height
         return out
 
     def vop(self) -> str:

@@ -192,6 +192,7 @@ def parse_rv_scan(field: Field, sc: _Scanner) -> RVElem:
     value = sc.integer()
     sc.expect(";")
     sc.expect("unit=")
+    sc.skip_ws()
     start = sc.pos
     unit = [sc.rational()]
     while sc.eat(","):

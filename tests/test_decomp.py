@@ -129,6 +129,19 @@ def test_partition_and_bounds_random(any_field):
                 assert w == fv
 
 
+def test_each_centre_is_taylor_shifted_once(monkeypatch, any_field):
+    """The recursion inward from a centre reuses its coefficients there."""
+    rng = random.Random(7)
+    shifted = []
+    real = hqe.decomp.taylor_shift
+    monkeypatch.setattr(hqe.decomp, "taylor_shift", lambda f, c: shifted.append(c) or real(f, c))
+    for _ in range(12):
+        shifted.clear()
+        f = random_poly(any_field, rng)
+        centres = {p.center for p in decompose(f)}
+        assert len(shifted) == len(set(shifted)) and centres <= set(shifted)
+
+
 def test_monotonicity_of_m(laurent):
     rng = random.Random(9)
     zero = laurent.zero()

@@ -53,8 +53,6 @@ _FIELD_NAMES = ["x", "y", "c"]
 _RV_NAMES = ["w", "u"]
 _RV_VARS = {"w": 0, "u": 1}
 
-_POSITION = re.compile(r" \(at position \d+\)$")
-
 # the literal forms only the old literal grammar read: a "+" sign on a
 # number that starts a term, and a "-t" term after "+"
 _OLD_ONLY = re.compile(r"^\s*\+\d|\+\s*\+\d|\+\s*-\s*t")
@@ -65,11 +63,18 @@ _OLD_ONLY = re.compile(r"^\s*\+\d|\+\s*\+\d|\+\s*-\s*t")
 _ALPHABET = " \t0123456789+-*/^()[]{}=<>!&|.,:;_tvxwOKEXALRinfu\u0663\u00b2"
 
 
+# an identifier's sort error points past the whitespace after the
+# identifier, the reference's at its end: only there is the position left out
+_SORT_ERROR_AT = re.compile(
+    r"(is not an RV-sorted variable|is RV-sorted, expected a field term) \(at position \d+\)$"
+)
+
+
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
-    except HQEError as e:  # the same error, wherever it points, is the same answer
-        return type(e), _POSITION.sub("", str(e))
+    except HQEError as e:  # the same error at the same position
+        return type(e), _SORT_ERROR_AT.sub(r"\1", str(e))
     except ValueError as e:  # the reference only: int() of a digit it cannot read
         return ValueError, str(e)
 
@@ -396,3 +401,72 @@ def test_an_rv_literal_error_points_at_its_first_unit_digit(field, text, message
     with pytest.raises(FormulaSyntaxError) as e:
         parse_formula(field, text)
     assert str(e.value) == message
+    assert _outcome(ref.parse_formula, field, text) == (FormulaSyntaxError, message)
+
+
+# ---- a repeated v(...) term is read once per scope -----------------------------
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # the same tokens: "-1" is one number, "- 1" a sign with nothing to negate
+        (
+            "v(rv[0](x - -1)) < v(rv[0](t)) | v(rv[0](x - - 1)) < v(rv[0](t))",
+            "expected identifier (at position 45)",
+        ),
+        # the same tokens: "rv [0]" is not the rv function
+        (
+            "EX x:K. v(rv[0](x - 1)) < v(rv[0](t)) & v(rv [0](x - 1)) < v(rv[0](t))",
+            "rv is not an RV-sorted variable (at position 45)",
+        ),
+        # the same text in another scope: x is RV-sorted there
+        (
+            "v(rv[0](x)) < v(rv[0](t)) & EX x:RV[0]. v(rv[0](x)) < v(rv[0](t))",
+            "x is RV-sorted, expected a field term (at position 49)",
+        ),
+        # and read first at a greater depth, which alone would allow the reuse
+        (
+            "!!!!!!!!v(rv[0](x)) < v(rv[0](t)) & EX x:RV[0]. v(rv[0](x)) < v(rv[0](t))",
+            "x is RV-sorted, expected a field term (at position 57)",
+        ),
+    ],
+)
+def test_a_v_term_is_shared_only_for_the_same_text_in_the_same_scope(laurent, text, message):
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_formula(laurent, text)
+    assert str(e.value) == message
+    assert _outcome(parse_formula, laurent, text) == _outcome(ref.parse_formula, laurent, text)
+
+
+def test_a_v_term_read_shallow_is_refused_when_repeated_too_deep(laurent):
+    term = "v(rv[0](" + "(" * 100 + "x" + ")" * 100 + ")) > v(rv[0](1))"
+
+    def parses(text):
+        try:
+            parse_formula(laurent, text)
+            return True
+        except FormulaSyntaxError as e:
+            assert str(e) == "formula nested too deeply"
+            return False
+
+    # the fewest negations under which the term alone is nested too deeply
+    lo, hi = 0, 4000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if parses("EX x:K. " + "!" * mid + term):
+            lo = mid + 1
+        else:
+            hi = mid
+    n = lo
+    assert 0 < n < 4000 and parses("EX x:K. " + "!" * n + "v(rv[0](x)) > v(rv[0](1))")
+    assert parses(f"EX x:K. {term} & " + "!" * (n - 1) + term)
+    assert not parses(f"EX x:K. {term} & " + "!" * n + term)
+
+
+def test_a_repeated_v_term_is_one_node(laurent):
+    phi = parse_formula(laurent, "EX x:K. v(rv[0](x - 1)) < v(rv[0](t)) | v(rv[0](x - 1)) = v(rv[0](t^2))")
+    first, second = phi.body.args
+    assert first.left.arg is second.left.arg  # x - 1
+    assert first.right != second.right
+    assert phi == ref.parse_formula(laurent, print_formula(phi))
