@@ -18,14 +18,14 @@ came from, so the count drops without counting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import lcm
 
 from .balls import Ball, SwissCheese
 from .errors import NotInPiece, PreconditionViolated, PrecisionExhausted, RecursionBound
-from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem, val_diff
+from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem, bounded_power, val_diff
 from .hensel import DerivativeRoots, resolution_horizon
 from .poly import Poly, annulus_residue_poly, argmin_indices, derivative, residue_roots, taylor_shift
 from .rv import RVElem, rv
@@ -42,14 +42,16 @@ class Piece:
         v(a_m (x-center)^m)  <=  v(f(x))  <=  same + severity_bound,
 
     and rv_delta(f(x)) equals the projected leading-term polynomial built
-    from order delta + v(q) data (q = 1 in residue characteristic 0)."""
+    from order delta + v(q) data, for q = m!^(2^m) where the piece has
+    slack and q = 1 elsewhere.  Only v(q) is ever read, and it is
+    ``severity_bound``: 2^m v(m!) on a slack piece, 0 in residue
+    characteristic 0."""
 
     cheese: SwissCheese
     center: FieldElem
     coeffs: tuple
     m: int
     severity_bound: int
-    q: int
 
     def contains(self, x: FieldElem) -> bool:
         return self.cheese.contains(x)
@@ -80,10 +82,6 @@ class Piece:
     @cached_property
     def _exact(self) -> bool:
         return self.center.is_exact and all(c.is_exact for c in self.coeffs)
-
-    @cached_property
-    def _vq(self) -> int:
-        return _int_val(self.center.field, self.q)
 
     def _depth_guard(self, r):
         # a piece built around truncated data does not resolve structure
@@ -150,16 +148,18 @@ class Piece:
             raise NotInPiece(f"{x} is not in {self.cheese}")
         delta = as_order(delta)
         field = self.center.field
-        gamma = delta + self._vq
+        gamma = delta + self.severity_bound
         k = gamma + 1
+        laurent = field.backend == LAURENT
+        # p^k is the modulus of every padic class below: refuse it up front
+        mod = None if laurent else bounded_power(field.p, k, "leading term of a piece")
         d = x - self.center
         dlb = None if d.is_zero else d.val_lb()  # v(d), or its order bound
         if dlb is not None:
             self._depth_guard(dlb)
         if not (d.is_zero or d.is_small):
             d = d.truncate_rel(k)  # the unit digits of rv_gamma(d), fewer when d is known to fewer
-        laurent = field.backend == LAURENT
-        pw, mod = ((1,), None) if laurent else (1, field.p**k)
+        pw = (1,) if laurent else 1
         pj = 0  # pw is the unit of rv_gamma(d)^pj, over d.den^pj on laurent-q
         ignored = INF  # lower bound on the dropped terms
         kept = []  # (value, unit, den) of each term class
@@ -218,7 +218,8 @@ class Piece:
             "coeffs": [str(c) for c in self.coeffs],
             "m": self.m,
             "severity_bound": str(self.severity_bound),
-            "q": self.q,
+            # q itself can run to millions of digits: its formula, 1 without slack
+            "q": f"{self.m}!^(2^{self.m})" if self.severity_bound else 1,
         }
 
     @staticmethod
@@ -229,18 +230,7 @@ class Piece:
             tuple(field.parse(c) for c in data["coeffs"]),
             data["m"],
             int(data["severity_bound"]),
-            data["q"],
         )
-
-
-def _int_val(field: Field, q: int) -> int:
-    if field.backend == LAURENT:
-        return 0
-    v = 0
-    while q % field.p == 0:
-        q //= field.p
-        v += 1
-    return v
 
 
 def coeff_unresolved(field: Field, c) -> bool:
@@ -304,7 +294,7 @@ def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> li
     d = f.degree
     if d == 0:
         cheese = S if S is not None else SwissCheese.all(field)
-        return [Piece(cheese, field.zero(), (f.coeffs[0],), 0, 0, 1)]
+        return [Piece(cheese, field.zero(), (f.coeffs[0],), 0, 0)]
     # initial center: the root of the linear derivative, always in K
     top = f.coeffs[d]
     below = f.coeffs[d - 1]
@@ -312,12 +302,7 @@ def decompose(f: Poly, S: SwissCheese | None = None, _exact: bool = False) -> li
     droots = DerivativeRoots(f)
     pieces = _region(f, alpha0, d - 1, Ball.all(field), droots, _exact, 0)
     if S is not None:
-        pieces = [
-            Piece(c, p.center, p.coeffs, p.m, p.severity_bound, p.q)
-            for p in pieces
-            for c in [p.cheese.intersect(S)]
-            if not c.is_empty
-        ]
+        pieces = [replace(p, cheese=c) for p in pieces for c in [p.cheese.intersect(S)] if not c.is_empty]
     return pieces
 
 
@@ -357,7 +342,7 @@ def _region(f, center, n, ball, droots, exact, depth, prev=None, coeffs=None) ->
     if coeffs is None:
         coeffs = tuple(taylor_shift(f, center))
     if ball.kind == "point":
-        return [Piece(SwissCheese.of_ball(ball), center, coeffs, 0, 0, 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, coeffs, 0, 0)]
     pairs = _support_vals(field, coeffs)
     if not pairs:
         raise PreconditionViolated("zero polynomial in decomposition")
@@ -370,19 +355,19 @@ def _region(f, center, n, ball, droots, exact, depth, prev=None, coeffs=None) ->
             "decomposition measure failed to decrease"
         )
     if m == 0:
-        return [Piece(SwissCheese.of_ball(ball), center, coeffs, 0, 0, 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, coeffs, 0, 0)]
     vm = dict(pairs)[m]
     cuts = [Fraction(v - vm, m - i) for i, v in pairs if i < m]
     if not cuts:
         # the m-th monomial is strictly minimal on the whole ball
-        return [Piece(SwissCheese.of_ball(ball), center, coeffs, m, 0, 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, coeffs, m, 0)]
     rho = min(cuts, default=INF)
     pieces = []
     inner_ball = Ball.more_than(center, rho)
     # radii in [gamma, rho): the m-th monomial is strictly minimal
     outer = SwissCheese(ball, [Ball.at_least(center, rho)])
     if not outer.is_empty:
-        pieces.append(Piece(outer, center, coeffs, m, 0, 1))
+        pieces.append(Piece(outer, center, coeffs, m, 0))
     # the tie annulus at rho, when it is realized in the value group
     if rho.denominator == 1:
         r = int(rho)
@@ -393,12 +378,8 @@ def _region(f, center, n, ball, droots, exact, depth, prev=None, coeffs=None) ->
             )
             remainder = annulus.minus_balls(class_balls)
             if not remainder.is_empty:
-                if slack:
-                    bound = field.factorial_val(m) * (2**m)
-                    q = factorial(m) ** (2**m) if bound > 0 else 1
-                else:
-                    bound, q = 0, 1
-                pieces.append(Piece(remainder, center, coeffs, m, bound, q))
+                bound = field.factorial_val(m) * (2**m) if slack else 0
+                pieces.append(Piece(remainder, center, coeffs, m, bound))
     # inside: the maximal index drops strictly
     pieces.extend(_region(f, center, n, inner_ball, droots, exact, depth + 1, (m, ball, center, n), coeffs))
     return pieces
@@ -518,7 +499,7 @@ def rv_decompose(fs, deltas) -> RVDecomposition:
     if len(fs) != len(deltas):
         raise ValueError("one order per polynomial required")
     packed = [
-        Cell(cheese, tuple(Piece(cheese, p.center, p.coeffs, p.m, p.severity_bound, p.q) for p in chosen))
+        Cell(cheese, tuple(replace(p, cheese=cheese) for p in chosen))
         for cheese, chosen in _refine([decompose(f) for f in fs])
     ]
     return RVDecomposition(tuple(fs), tuple(deltas), tuple(packed))

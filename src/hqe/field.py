@@ -91,8 +91,9 @@ REDUCE_DEN_BITS = 256
 
 
 # an exact padic sum builds p^s for the valuation gap s of its terms, so a
-# sparse literal such as 1 + 7^30000000 would run for minutes: the kernel
-# refuses a power of p longer than this many bits
+# sparse literal such as 1 + 7^30000000 would run for minutes, and a piece's
+# leading term works modulo p^(gamma + 1) at an order gamma that grows as
+# 2^m: neither builds a power of p longer than this many bits
 MAX_EXACT_BITS = 1 << 24
 
 
@@ -106,6 +107,14 @@ def bounded_order(d: int) -> int:
     if not 0 <= d < MAX_DIGIT_SPAN:
         raise PreconditionViolated(f"order {d} is outside 0 <= d < MAX_DIGIT_SPAN = {MAX_DIGIT_SPAN}")
     return d
+
+
+def bounded_power(p: int, s: int, what: str) -> int:
+    """p^s for an exact padic computation, refused when it is longer than
+    MAX_EXACT_BITS."""
+    if s * log2(p) > MAX_EXACT_BITS:
+        raise PreconditionViolated(f"{what} needs {p}^{s}, longer than MAX_EXACT_BITS = {MAX_EXACT_BITS}")
+    return p**s
 
 
 # Miller-Rabin with the first 13 primes as bases is a proof of primality
@@ -792,14 +801,11 @@ def _padd(a, b, p):
         va, ua, da, vb, ub, db = vb, ub, db, va, ua, da
     s = vb - va
     if cap is None:
-        if s * log2(p) > MAX_EXACT_BITS:
-            raise PreconditionViolated(
-                f"exact padic sum needs {p}^{s}, longer than MAX_EXACT_BITS = {MAX_EXACT_BITS}"
-            )
+        ps = bounded_power(p, s, "exact padic sum")
         if da == db:
-            u, den = ua + ub * p**s, da
+            u, den = ua + ub * ps, da
         else:
-            u, den = ua * db + ub * da * p**s, da * db
+            u, den = ua * db + ub * da * ps, da * db
     else:
         den, m = 1, p ** (cap - va)
         u = _punit(ua, da, m)

@@ -597,8 +597,8 @@ class _Parser:
             self.starts = list(accumulate(map(len, self.split), initial=0))
         return self.starts[2 * (self.i if k is None else k) + 1]
 
-    def fail(self, msg):
-        raise FormulaSyntaxError(msg, self.pos())
+    def fail(self, msg, k=None):
+        raise FormulaSyntaxError(msg, self.pos(k))
 
     def at(self, first: str, second: str, i=None) -> bool:
         """Whether first + second starts at token i (by default the current one)."""
@@ -865,7 +865,7 @@ class _Parser:
         else:
             name = self.word()
             if self.sorts.get(name) is None:
-                self.fail(f"{name} is not an RV-sorted variable")
+                self.fail(f"{name} is not an RV-sorted variable", i)
             base = RVVarT(name, self.sorts[name])
         if toks[self.i] == "^":
             self.i += 1
@@ -936,7 +936,7 @@ class _Parser:
             if name == "t" and field.backend == LAURENT and name not in self.sorts:
                 base = FLit(field.uniformizer())
             elif self.sorts.get(name) is not None:
-                self.fail(f"{name} is RV-sorted, expected a field term")
+                self.fail(f"{name} is RV-sorted, expected a field term", i)
             else:
                 base = FVar(name)
         if toks[self.i] == "^":

@@ -21,13 +21,13 @@ from itertools import combinations
 from operator import and_, or_
 
 from .balls import Ball, SwissCheese
-from .decomp import _int_val, coeff_unresolved, rv_decompose
+from .decomp import coeff_unresolved, rv_decompose
 from .errors import (
     NonEffectiveQuantifier,
     PrecisionExhausted,
     PreconditionViolated,
 )
-from .field import Field, FieldElem, val_diff
+from .field import Field, FieldElem, bounded_order, val_diff
 from .formula import (
     FALSE,
     TRUE,
@@ -663,7 +663,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
         if P.degree == 0:
             return RVLitT(rv(P.coeffs[0], delta))
         piece = piece_of[P]
-        need = delta + _int_val(field, piece.q)
+        need = delta + piece.severity_bound
         w = RVVarT(f"w{center_index(piece.center) + 1}", gamma)
         wp = w if need == gamma else RVProjT(need, w)
         terms = []
@@ -705,9 +705,10 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     polys = list(order_of)
     orders = list(order_of.values())
     dec = rv_decompose(polys, orders)
-    for cell in dec.cells:
-        for d, piece in zip(orders, cell.pieces):
-            gamma = max(gamma, d + _int_val(field, piece.q))
+    # D reads w at order gamma, and prints rv[gamma] classes the formula
+    # language reads back only below its bound on orders
+    needs = [d + piece.severity_bound for cell in dec.cells for d, piece in zip(orders, cell.pieces)]
+    gamma = bounded_order(max(needs, default=0))
     disjuncts = []
     for cell in dec.cells:
         piece_of = dict(zip(polys, cell.pieces))

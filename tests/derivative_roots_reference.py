@@ -9,7 +9,6 @@ class asks for its order; tests compare the two choices of centre.
 """
 
 from fractions import Fraction
-from math import factorial
 
 from hqe.balls import Ball, SwissCheese
 from hqe.decomp import _MAX_DEPTH, Piece, _support_vals
@@ -61,7 +60,7 @@ def decompose(f: Poly, S=None, _exact: bool = False) -> list:
     d = f.degree
     if d == 0:
         cheese = S if S is not None else SwissCheese.all(field)
-        return [Piece(cheese, field.zero(), (f.coeffs[0],), 0, 0, 1)]
+        return [Piece(cheese, field.zero(), (f.coeffs[0],), 0, 0)]
     top = f.coeffs[d]
     below = f.coeffs[d - 1]
     alpha0 = -(below / (top * d))
@@ -69,7 +68,7 @@ def decompose(f: Poly, S=None, _exact: bool = False) -> list:
     pieces = _region(f, alpha0, Ball.all(field), droots, _exact, 0)
     if S is not None:
         pieces = [
-            Piece(c, p.center, p.coeffs, p.m, p.severity_bound, p.q)
+            Piece(c, p.center, p.coeffs, p.m, p.severity_bound)
             for p in pieces
             for c in [p.cheese.intersect(S)]
             if not c.is_empty
@@ -83,7 +82,7 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
     field = f.field
     if ball.kind == "point":
         coeffs = taylor_shift(f, center)
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, 0, 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, 0)]
     coeffs = taylor_shift(f, center)
     pairs = _support_vals(field, coeffs)
     if not pairs:
@@ -96,17 +95,17 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
             "decomposition measure failed to decrease"
         )
     if m == 0:
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, 0, 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), 0, 0)]
     vm = dict(pairs)[m]
     cuts = [Fraction(v - vm, m - i) for i, v in pairs if i < m]
     if not cuts:
-        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), m, 0, 1)]
+        return [Piece(SwissCheese.of_ball(ball), center, tuple(coeffs), m, 0)]
     rho = min(cuts, default=INF)
     pieces = []
     inner_ball = Ball.more_than(center, rho)
     outer = SwissCheese(ball, [Ball.at_least(center, rho)])
     if not outer.is_empty:
-        pieces.append(Piece(outer, center, tuple(coeffs), m, 0, 1))
+        pieces.append(Piece(outer, center, tuple(coeffs), m, 0))
     if rho.denominator == 1:
         r = int(rho)
         annulus = SwissCheese(Ball.at_least(center, r), [inner_ball])
@@ -116,12 +115,8 @@ def _region(f, center, ball, droots, exact, depth, prev=None) -> list:
             )
             remainder = annulus.minus_balls(class_balls)
             if not remainder.is_empty:
-                if slack:
-                    bound = field.factorial_val(m) * (2**m)
-                    q = factorial(m) ** (2**m) if bound > 0 else 1
-                else:
-                    bound, q = 0, 1
-                pieces.append(Piece(remainder, center, tuple(coeffs), m, bound, q))
+                bound = field.factorial_val(m) * (2**m) if slack else 0
+                pieces.append(Piece(remainder, center, tuple(coeffs), m, bound))
     pieces.extend(_region(f, center, inner_ball, droots, exact, depth + 1, (m, ball)))
     return pieces
 

@@ -8,11 +8,35 @@ this file."""
 
 from __future__ import annotations
 
-from hqe.decomp import _int_val, coeff_unresolved
+from math import factorial
+
+from hqe.decomp import coeff_unresolved
 from hqe.errors import NotInPiece, PrecisionExhausted
+from hqe.field import LAURENT
 from hqe.hensel import resolution_horizon
 from hqe.rv import RVElem, rv
 from hqe.valq import INF, as_order
+
+
+def _int_val(field, q: int) -> int:
+    if field.backend == LAURENT:
+        return 0
+    v = 0
+    while q % field.p == 0:
+        q //= field.p
+        v += 1
+    return v
+
+
+def piece_q(piece) -> int:
+    """The integer q a piece stored before it kept only v(q): m!^(2^m) on
+    a piece with slack, 1 elsewhere."""
+    return factorial(piece.m) ** (2**piece.m) if piece.severity_bound else 1
+
+
+def piece_vq(piece) -> int:
+    """v(q), divided out of q one p at a time."""
+    return _int_val(piece.center.field, piece_q(piece))
 
 
 def depth_guard(piece, r):
@@ -41,7 +65,7 @@ def eval_rv(piece, x, delta) -> RVElem:
         raise NotInPiece(f"{x} is not in {piece.cheese}")
     delta = as_order(delta)
     field = piece.center.field
-    vq = _int_val(field, piece.q)
+    vq = piece_vq(piece)
     gamma = delta + vq
     reps = []
     ignored = INF  # lower bound on terms dropped as zero-at-precision

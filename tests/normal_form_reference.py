@@ -13,7 +13,8 @@ rv equalities of equal orders.
 
 from __future__ import annotations
 
-from hqe.decomp import _int_val, coeff_unresolved, rv_decompose
+from eval_rv_reference import piece_vq
+from hqe.decomp import coeff_unresolved, rv_decompose
 from hqe.errors import NonEffectiveQuantifier
 from hqe.field import Field, FieldElem
 from hqe.formula import (
@@ -108,7 +109,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
     gamma = 0
     for cell in dec.cells:
         for d, piece in zip(orders, cell.pieces):
-            gamma = max(gamma, d + _int_val(field, piece.q))
+            gamma = max(gamma, d + piece_vq(piece))
     centers = []
 
     def center_index(a: FieldElem) -> int:
@@ -129,7 +130,7 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
                 return RVLitT(rv(P.coeffs[0], delta))
             idx = polys.index(P)
             piece = piece_by_poly[idx]
-            need = delta + _int_val(field, piece.q)
+            need = delta + piece_vq(piece)
             w = RVVarT(f"w{center_index(piece.center) + 1}", gamma)
             wp = w if need == gamma else RVProjT(need, w)
             terms = []

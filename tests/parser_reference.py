@@ -442,7 +442,7 @@ class _FormulaParser:
         name = self.ident()
         order = self.sorts.get(name)
         if order is None:
-            self.fail(f"{name} is not an RV-sorted variable")
+            raise FormulaSyntaxError(f"{name} is not an RV-sorted variable", self.sc.pos - len(name))
         return RVVarT(name, order)
 
     # field terms ----------------------------------------------------------------
@@ -516,7 +516,7 @@ class _FormulaParser:
         if name == "t" and self.field.backend == LAURENT and name not in self.sorts:
             return FLit(self.field.uniformizer())
         if self.sorts.get(name, None) is not None:
-            self.fail(f"{name} is RV-sorted, expected a field term")
+            raise FormulaSyntaxError(f"{name} is RV-sorted, expected a field term", self.sc.pos - len(name))
         return FVar(name)
 
 

@@ -154,6 +154,15 @@ def test_root_search_over_a_huge_prime_is_a_precondition_violation(capsys):
         ),
         # the length of 7^30000000 is read off its valuation, before 7^30000000 is built
         (["--field", "padic", "--p", "7", "eval", "7^30000000"], "a number of 84220648 bits is too long to print"),
+        # the normal form prints classes of order v(q) = 2^m v(m!) on a slack piece
+        (
+            ["--field", "padic", "--p", "2", "normal-form", "--var", "x", "v(rv[0](x^16 - 17)) > v(rv[0](2))"],
+            "order 983040 is outside 0 <= d < MAX_DIGIT_SPAN = 2048",
+        ),
+        (
+            ["--field", "padic", "--p", "3", "normal-form", "--var", "x", "v(rv[0](x^27 - 10)) > v(rv[0](3))"],
+            "order 1744830464 is outside 0 <= d < MAX_DIGIT_SPAN = 2048",
+        ),
     ],
 )
 def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
@@ -190,6 +199,13 @@ def test_hostile_input_breaks_a_named_bound(capsys, argv, message):
         # products are reduced
         (["decide", "EX x:K. x^128 = 1 + t"], "TRUE"),
         (["decompose", "--poly", "x^40 - 1 - t"], None),
+        # a slack piece of index m keeps v(q) = 2^m v(m!), never q = m!^(2^m)
+        (["--field", "padic", "--p", "2", "decompose", "--poly", "x^16 - 17"], None),
+        (["--field", "padic", "--p", "2", "decompose", "--poly", "x^16 - 3"], None),
+        (["--field", "padic", "--p", "2", "decompose", "--poly", "x^24 - 17"], None),
+        (["--field", "padic", "--p", "2", "decompose", "--poly", "x^32 - 17"], None),
+        (["--field", "padic", "--p", "2", "decompose", "--poly", "x^128 - 17"], None),
+        (["--field", "padic", "--p", "3", "decompose", "--poly", "x^27 - 10"], None),
         # each rv literal is read in time independent of where it starts
         (
             ["decide", "EX x:K. x = 1 & (" + " | ".join(["rv[0]{v=0; unit=1} = rv[0]{v=1; unit=1}"] * 5000) + ")"],

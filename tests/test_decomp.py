@@ -1,5 +1,12 @@
+import json
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -175,7 +182,7 @@ def test_rv_decompose_single_piece(laurent):
     t = laurent.uniformizer()
     f = Poly(laurent, [-t, zero, laurent.one()])
     dec = rv_decompose([f], [0])
-    assert all(p.q == 1 for cell in dec.cells for p in cell.pieces)
+    assert all(p.severity_bound == 0 for cell in dec.cells for p in cell.pieces)
     for x in grid(laurent):
         cell = dec.cell_of(x)
         assert cell.pieces[0].eval_rv(x, 0) == rv(f(x), 0)
@@ -199,7 +206,7 @@ def test_rv_decompose_padic_offsets(padic2):
     bound = 4  # 2^2 * v(2!)
     for cell in dec.cells:
         p = cell.pieces[0]
-        assert (len(bin(p.q)) - 3 if p.q > 1 else 0) <= bound
+        assert p.severity_bound <= bound
     for x in grid(padic2, ks=range(-3, 4)):
         cell = dec.cell_of(x)
         assert cell.pieces[0].eval_rv(x, 0) == rv(f(x), 0)
@@ -245,14 +252,103 @@ def test_json_roundtrip_pieces(laurent):
     for p in decompose(f):
         back = Piece.from_json(laurent, p.to_json())
         assert back.cheese == p.cheese
-        assert back.m == p.m and back.q == p.q
+        assert back.m == p.m and back.severity_bound == p.severity_bound
         assert all((a - b).is_zero or (a - b).is_small for a, b in zip(back.coeffs, p.coeffs))
+
+
+# ---- a slack piece keeps v(q), not q ------------------------------------------
+
+
+def _slack_piece(field, f):
+    """The piece of index deg f on the unit annulus of x^n - c, c = 1 mod p
+    and no n-th power: the class of 1 holds no root of f or of a derivative,
+    so it stays in the annulus and leaves it slack."""
+    return next(p for p in decompose(f) if p.contains(field.one()))
+
+
+# c for x^(m - k) (x^k - c) with k = m - m % p: c = 1 mod p is no k-th
+# power, and no root of f or of a derivative lies in the class of 1, so the
+# unit annulus leaves a slack piece of index m; 1 + p where not listed
+_SLACK_C = {(2, 3): 5, (3, 4): 7, (3, 8): 7, (7, 8): 15}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+@pytest.mark.parametrize("m", range(2, 11))
+def test_severity_bound_is_the_valuation_of_q(p, m):
+    field = Field.padic(p)
+
+    def vq(i):  # v(q) for q = i!^(2^i), read off q one p at a time
+        return eval_rv_reference._int_val(field, factorial(i) ** (2**i))
+
+    k = m - m % p or m  # m < p: v(m!) = 0, and no piece has slack
+    c = _SLACK_C.get((p, m), 1 + p)
+    pieces = decompose(Poly.from_rationals(field, [0] * (m - k) + [-c] + [0] * (k - 1) + [1]))
+    assert all(q.severity_bound in (0, vq(q.m)) for q in pieces)
+    assert any(q.m == m and q.severity_bound == vq(m) for q in pieces)
+
+
+def test_json_prints_q_as_its_formula(padic2):
+    f = Poly.from_rationals(padic2, [-17] + [0] * 15 + [1])
+    pieces = decompose(f)
+    qs = [p.to_json()["q"] for p in pieces]
+    assert qs.count("16!^(2^16)") == 1 and qs.count(1) == len(qs) - 1
+    for p in pieces:
+        back = Piece.from_json(padic2, json.loads(json.dumps(p.to_json())))
+        assert back.cheese == p.cheese and back.severity_bound == p.severity_bound
+
+
+# units whose 2-adic digits end, and units with gamma + 1 nonzero digits: a
+# product of those costs about a second at gamma = 983,040, so x^16 - 17
+# takes the short ones
+_SHORT_UNITS = [1, 3, 5, 7, 1 + 2**9, 1 + 2**20]
+_LONG_UNITS = [-1, -3, Fraction(1, 3), Fraction(-5, 7)]
+
+
+@pytest.mark.parametrize("n, c, units", [(10, 3, _SHORT_UNITS + _LONG_UNITS), (16, 17, _SHORT_UNITS)])
+def test_eval_rv_at_a_large_working_order(padic2, n, c, units):
+    """x^10 - 3 reads gamma = 8,192 and x^16 - 17 gamma = 983,040 at delta 0."""
+    f = Poly.from_rationals(padic2, [-c] + [0] * (n - 1) + [1])
+    piece = _slack_piece(padic2, f)
+    assert piece.severity_bound == padic2.factorial_val(n) * 2**n
+    for u in units:
+        x = padic2.from_rational(Fraction(u))
+        assert piece.contains(x)
+        assert piece.eval_rv(x, 0) == rv(f(x), 0), str(x)
+
+
+_PAST_MAX_EXACT_BITS = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from hqe.decomp import decompose
+from hqe.errors import PreconditionViolated
+from hqe.field import Field
+from hqe.poly import Poly
+F = Field.padic(2)
+piece = next(p for p in decompose(Poly.from_rationals(F, [-17] + [0] * 31 + [1])) if p.contains(F.one()))
+try:
+    piece.eval_rv(F.one(), 0)
+except PreconditionViolated as e:
+    print(e)
+"""
+
+
+def test_eval_rv_refuses_a_working_order_past_max_exact_bits():
+    """x^32 - 17 reads gamma = 2^32 * 31 = 133,143,986,176: p^(gamma + 1)
+    would take 16 GB.  A child with 1 GiB of address space and a wall limit
+    runs it, so a missing guard fails this test rather than the machine."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _PAST_MAX_EXACT_BITS], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "leading term of a piece needs 2^133143986177, longer than MAX_EXACT_BITS = 16777216\n"
 
 
 # ---- the compiled linearization against the frozen field-product path ------
 
 _LIN_FIELDS = [Field.laurent(), Field.padic(7), Field.padic(2)]
-# x^2 - a has no root: over padic-2 its annulus leaves a slack piece, q > 1
+# x^2 - a has no root: over padic-2 its annulus leaves a slack piece, v(q) > 0
 _NON_SQUARE = {None: 2, 7: 3, 2: 5}  # by field.p
 
 
@@ -302,7 +398,7 @@ def linearization_queries(draw):
             cs[i] = field.small(draw(st.integers(-2, 6)))
         elif not cs[i].is_zero and not cs[i].is_small:
             cs[i] = cs[i].truncate_rel(draw(st.integers(1, 3)))
-        piece = Piece(piece.cheese, piece.center, tuple(cs), piece.m, piece.severity_bound, piece.q)
+        piece = replace(piece, coeffs=tuple(cs))
     horizon = resolution_horizon(field)
     points = [piece.center]
     points += draw(st.lists(st.sampled_from(grid(field, ks=range(-3, 4))), min_size=1, max_size=4))
@@ -346,7 +442,7 @@ def test_eval_rv_never_forms_a_field_power_or_a_representative(monkeypatch, any_
         * Poly.from_rationals(any_field, [-_NON_SQUARE[any_field.p], 0, 1])
     )
     pieces = decompose(f)
-    assert any_field.p != 2 or any(p.q > 1 for p in pieces)
+    assert any_field.p != 2 or any(p.severity_bound > 0 for p in pieces)
     pts = grid(any_field, ks=range(-3, 4)) + [cluster + any_field.monomial(1, 5)]
     queries = [(p, x, delta) for p in pieces for x in pts if p.contains(x) for delta in range(3)]
     want = [_outcome(eval_rv_reference.eval_rv, p, x, delta) for p, x, delta in queries]

@@ -63,18 +63,11 @@ _OLD_ONLY = re.compile(r"^\s*\+\d|\+\s*\+\d|\+\s*-\s*t")
 _ALPHABET = " \t0123456789+-*/^()[]{}=<>!&|.,:;_tvxwOKEXALRinfu\u0663\u00b2"
 
 
-# an identifier's sort error points past the whitespace after the
-# identifier, the reference's at its end: only there is the position left out
-_SORT_ERROR_AT = re.compile(
-    r"(is not an RV-sorted variable|is RV-sorted, expected a field term) \(at position \d+\)$"
-)
-
-
 def _outcome(fn, *args):
     try:
         return "ok", fn(*args)
     except HQEError as e:  # the same error at the same position
-        return type(e), _SORT_ERROR_AT.sub(r"\1", str(e))
+        return type(e), str(e)
     except ValueError as e:  # the reference only: int() of a digit it cannot read
         return ValueError, str(e)
 
@@ -404,6 +397,22 @@ def test_an_rv_literal_error_points_at_its_first_unit_digit(field, text, message
     assert _outcome(ref.parse_formula, field, text) == (FormulaSyntaxError, message)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("EX x:K. rv[3](x*y)*w = rv[0](x)", "w is not an RV-sorted variable (at position 19)"),
+        ("EX x:RV[0]. 2*x  = 1", "x is RV-sorted, expected a field term (at position 14)"),
+        ("EX x:RV[0]. 2*x2  = 1 | 2*x = 1", "x is RV-sorted, expected a field term (at position 26)"),
+    ],
+)
+def test_a_sort_error_points_at_the_identifier(text, message):
+    """At its first character, not past it or the whitespace after it."""
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_formula(_FIELDS[0], text)
+    assert str(e.value) == message
+    assert _outcome(ref.parse_formula, _FIELDS[0], text) == (FormulaSyntaxError, message)
+
+
 # ---- a repeated v(...) term is read once per scope -----------------------------
 
 
@@ -418,17 +427,17 @@ def test_an_rv_literal_error_points_at_its_first_unit_digit(field, text, message
         # the same tokens: "rv [0]" is not the rv function
         (
             "EX x:K. v(rv[0](x - 1)) < v(rv[0](t)) & v(rv [0](x - 1)) < v(rv[0](t))",
-            "rv is not an RV-sorted variable (at position 45)",
+            "rv is not an RV-sorted variable (at position 42)",
         ),
         # the same text in another scope: x is RV-sorted there
         (
             "v(rv[0](x)) < v(rv[0](t)) & EX x:RV[0]. v(rv[0](x)) < v(rv[0](t))",
-            "x is RV-sorted, expected a field term (at position 49)",
+            "x is RV-sorted, expected a field term (at position 48)",
         ),
         # and read first at a greater depth, which alone would allow the reuse
         (
             "!!!!!!!!v(rv[0](x)) < v(rv[0](t)) & EX x:RV[0]. v(rv[0](x)) < v(rv[0](t))",
-            "x is RV-sorted, expected a field term (at position 57)",
+            "x is RV-sorted, expected a field term (at position 56)",
         ),
     ],
 )
