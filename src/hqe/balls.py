@@ -71,6 +71,10 @@ class Ball:
     def is_empty(self) -> bool:
         return self.kind == _EMPTY
 
+    @property
+    def is_point(self) -> bool:
+        return self.kind == _POINT
+
     def depth(self, x: FieldElem):
         """min(v(x - center), radius) of a point or a ball; PrecisionExhausted
         when the digits of x and the center below the radius do not decide it."""

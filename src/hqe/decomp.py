@@ -29,7 +29,7 @@ from .field import LAURENT, Field, FieldElem, _lconv, _lelem, _pelem, bounded_po
 from .hensel import DerivativeRoots, resolution_horizon
 from .poly import Poly, annulus_residue_poly, argmin_indices, derivative, residue_roots, taylor_shift
 from .rv import RVElem, rv
-from .valq import INF, NEG_INF, as_order
+from .valq import INF, as_order
 
 _MAX_DEPTH = 600
 
@@ -341,12 +341,12 @@ def _region(f, center, n, ball, droots, exact, depth, prev=None, coeffs=None) ->
     field = f.field
     if coeffs is None:
         coeffs = tuple(taylor_shift(f, center))
-    if ball.kind == "point":
+    if ball.is_point:
         return [Piece(SwissCheese.of_ball(ball), center, coeffs, 0, 0)]
     pairs = _support_vals(field, coeffs)
     if not pairs:
         raise PreconditionViolated("zero polynomial in decomposition")
-    gamma = ball.radius_int if ball.kind == "ball" else NEG_INF
+    gamma = ball.radius
     m = max(argmin_indices(pairs, gamma))
     # measure of the double induction: m drops, or the number of derivative
     # roots inside drops (checked only where m does not drop)

@@ -11,8 +11,8 @@ bitmask over the cells.  The variable is fixed at each root and each cell
 in turn and the rest of the block is decided on the matrix folded there;
 the last variable's matrix is evaluated with &, | and ~.  An atom joining
 two variables is taken apart by pinning one of them at the roots of an
-equation in it alone.  Formulas with no field quantifiers pass through
-unchanged."""
+equation in it alone.  Around the decided blocks atoms are kept, And and
+Or are flattened, and truth constants and double negations are folded."""
 
 from __future__ import annotations
 
@@ -80,7 +80,7 @@ from .regions import (
 )
 from .rv import RVElem, rv
 from .semantics import evaluate
-from .valq import FLIP, as_order
+from .valq import FLIP, NEG_INF, as_order
 
 
 # ---- linear systems: the ball intersection elimination ------------------------
@@ -330,17 +330,22 @@ def _oplus_polys_region(P1: Poly, P2: Poly, P3: Poly, order: int, field) -> Regi
         return _rv_eq_polys_region(P3, P2, order, field)
     if P2.is_zero:
         return _rv_eq_polys_region(P3, P1, order, field)
-    low1 = vcomp_region(P1, P2, "<=", field)
-    low2 = vcomp_region(P2, P1, "<", field)
-    reg = [(low1, compare(P1)), (low2, compare(P2))]
+    # the minimum is v(P1) where v(P1) <= v(P2), and v(P2) where v(P2) < v(P1)
+    halves = [
+        (vcomp_region(P1, P2, "<=", field), compare(P1)),
+        (vcomp_region(P2, P1, "<", field), compare(P2)),
+    ]
     # points where both summands vanish: there the relation asks the third
     # side to vanish as well
     joint = []
     for r in field_roots(P1) + field_roots(P2):
         if is_root(P1, r) and is_root(P2, r) and not any(same_point(r, s) for s in joint):
             joint.append(r)
-    fixups = [SwissCheese.of_ball(Ball.point(r)) for r in joint if is_root(P3, r)]
-    return [(reg, [SwissCheese(Ball.all(field), [Ball.point(r) for r in joint])])] + fixups
+    off = [Ball.point(r) for r in joint]
+    # intersected cheeses keep their own balls, as cell_partition asks
+    reg = [a.intersect(b).minus_balls(off) for low, high in halves for a in low for b in high]
+    fixups = [SwissCheese.of_ball(b) for b in off if is_root(P3, b.center)]
+    return [d for d in reg if not d.is_empty] + fixups
 
 
 # ---- the engine ---------------------------------------------------------------
@@ -540,9 +545,10 @@ def _as_literal(v):
 def qe(phi, field: Field, params=None):
     """A field-quantifier-free equivalent of phi (parameters concrete).
 
-    Formulas already free of field quantifiers are returned unchanged; a
-    quantified subformula is replaced by its decided truth value, innermost
-    first.  The output is machine-checked to carry no field quantifiers.
+    A block of field quantifiers is replaced by its decided truth value,
+    innermost first; atoms are kept, And and Or flattened, and truth
+    constants and double negations folded.  The output is machine-checked
+    to carry no field quantifiers.
     """
     if params:
         phi = subst(phi, {k: _as_literal(v) for k, v in params.items()})
@@ -735,20 +741,20 @@ def normal_form(phi, var: str, field: Field, params=None) -> NormalForm:
 def _membership_formula(cheese: SwissCheese, center_index, gamma, field):
     parts = []
     outer = cheese.outer
-    if outer.kind == "ball":
-        w = RVVarT(f"w{center_index(outer.center) + 1}", gamma)
-        lit = RVLitT(rv(field.monomial(1, outer.radius_int), gamma))
-        parts.append(VComp("<=", lit, w))
-    elif outer.kind == "point":
+    if outer.is_point:
         w = RVVarT(f"w{center_index(outer.center) + 1}", gamma)
         parts.append(RVEq(w, RVLitT(RVElem.inf(field, gamma))))
+    elif outer.radius != NEG_INF:
+        w = RVVarT(f"w{center_index(outer.center) + 1}", gamma)
+        lit = RVLitT(rv(field.monomial(1, outer.radius), gamma))
+        parts.append(VComp("<=", lit, w))
     for h in cheese.holes:
         w = RVVarT(f"w{center_index(h.center) + 1}", gamma)
-        if h.kind == "ball":
-            lit = RVLitT(rv(field.monomial(1, h.radius_int), gamma))
-            parts.append(VComp("<", w, lit))
-        else:
+        if h.is_point:
             parts.append(Not(RVEq(w, RVLitT(RVElem.inf(field, gamma)))))
+        else:
+            lit = RVLitT(rv(field.monomial(1, h.radius), gamma))
+            parts.append(VComp("<", w, lit))
     return conj(parts)
 
 

@@ -21,8 +21,7 @@ from .hensel import field_roots, resolution_horizon, same_point
 from .poly import Poly
 from .valq import FLIP, INF, NEG_INF, holds
 
-# a region is a finite union of swiss cheeses and of intersections of
-# regions, the latter written as tuples
+# a region is a finite union of nonempty swiss cheeses, kept as a list
 Region = list
 
 
@@ -35,18 +34,9 @@ def roots_region(f: Poly, field: Field) -> tuple[Region, list]:
     return [SwissCheese.of_ball(Ball.point(r)) for r in roots], roots
 
 
-def _cheeses(region: Region):
-    for item in region:
-        if isinstance(item, tuple):
-            for r in item:
-                yield from _cheeses(r)
-        elif not item.is_empty:
-            yield item
-
-
 def _inside(ball: Ball, node: Ball) -> bool:
-    if node.kind == "point":
-        return ball.kind == "point" and same_point(ball.center, node.center)
+    if node.is_point:
+        return ball.is_point and same_point(ball.center, node.center)
     return node.contains_ball(ball)
 
 
@@ -60,7 +50,7 @@ def cell_partition(regions, points, field: Field):
     pairs, and the cell of each point."""
     nodes, kids, index = [Ball.all(field)], [[]], {}
     marks = [Ball.point(r) for r in points]
-    balls = marks + [b for reg in regions for c in _cheeses(reg) for b in (c.outer, *c.holes)]
+    balls = marks + [b for reg in regions for c in reg for b in (c.outer, *c.holes)]
     # larger balls first, so that a ball is inserted below all its supersets
     for b in sorted(balls, key=lambda b: b.radius):
         i = 0
@@ -81,17 +71,11 @@ def cell_partition(regions, points, field: Field):
 
     def mask(region):
         out = 0
-        for item in region:
-            if isinstance(item, tuple):
-                m = sub[0]
-                for r in item:
-                    m &= mask(r)
-                out |= m
-            elif not item.is_empty:
-                m = sub[index[id(item.outer)]]
-                for h in item.holes:
-                    m &= ~sub[index[id(h)]]
-                out |= m
+        for c in region:
+            m = sub[index[id(c.outer)]]
+            for h in c.holes:
+                m &= ~sub[index[id(h)]]
+            out |= m
         return out
 
     cells = [(b, [nodes[k] for k in kids[i]]) for i, b in enumerate(nodes)]
@@ -131,8 +115,7 @@ def vcomp_region(H: Poly, G, op: str, field: Field, c: int = 0) -> Region:
         # "<" and "!=" hold exactly away from the roots
         _, roots = roots_region(H, field)
         return [SwissCheese(Ball.all(field), [Ball.point(r) for r in roots])]
-    # a fresh list: a tuple in a region is an intersection, and callers may
-    # extend the list they receive, never the memo
+    # a fresh list: callers may extend the list they receive, never the memo
     return list(_vcomp_region(field, H.coeffs, G.coeffs, op, c))
 
 
@@ -155,17 +138,20 @@ def _cell_compare(ch: Piece, cg: Piece, c, op, cheese, field) -> Region:
         B += c
     m1, m2 = ch.m, cg.m
     a1, a2 = ch.center, cg.center
-    if m1 == 0 and m2 == 0:
-        return [cheese] if holds(A, B, op) else []
-    horizon = resolution_horizon(field)
-    dd = val_diff(a1, a2, horizon)  # v(a1 - a2), or the horizon for the same center
-    if dd is None:
-        raise PrecisionExhausted("cell centers indistinguishable at precision")
+    if m1 == 0 or m2 == 0:
+        # a constant side reads no radius: the other side's center serves both
+        one = a2 if m1 == 0 else a1
+    else:
+        horizon = resolution_horizon(field)
+        dd = val_diff(a1, a2, horizon)  # v(a1 - a2), or the horizon for the same center
+        if dd is None:
+            raise PrecisionExhausted("cell centers indistinguishable at precision")
+        one = a1 if dd == horizon else None
     out: Region = []
-    if dd == horizon:
-        # same center: one radius r, w1 = A + m1 r, w2 = B + m2 r
+    if one is not None:
+        # one center: one radius r, w1 = A + m1 r, w2 = B + m2 r
         for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, INF, True):
-            out.extend(_radius_range(a1, lo, hi, inc, field))
+            out.extend(_radius_range(one, lo, hi, inc, field))
     else:
         # r1 < dd forces r2 = r1
         for lo, hi, inc in _solve(A, m1, B, m2, op, NEG_INF, dd - 1, False):

@@ -70,7 +70,8 @@ def _shared(u):
 
 
 # the witness of each _shared sentence, or None, as the region calculus gave
-# it before the memo
+# it before the memo (a ball prints with whichever centre reached the cell
+# forest first; any point of the ball would name the same set)
 _SHARED = {
     "laurent-q": (
         "t",
@@ -81,7 +82,7 @@ _SHARED = {
             None,
             {"x": "B[>=1](1 + 1*t^1) \\ (B[>=2](1 + 2*t^1) u B[>=2](1 + 1*t^1))"},
             None,
-            {"x": "B[>=1](1 + 2*t^1) \\ (B[>=2](1 + 2*t^1) u B[>=2](1 + 1*t^1))"},
+            {"x": "B[>=1](1 + 1*t^1) \\ (B[>=2](1 + 2*t^1) u B[>=2](1 + 1*t^1))"},
         ],
     ),
     "padic-7": (
@@ -93,7 +94,7 @@ _SHARED = {
             None,
             {"x": "B[>=1](8) \\ (B[>=2](15) u B[>=2](8))"},
             None,
-            {"x": "B[>=1](15) \\ (B[>=2](15) u B[>=2](8))"},
+            {"x": "B[>=1](8) \\ (B[>=2](15) u B[>=2](8))"},
         ],
     ),
 }
