@@ -151,8 +151,11 @@ class Piece:
         gamma = delta + self.severity_bound
         k = gamma + 1
         laurent = field.backend == LAURENT
-        # p^k is the modulus of every padic class below: refuse it up front
+        # p^k is the modulus of every padic class below: refuse it up front.
+        # Over p = 2 a residue is the mask 2^k - 1, which costs a copy where
+        # % costs a long division (seconds at k near a million)
         mod = None if laurent else bounded_power(field.p, k, "leading term of a piece")
+        mask = mod - 1 if not laurent and field.p == 2 else None
         d = x - self.center
         dlb = None if d.is_zero else d.val_lb()  # v(d), or its order bound
         if dlb is not None:
@@ -178,14 +181,17 @@ class Piece:
             if known < k:
                 raise PrecisionExhausted(f"need {k} unit digits, have {known}")
             while pj < j:
-                pw = _lconv(pw, d.u, k) if laurent else pw * d.u % mod
+                if laurent:
+                    pw = _lconv(pw, d.u, k)
+                else:
+                    pw = pw * d.u & mask if mask else pw * d.u % mod
                 pj += 1
             if not j:
                 kept.append((cls.v, cls.u, cls.den))
             elif laurent:
                 kept.append((cls.v + j * dlb, _lconv(cls.u, pw, k), cls.den * d.den**j))
             else:
-                kept.append((cls.v + j * dlb, cls.u * pw % mod, 1))
+                kept.append((cls.v + j * dlb, cls.u * pw & mask if mask else cls.u * pw % mod, 1))
         if not kept:
             return RVElem.inf(field, delta)
         low = min(v for v, _, _ in kept)

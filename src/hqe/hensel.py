@@ -32,6 +32,9 @@ _MAX_NEWTON_STEPS = 64
 # digits an iterate carries beyond the precision its next step is predicted
 # to use
 _SLACK = 8
+# working precision of the short lift from which _roots_in_O tries an exact
+# root before it lifts to full precision
+EXACT_PROBE_PREC = 12
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,11 @@ def _digit(u: int, p: int, i: int) -> int:
 
 def field_roots(g: Poly) -> list[FieldElem]:
     """All roots of g in K, certified by Newton lifting; exact whenever an
-    exact value can be reconstructed and verified.  Deterministic order."""
+    exact value can be reconstructed and verified.  Deterministic order.
+
+    A simple root is tried first as an exact root read from a lift to
+    EXACT_PROBE_PREC digits, and lifted to full precision only when none
+    verifies; the answer is the same (``_probe_exact_root``)."""
     if g.is_zero:
         raise PreconditionViolated("root search on the zero polynomial")
     if g.degree == 0:
@@ -230,7 +237,23 @@ def _field_roots(field: Field, coeffs) -> tuple[FieldElem, ...]:
 
 def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
     """Replace a truncated root by an exact one when a short exact candidate
-    verifies g(candidate) = 0 in exact arithmetic.
+    read from its digits verifies g(candidate) = 0 (``_exact_root``).  A
+    root found exact from a short lift arrives exact, and is the element
+    this snap finds from the full lift (``_probe_exact_root``)."""
+    if x.is_exact or x.is_zero or x.is_small:
+        return x
+    cand = _exact_root(g, x)
+    return x if cand is None else cand
+
+
+def _exact_root(g: Poly, x: FieldElem, near: FieldElem | None = None) -> FieldElem | None:
+    """The first short exact candidate read from the digits of the
+    truncated number x that is a root of g in exact arithmetic, and lies in
+    the residue class of ``near`` when that is given; None when none is.
+
+    The candidates are x's known digits made exact and those less the last
+    four over laurent-q, and the rational reconstruction of four fewer
+    unit digits than x knows (at least four) over padic.
 
     Most candidates are not roots (the roots of derivatives are mostly
     irrational), and the exact g(candidate) over long digit vectors is the
@@ -238,10 +261,8 @@ def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
     homomorphism ``field.fingerprint`` to Z/P: if g(candidate) were 0 its
     image would be 0, so a nonzero image proves it is not a root and the
     candidate is skipped (the fingerprint argument of Schwartz and Zippel).
-    A zero or unknown image proves nothing, and the exact check runs as
-    before; a candidate is accepted only by that exact check."""
-    if x.is_exact or x.is_zero or x.is_small:
-        return x
+    A zero or unknown image proves nothing, and the exact check runs; a
+    candidate is accepted only by that exact check."""
     field = x.field
     candidates = []
     if field.backend == LAURENT:
@@ -254,12 +275,14 @@ def _snap_exact(g: Poly, x: FieldElem) -> FieldElem:
             candidates.append(field.from_rational(fr).shift(x.v))
     images = coeff_images(g)
     for cand in candidates:
+        if near is not None and val_diff(cand, near, 1) != 1:
+            continue
         w = fingerprint(cand) if images is not None else None
         if w is not None and _horner(images, w, FINGERPRINT_PRIME):
             continue
         if g(cand).is_zero:
             return cand
-    return x
+    return None
 
 
 def _rational_reconstruct(u: int, m: int):
@@ -297,7 +320,9 @@ def _roots_in_O(H: Poly, depth: int, only_units: bool = False) -> list[FieldElem
     """All roots of H (squarefree) of valuation >= 0 (> 0 excluded when
     only_units).  Recursive digit descent with Newton lifting at simple
     spots; termination rests on the finite separation of the roots of a
-    squarefree polynomial in a complete field."""
+    squarefree polynomial in a complete field.  At a simple spot an exact
+    root is tried first from a lift to EXACT_PROBE_PREC digits, and the
+    full lift runs only when none verifies (``_probe_exact_root``)."""
     field = H.field
     if depth > field.prec + 16:
         raise PrecisionExhausted("root descent exceeded the precision budget")
@@ -327,11 +352,48 @@ def _roots_in_O(H: Poly, depth: int, only_units: bool = False) -> list[FieldElem
             va = Hc.coeffs[0].val_lb()
             vd = Hc.coeffs[1].val() if len(Hc.coeffs) > 1 and not Hc.coeffs[1].is_zero else None
             if vd is not None and va > vd * 2:
-                cert = newton_lift(H, chat, 0)
-                out.append(cert.root)
+                root = _probe_exact_root(H, chat, depth)
+                out.append(root if root is not None else newton_lift(H, chat, 0).root)
                 continue
         out.extend(chat + w for w in _descend(Hc, depth))
     return out
+
+
+def _probe_exact_root(H: Poly, chat: FieldElem, depth: int) -> FieldElem | None:
+    """The root of H that Newton's method reaches from chat, when it is
+    short and exact and the probe applies; None otherwise.
+
+    H is lifted from chat at EXACT_PROBE_PREC digits, and the candidates
+    are read from that short root as ``_snap_exact`` reads them.  One is
+    accepted only when it is congruent to chat modulo pi and H vanishes at
+    it in exact arithmetic.  The class of chat holds exactly one root of H,
+    the one the full lift converges to, so the candidate is that root; the
+    full lift knows at least the digits the short one does, so
+    ``_snap_exact`` would find the same element from them.  A short lift
+    that ends in an exact zero (a root past its precision, read as 0) or an
+    order bound, or that raises, proves nothing, and the full lift runs.
+
+    The probe applies only where that argument holds: every coefficient of
+    H exact, a working precision above EXACT_PROBE_PREC, and over padic
+    only at the top of the digit descent.  A padic root found at depth D is
+    c_0 + c_1 p + ... + p^D w, of height near p^D, and the snap's rational
+    reconstruction from about D + prec digits misses it past a depth near
+    prec, where the probe would not; a laurent-q root is its digits, all of
+    which the snap reads."""
+    field = H.field
+    if depth and field.backend != LAURENT or field.prec <= EXACT_PROBE_PREC:
+        return None
+    if not all(c.is_exact for c in H.coeffs):
+        return None
+    short = field.with_prec(EXACT_PROBE_PREC)
+    try:
+        x = newton_lift(Poly(short, [c.with_field(short) for c in H.coeffs]), chat.with_field(short), 0).root
+        if x.is_exact or x.is_small:
+            return None
+        # _exact_root raises on a padic x of fewer than four unit digits
+        return _exact_root(H, x.with_field(field), chat)
+    except PrecisionExhausted:
+        return None
 
 
 def _descend(Hc: Poly, depth: int) -> list[FieldElem]:

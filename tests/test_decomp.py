@@ -299,7 +299,7 @@ def test_json_prints_q_as_its_formula(padic2):
 
 # units whose 2-adic digits end, and units with gamma + 1 nonzero digits: a
 # product of those costs about a second at gamma = 983,040, so x^16 - 17
-# takes the short ones
+# takes the short ones here and two long ones in a child process below
 _SHORT_UNITS = [1, 3, 5, 7, 1 + 2**9, 1 + 2**20]
 _LONG_UNITS = [-1, -3, Fraction(1, 3), Fraction(-5, 7)]
 
@@ -314,6 +314,38 @@ def test_eval_rv_at_a_large_working_order(padic2, n, c, units):
         x = padic2.from_rational(Fraction(u))
         assert piece.contains(x)
         assert piece.eval_rv(x, 0) == rv(f(x), 0), str(x)
+
+
+_LONG_UNITS_AT_983040 = """
+import resource
+from fractions import Fraction
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from hqe.decomp import decompose
+from hqe.field import Field
+from hqe.poly import Poly
+from hqe.rv import rv
+F = Field.padic(2)
+f = Poly.from_rationals(F, [-17] + [0] * 15 + [1])
+piece = next(p for p in decompose(f) if p.severity_bound)
+for u in (-1, Fraction(1, 3)):
+    x = F.from_rational(u)
+    assert piece.contains(x)
+    print(u, piece.eval_rv(x, 0) == rv(f(x), 0))
+"""
+
+
+def test_eval_rv_on_long_units_at_a_large_working_order():
+    """x = -1 and x = 1/3 have 983,041 nonzero 2-adic digits on the slack
+    piece of x^16 - 17 (gamma = 983,040).  Reducing each product modulo
+    2^(gamma + 1) by a mask takes about a second per point here, by long
+    division 13 and 26 s; the child's wall limit sits between the two."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _LONG_UNITS_AT_983040], capture_output=True, text=True, env=env, timeout=20
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout == "-1 True\n1/3 True\n"
 
 
 _PAST_MAX_EXACT_BITS = """

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from hqe.errors import PrecisionExhausted, PreconditionViolated
 from hqe.field import FINGERPRINT_PRIME, FINGERPRINT_T, Field, fingerprint
+import hqe.hensel
 from hqe.hensel import (
+    EXACT_PROBE_PREC,
     LiftCertificate,
+    _probe_exact_root,
     _snap_exact,
     collision_classes,
     collision_root,
@@ -21,6 +24,7 @@ from hqe.poly import Poly, derivative
 from hqe.rv import rv
 from hqe.valq import INF
 
+import field_roots_reference
 import newton_reference as reference
 import snap_reference
 
@@ -534,3 +538,184 @@ def test_fingerprint_is_a_ring_homomorphism_where_defined(laurent, padic7):
     # and over Q_P itself
     qp = Field.padic(P)
     assert fingerprint(qp.from_rational(5)) is None and fingerprint(qp.from_rational(P)) is None
+
+
+# ---- exact roots first: the short lift against the full one -------------------
+
+# the probe runs above EXACT_PROBE_PREC = 12: at 13 and 16 it is barely
+# shorter than the full lift, and at 8 and 12 it does not run
+_ROOT_FIELDS = [
+    Field.laurent(), Field.laurent(8), Field.laurent(13), Field.laurent(16),
+    Field.padic(7), Field.padic(7, 12), Field.padic(7, 13), Field.padic(2), Field.padic(2, 16),
+]
+# a that is not the square of a rational (function) but is a square in K
+_SQUARE_NOT_RATIONAL = {None: ["1 + t", "4 + t^3"], 7: ["2", "8", "1 + 7^3"], 2: ["17", "33"]}
+
+
+@st.composite
+def root_search_cases(draw):
+    """A polynomial as ``field_roots`` receives it: lead * prod (x - r),
+    maybe with a factor x^2 - a whose roots are irrational, maybe with one
+    coefficient truncated, maybe its derivative (what ``decompose`` asks
+    for).  The roots r are short or long exact elements, padic fractions of
+    any height, and clusters: a root plus a term D digits past its leading
+    one, for D up to past the working precision."""
+    field = draw(st.sampled_from(_ROOT_FIELDS))
+    p = field.p
+    one = field.one()
+
+    def rational(height):
+        num = draw(st.integers(-height, height).filter(bool))
+        den = draw(st.sampled_from([1, 1, 3, 5, 11]))
+        return Fraction(num, den)
+
+    def root():
+        shape = draw(st.sampled_from(["short", "long"]))
+        if field.backend == "laurent-q":
+            n = draw(st.integers(1, 4)) if shape == "short" else draw(st.integers(8, 20))
+            lo = draw(st.integers(-2, 3))
+            terms = [(lo + i, rational(9)) for i in range(n) if shape == "short" or draw(st.booleans()) or i < 2]
+            return field.from_terms(terms)
+        height = 60 if shape == "short" else p ** draw(st.integers(6, 30))
+        return field.from_rational(rational(height)).shift(draw(st.integers(-2, 3)))
+
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        if roots and draw(st.booleans()):
+            prev = draw(st.sampled_from(roots))
+            depth = draw(st.one_of(st.integers(1, 4), st.integers(EXACT_PROBE_PREC, field.prec + 12)))
+            r = prev + field.monomial(rational(9), prev.val() + depth)
+        else:
+            r = root()
+        if not r.is_zero and r not in roots:
+            roots.append(r)
+    g = Poly(field, [field.from_rational(draw(st.sampled_from([1, -2, 3])))])
+    for r in roots:
+        g = g * Poly(field, [-r, one])
+    if draw(st.booleans()):
+        a = field.parse(draw(st.sampled_from(_SQUARE_NOT_RATIONAL[p])))
+        g = g * Poly(field, [-a, field.zero(), one])
+    if draw(st.integers(0, 4)) == 0:
+        cs = list(g.coeffs)
+        j = draw(st.integers(0, len(cs) - 1))
+        if not cs[j].is_zero:
+            cs[j] = cs[j].truncate_rel(draw(st.integers(4, field.prec)))
+        g = Poly(field, cs)
+    if g.degree >= 2 and draw(st.integers(0, 3)) == 0:
+        g = derivative(g)
+    return g
+
+
+def _roots_outcome(search, g):
+    """The roots with their caps, in order, or the error's type and text."""
+    try:
+        return [(r, r.cap) for r in search(g)]
+    except Exception as e:  # the same error counts as the same answer
+        return type(e).__name__, str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(g=root_search_cases())
+def test_field_roots_match_full_lift_reference(g):
+    """Trying exact roots first from a short lift never changes the roots,
+    their precision, their order, or an error."""
+    assert _roots_outcome(field_roots, g) == _roots_outcome(field_roots_reference.field_roots, g)
+
+
+def _lift_spy(monkeypatch, short_root=None):
+    """Record the precision of every newton_lift that the root search runs;
+    with short_root, the short lift returns short_root(field) instead."""
+    calls = []
+    lift = hqe.hensel.newton_lift
+
+    def spy(P, a, delta=0, target=None):
+        calls.append(P.field.prec)
+        if short_root is not None and P.field.prec == EXACT_PROBE_PREC:
+            return LiftCertificate(short_root(P.field), 0, INF)
+        return lift(P, a, delta, target)
+
+    monkeypatch.setattr(hqe.hensel, "newton_lift", spy)
+    hqe.hensel._field_roots.cache_clear()
+    return calls
+
+
+def test_a_root_past_the_short_precision_matches_the_reference(laurent):
+    """f = (x - t)(x - t - t^40)(x + 1): next to the exact root t, the root
+    t + t^40 lies 39 digits further, past the probe's precision, where a
+    short lift reads it as the exact zero; f, f' and f'' have the roots of
+    the full lift."""
+    t, one = laurent.uniformizer(), laurent.one()
+    f = Poly(laurent, [-t, one]) * Poly(laurent, [-(t + t**40), one]) * Poly(laurent, [one, one])
+    hqe.hensel._field_roots.cache_clear()
+    for n in range(3):
+        g = derivative(f, n)
+        assert _roots_outcome(field_roots, g) == _roots_outcome(field_roots_reference.field_roots, g)
+    assert t + t**40 in field_roots(f)
+
+
+def _product(field, roots):
+    g = Poly(field, [field.one()])
+    for r in roots:
+        g = g * Poly(field, [-field.parse(r), field.one()])
+    return g
+
+
+# roots that Newton's method reaches: none is the rational residue it starts from
+_SHORT_EXACT_ROOTS = ((Field.laurent(), ["1 + t", "-2 + t^2 + 3*t^3", "3/2*t + t^2"]), (Field.padic(7), ["-3/5", "10/3", "3/4"]))
+
+
+def test_exact_roots_skip_the_full_lift(monkeypatch):
+    """Roots that a short lift finds exactly are never lifted to the
+    working precision."""
+    calls = _lift_spy(monkeypatch)
+    for field, roots in _SHORT_EXACT_ROOTS:
+        got = field_roots(_product(field, roots))
+        assert sorted(map(str, got)) == sorted(str(field.parse(r)) for r in roots)
+        assert all(r.is_exact for r in got)
+    assert calls == [EXACT_PROBE_PREC] * 6
+
+
+@pytest.mark.parametrize("short_root", [lambda f: f.zero(), lambda f: f.small(EXACT_PROBE_PREC)])
+def test_a_short_lift_ending_in_zero_or_an_order_bound_is_never_accepted(monkeypatch, short_root):
+    """Whatever the short lift returns that is not a number -- the exact
+    zero, an order bound -- proves nothing: every root is lifted in full
+    and is the reference's."""
+    calls = _lift_spy(monkeypatch, short_root)
+    for field, roots in _SHORT_EXACT_ROOTS:
+        g = _product(field, roots)
+        assert _probe_exact_root(g, field.one(), 0) is None
+        assert _roots_outcome(field_roots, g) == _roots_outcome(field_roots_reference.field_roots, g)
+    assert calls == ([EXACT_PROBE_PREC] + [EXACT_PROBE_PREC, 64] * 3) * 2
+
+
+def test_a_root_that_fails_verification_is_lifted_in_full(monkeypatch, laurent, padic7, padic2):
+    """The roots of x^2 - 1 - t (and of x^2 - 2, x^2 - 17 over Z_7, Z_2) are
+    not exact: each is tried short, then lifted in full, and the result is
+    the reference's.  So are those of x^2 - 1 - t/P, P the fingerprint
+    prime, whose candidates have no image, so that only the exact check
+    rejects them.  The two 2-adic roots share their residue, so they split
+    below the top of the descent, where no padic root is probed."""
+    calls = _lift_spy(monkeypatch)
+    no_image = laurent.from_terms([(0, 1), (1, Fraction(1, FINGERPRINT_PRIME))])
+    cases = ((laurent, laurent.parse("1 + t")), (laurent, no_image), (padic7, padic7.from_rational(2)),
+             (padic2, padic2.from_rational(17)))
+    for field, a in cases:
+        g = sq_minus(field, a)
+        got = _roots_outcome(field_roots, g)
+        assert len(got) == 2 and all(cap is not None for _, cap in got)
+        assert got == _roots_outcome(field_roots_reference.field_roots, g)
+    assert calls == [EXACT_PROBE_PREC, 64] * 6 + [64, 64]
+
+
+def test_a_deep_padic_cluster_is_not_probed(padic7):
+    """The roots 1/3 and 1/3 + 3/5 * 7^60 split at depth 60, where Newton's
+    method reaches each.  There both are short and exact, but
+    1/3 + 3/5 * 7^60 is too high for the reconstruction that the snap makes
+    from the full lift's digits, so the answer keeps it truncated: below
+    the top of the descent a padic root is lifted in full."""
+    third = Fraction(1, 3)
+    g = _product(padic7, ["1/3"]) * Poly(padic7, [-padic7.from_rational(third + Fraction(3, 5) * 7**60), padic7.one()])
+    hqe.hensel._field_roots.cache_clear()
+    got = _roots_outcome(field_roots, g)
+    assert got == _roots_outcome(field_roots_reference.field_roots, g)
+    assert [root for root, cap in got if cap is None] == [padic7.from_rational(third)]
